@@ -209,14 +209,14 @@ def _parse_fail_below(pairs: Sequence[str]) -> Dict[str, float]:
     for pair in pairs:
         if "=" not in pair:
             raise SystemExit(
-                f"error: --fail-below expects SCENARIO=FACTOR, got {pair!r}"
+                f"error: --fail-below-ref expects SCENARIO=FACTOR, got {pair!r}"
             )
         name, factor = pair.split("=", 1)
         try:
             thresholds[name] = float(factor)
         except ValueError:
             raise SystemExit(
-                f"error: --fail-below factor must be a number, got {factor!r}"
+                f"error: --fail-below-ref factor must be a number, got {factor!r}"
             ) from None
     return thresholds
 
@@ -242,21 +242,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not names:
         print("no scenarios selected", file=sys.stderr)
         return 1
-    compare = list(args.compare_loop or [])
-    if "all" in compare:
-        compare = list(names)
-    missing = [name for name in compare if name not in names]
-    if missing:
-        raise SystemExit(
-            f"error: --compare-loop scenario(s) not selected: {', '.join(missing)}"
-        )
-    thresholds = _parse_fail_below(args.fail_below)
-    uncompared = sorted(set(thresholds) - set(compare))
-    if uncompared:
-        raise SystemExit(
-            "error: --fail-below needs a loop comparison; add "
-            f"--compare-loop {' --compare-loop '.join(uncompared)}"
-        )
     ref_thresholds = _parse_fail_below(args.fail_below_ref)
     reference_mode = (args.rng or "seedseq", args.dtype or "float64")
     if ref_thresholds and reference_mode == ("seedseq", "float64"):
@@ -281,7 +266,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         names,
         repeats=args.repeats,
         warmup=args.warmup,
-        compare_loop=compare,
         params=_parse_params(args.param),
         rng=args.rng,
         dtype=args.dtype,
@@ -309,7 +293,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for name in names:
         entry = payload["scenarios"][name]
         vec = entry["vectorized"]
-        loop = entry.get("loop")
         ref = entry.get("reference")
         if ref:
             vs_ref = f"{entry['speedup_vs_reference_median']:.2f}x"
@@ -329,16 +312,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"{vec['median_s'] * 1e3:.1f}",
                 f"{vec['p90_s'] * 1e3:.1f}",
                 vec["engine_passes"],
-                f"{loop['median_s'] * 1e3:.1f}" if loop else "-",
-                f"{entry['speedup_median']:.2f}x" if loop else "-",
                 vs_ref,
                 stage_text or "-",
             )
         )
     print(
         format_table(
-            ["scenario", "median (ms)", "p90 (ms)", "passes", "loop median (ms)",
-             "speedup", "vs ref", "stages"],
+            ["scenario", "median (ms)", "p90 (ms)", "passes", "vs ref", "stages"],
             rows,
         )
     )
@@ -368,10 +348,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
     target = write_bench_report(payload, args.output)
     print(f"\nwrote {target}", file=sys.stderr)
-    failures = check_speedups(payload, thresholds)
-    failures += check_speedups(
-        payload, ref_thresholds, key="speedup_vs_reference_median"
-    )
+    failures = check_speedups(payload, ref_thresholds)
     if args.fail_below_dispatch is not None:
         warm = payload["dispatch_comparison"]["dispatch"]["warm_shm"]
         ratio = warm["speedup_vs_serial_median"]
@@ -631,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="time scenarios (warmup + repeats) and write a BENCH_*.json report",
+        help="time scenarios (warmup + repeats) and write a JSON bench report",
     )
     p_bench.add_argument("names", nargs="*", help="scenario names (default: all)")
     p_bench.add_argument("--all", action="store_true", dest="all_scenarios",
@@ -642,16 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="timed repeats per scenario (default: 3)")
     p_bench.add_argument("--warmup", type=_non_negative_int, default=1, metavar="N",
                          help="untimed warmup runs per scenario (default: 1)")
-    p_bench.add_argument("--compare-loop", action="append", default=[],
-                         metavar="SCENARIO",
-                         help="additionally time SCENARIO on the legacy "
-                              "REPRO_FORWARD=loop path and record the speedup "
-                              "(repeatable; 'all' compares every selection)")
-    p_bench.add_argument("--fail-below", action="append", default=[],
-                         metavar="SCENARIO=FACTOR",
-                         help="exit non-zero when SCENARIO's vectorized speedup "
-                              "is below FACTOR (repeatable; requires the "
-                              "scenario in --compare-loop)")
     p_bench.add_argument("--rng", choices=("seedseq", "philox"), default=None,
                          help="time the headline runs under this REPRO_RNG mode "
                               "(default: ambient environment; non-reference "
@@ -691,7 +658,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "run is slower than FACTOR x serial (requires "
                               "--compare-dispatch)")
     p_bench.add_argument("--output", default=DEFAULT_BENCH_PATH, metavar="PATH",
-                         help=f"report path (default: {DEFAULT_BENCH_PATH})")
+                         help=f"report path (default: {DEFAULT_BENCH_PATH}, an "
+                              "untracked scratch file; name a BENCH_*.json "
+                              "explicitly to record a committed report)")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_worker = sub.add_parser(

@@ -616,7 +616,7 @@ class MonteCarloAccuracyPass(EnginePass):
             return
         # Lazy import: repro.variation imports the engine for its convenience
         # entry points, so the engine only touches it when accuracy is asked for.
-        from repro.onn.layers import dtype_mode, forward_mode
+        from repro.onn.layers import dtype_mode
         from repro.variation.montecarlo import LinkOperatingPoint, run_monte_carlo
         from repro.variation.sampler import rng_mode
 
@@ -652,8 +652,7 @@ class MonteCarloAccuracyPass(EnginePass):
         if not cache.enabled:
             ctx.accuracy_report = compute()
             return
-        # Every active perf mode is part of the key: the loop and batched
-        # forwards agree to ~1e-9 (not bit-for-bit), philox streams differ
+        # Every active numerics mode is part of the key: philox streams differ
         # from the SeedSequence contract by construction, and float32 studies
         # round differently -- so an A/B comparison within one process must
         # never serve one mode's memoized study to another.  nominal_snr is in
@@ -665,7 +664,6 @@ class MonteCarloAccuracyPass(EnginePass):
             bits,
             link,
             nominal_snr,
-            forward_mode(),
             rng_mode(),
             dtype_mode(),
         )

@@ -4,8 +4,11 @@ Environment knobs are the repo's third implicit contract surface (next to
 bit-identical backends and fingerprint-complete memoization): a knob that
 changes numerics but is read ad hoc from ``os.environ`` can silently skew a
 process or cluster worker whose shell exports a different value than the
-coordinator that encoded the task.  PR 7 fixed exactly that bug class for
-``REPRO_FORWARD``/``REPRO_DTYPE``; this module makes the fix structural.
+coordinator that encoded the task; this module makes the fix for that bug
+class structural.  Knobs are for numerics modes, scenario parameter
+overrides and execution plumbing (store, pools, shm, cluster endpoints); a
+scenario's backend and worker count are its ``backend``/``jobs`` parameters,
+never environment knobs.
 
 Every knob is declared **here, once**, as a :class:`Knob` record (name, type,
 default, choices, whether it affects numerics), and every runtime read of a
@@ -227,14 +230,6 @@ def repro_env_snapshot() -> Dict[str, str]:
 # cross-check covers every REPRO_* literal in the package.
 
 register(
-    "REPRO_FORWARD",
-    default="vectorized",
-    choices=("vectorized", "loop"),
-    affects_numerics=True,
-    description="Forward implementation: vectorized (default) or the legacy "
-    "loop reference path.",
-)
-register(
     "REPRO_DTYPE",
     default="float64",
     choices=("float64", "float32"),
@@ -255,16 +250,6 @@ register(
     type="int",
     affects_numerics=True,
     description="Override the Monte Carlo trial count of variation scenarios.",
-)
-register(
-    "REPRO_MC_BACKEND",
-    description="Execution backend for Monte Carlo trials (results are "
-    "backend-invariant by construction).",
-)
-register(
-    "REPRO_MC_JOBS",
-    type="int",
-    description="Worker count for the Monte Carlo execution backend.",
 )
 register(
     "REPRO_STORE",
@@ -342,33 +327,8 @@ register(
     description="Scenario override: workload seed of the ablation experiment.",
 )
 register(
-    "REPRO_DSE_BACKEND",
-    description="Scenario override: execution backend for DSE sweeps.",
-)
-register(
-    "REPRO_DSE_JOBS",
-    type="int",
-    description="Scenario override: worker count for DSE sweeps.",
-)
-register(
-    "REPRO_BACKEND_JOBS",
-    type="int",
-    description="Scenario override: worker count of the backend-scaling bench.",
-)
-register(
     "REPRO_PRECISION_BITS",
     affects_numerics=True,
     description="Scenario override: precision-bits diagonal of the "
     "accuracy-vs-precision sweep.",
-)
-register(
-    "REPRO_PARETO_BACKEND",
-    description="Scenario override: execution backend of the accuracy/energy "
-    "Pareto sweep.",
-)
-register(
-    "REPRO_PARETO_JOBS",
-    type="int",
-    description="Scenario override: worker count of the accuracy/energy "
-    "Pareto sweep.",
 )

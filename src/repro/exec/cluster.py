@@ -95,7 +95,7 @@ PROTOCOL = "repro-cluster/3"
 CONTEXT_CACHE_SIZE = 32
 
 #: Environment knobs the backend resolves its defaults from, so
-#: ``--backend cluster`` / ``REPRO_MC_BACKEND=cluster`` need no code changes.
+#: ``--backend cluster`` / ``--param backend=cluster`` need no code changes.
 CLUSTER_HOST_ENV = "REPRO_CLUSTER_HOST"
 CLUSTER_PORT_ENV = "REPRO_CLUSTER_PORT"
 CLUSTER_WORKERS_ENV = "REPRO_CLUSTER_WORKERS"

@@ -6,8 +6,7 @@ invocation, and its workers die with their memoized state (per-worker caches,
 unpickled shm objects, architecture builds).  With ``REPRO_POOL=warm`` the
 process backend leases its executor from this module instead: one pool per
 worker count stays alive across dispatches, so the second batch starts with
-imported modules and warm caches -- the prerequisite for the planned
-``repro serve`` daemon.
+imported modules and warm caches.
 
 Correctness guards:
 

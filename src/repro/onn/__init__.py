@@ -16,8 +16,6 @@ small, dependency-free NN substrate that produces exactly those records:
 """
 
 from repro.onn.layers import (
-    FORWARD_MODE_ENV,
-    forward_mode,
     Module,
     Sequential,
     Linear,
@@ -41,8 +39,6 @@ from repro.onn.prune import magnitude_prune_mask, apply_pruning
 from repro.onn.workload import LayerWorkload, extract_workloads
 
 __all__ = [
-    "FORWARD_MODE_ENV",
-    "forward_mode",
     "Module",
     "Sequential",
     "Linear",

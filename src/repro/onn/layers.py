@@ -13,14 +13,10 @@ Shapes follow the usual conventions: images are ``(channels, height, width)`` (a
 single sample -- the paper evaluates single-image inference), token sequences are
 ``(tokens, features)``.
 
-Two execution paths exist for the hot kernels (Conv2d's im2col lowering):
-
-- the default *vectorized* path builds the patch matrix with
-  ``numpy.lib.stride_tricks.sliding_window_view`` -- a single strided copy
-  instead of an ``out_h x out_w`` Python loop -- and is bit-identical to the
-  legacy loop (both materialize the same patch bytes in the same row order);
-- ``REPRO_FORWARD=loop`` selects the legacy per-window loop, kept as the
-  reference implementation for the equivalence tests.
+Conv2d lowers to a GEMM through an im2col patch matrix built with
+``numpy.lib.stride_tricks.sliding_window_view`` -- a single strided copy
+instead of an ``out_h x out_w`` Python loop.  ``tests/oracles.py`` keeps the
+per-window loop as its bit-identity oracle.
 
 Every layer additionally exposes :meth:`Module.forward_batch`, the
 *trial-batched* forward used by the Monte Carlo variation studies: inputs (and,
@@ -42,16 +38,10 @@ import numpy as np
 
 from repro.dataflow.gemm import GEMMWorkload
 
-#: Environment knob selecting the forward implementation: ``vectorized``
-#: (default) or ``loop`` (the legacy reference path).  Declared, like every
-#: ``REPRO_*`` knob, in the central :mod:`repro.core.knobs` registry.
-FORWARD_MODE_ENV = "REPRO_FORWARD"
-
-_FORWARD_MODES = ("vectorized", "loop")
-
 #: Environment knob selecting the trial-batched compute precision: ``float64``
 #: (default, the bit-exact reference) or ``float32`` (an opt-in throughput mode
-#: for non-reference studies -- half the memory traffic per GEMM).
+#: for non-reference studies -- half the memory traffic per GEMM).  Declared,
+#: like every ``REPRO_*`` knob, in the central :mod:`repro.core.knobs` registry.
 DTYPE_MODE_ENV = "REPRO_DTYPE"
 
 _DTYPE_MODES = ("float64", "float32")
@@ -67,68 +57,40 @@ def _knob_raw(name: str) -> Optional[str]:
 
 #: Thread-local mode override installed by :func:`pinned_modes`.  Worker-bound
 #: task encodings (Monte Carlo trial contexts, batch/DSE task payloads) carry
-#: the modes they were dispatched under and pin them around execution, so a
-#: process or cluster worker computes under the *parent's* modes regardless of
+#: the mode they were dispatched under and pin it around execution, so a
+#: process or cluster worker computes under the *parent's* mode regardless of
 #: its own environment.
 _MODE_OVERRIDE = threading.local()
 
 
 @contextlib.contextmanager
-def pinned_modes(forward: Optional[str] = None, dtype: Optional[str] = None):
-    """Run with :func:`forward_mode` / :func:`dtype_mode` pinned to these values.
+def pinned_modes(dtype: Optional[str] = None):
+    """Run with :func:`dtype_mode` pinned to ``dtype``.
 
-    ``None`` leaves that mode reading the environment as usual.  The override
+    ``None`` leaves the mode reading the environment as usual.  The override
     is thread-local and restores the previous pin on exit, so nested pins and
     concurrent thread-backend workers stay independent.  Invalid mode names
     fail loudly here, at pin time, not deep inside a forward.
     """
-    if forward is not None and forward not in _FORWARD_MODES:
-        raise ValueError(
-            f"forward mode must be one of {', '.join(_FORWARD_MODES)}, "
-            f"got {forward!r}"
-        )
     if dtype is not None and dtype not in _DTYPE_MODES:
         raise ValueError(
             f"dtype mode must be one of {', '.join(_DTYPE_MODES)}, got {dtype!r}"
         )
-    previous_forward = getattr(_MODE_OVERRIDE, "forward", None)
-    previous_dtype = getattr(_MODE_OVERRIDE, "dtype", None)
-    if forward is not None:
-        _MODE_OVERRIDE.forward = forward
+    previous = getattr(_MODE_OVERRIDE, "dtype", None)
     if dtype is not None:
         _MODE_OVERRIDE.dtype = dtype
     try:
         yield
     finally:
-        _MODE_OVERRIDE.forward = previous_forward
-        _MODE_OVERRIDE.dtype = previous_dtype
-
-
-def forward_mode() -> str:
-    """The active forward path: ``"vectorized"`` (default) or ``"loop"``.
-
-    A :func:`pinned_modes` override (task encodings shipped to workers) wins;
-    otherwise read from ``$REPRO_FORWARD`` on every call so tests and
-    benchmarks can flip the path without re-importing.  Unknown values fail
-    loudly rather than silently timing the wrong implementation.
-    """
-    pinned = getattr(_MODE_OVERRIDE, "forward", None)
-    if pinned is not None:
-        return pinned
-    mode = (_knob_raw(FORWARD_MODE_ENV) or "vectorized").strip().lower()
-    if mode not in _FORWARD_MODES:
-        raise ValueError(
-            f"{FORWARD_MODE_ENV} must be one of {', '.join(_FORWARD_MODES)}, "
-            f"got {mode!r}"
-        )
-    return mode
+        _MODE_OVERRIDE.dtype = previous
 
 
 def dtype_mode() -> str:
     """The active batched-compute precision: ``"float64"`` or ``"float32"``.
 
-    Like :func:`forward_mode`, a :func:`pinned_modes` override wins, then
-    ``$REPRO_DTYPE`` is read on every call.  The float32 mode applies to the
+    A :func:`pinned_modes` override (task encodings shipped to workers) wins;
+    otherwise ``$REPRO_DTYPE`` is read on every call so tests and benchmarks
+    can flip the mode without re-importing.  The float32 mode applies to the
     *trial-batched* Monte Carlo path only; the serial reference forwards
     always compute in float64, and committed tables are only reproduced in
     the default mode.
@@ -510,40 +472,8 @@ class Conv2d(Module):
     def _im2col(self, x: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
         """Lower ``(C, H, W)`` to the ``(out_h*out_w, C*k*k)`` patch matrix.
 
-        Dispatches on :func:`forward_mode`; both paths materialize exactly the
-        same patch bytes in the same row order, so they are bit-identical.
-        """
-        if forward_mode() == "loop":
-            return self._im2col_loop(x)
-        return self._im2col_strided(x)
-
-    def _im2col_loop(self, x: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
-        """The legacy per-window double loop (the equivalence-test reference)."""
-        channels, height, width = x.shape
-        out_h, out_w = self.output_hw(height, width)
-        padded = np.pad(
-            x, ((0, 0), (self.padding, self.padding), (self.padding, self.padding))
-        )
-        k = self.kernel_size
-        cols = np.empty((out_h * out_w, channels * k * k))
-        idx = 0
-        for i in range(out_h):
-            for j in range(out_w):
-                patch = padded[
-                    :,
-                    i * self.stride : i * self.stride + k,
-                    j * self.stride : j * self.stride + k,
-                ]
-                cols[idx] = patch.ravel()
-                idx += 1
-        return cols, (out_h, out_w)
-
-    def _im2col_strided(self, x: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
-        """Stride-tricks im2col: one strided view + one copy, no Python loop.
-
-        Row ``i*out_w + j`` holds the ravel of the ``(C, k, k)`` patch at
-        window ``(i, j)`` -- the same layout the loop builds -- so downstream
-        GEMM records and forwards are bit-identical to the legacy path.
+        One strided view plus one copy, no Python loop: row ``i*out_w + j``
+        holds the ravel of the ``(C, k, k)`` patch at window ``(i, j)``.
         """
         channels, height, width = x.shape
         out_h, out_w = self.output_hw(height, width)
@@ -619,7 +549,7 @@ class Conv2d(Module):
             # weighted layer of a Monte Carlo study): build the patch matrix
             # once -- the per-trial weight stack then collapses into a single
             # (P, C*k*k) x (C*k*k, trials*out_c) GEMM below.
-            shared_cols, (out_h, out_w) = self._im2col_strided(x[0])
+            shared_cols, (out_h, out_w) = self._im2col(x[0])
             cols = np.broadcast_to(shared_cols, (trials,) + shared_cols.shape)
         else:
             cols, (out_h, out_w) = self._im2col_batch(x)

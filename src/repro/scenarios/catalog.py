@@ -12,9 +12,6 @@ Scenario names match the stems of ``benchmarks/results/<name>.txt``.
 
 from __future__ import annotations
 
-import time
-from typing import Dict
-
 import numpy as np
 
 from repro.arch.architecture import ArchitectureConfig, HeterogeneousArchitecture
@@ -34,7 +31,6 @@ from repro.core.report import render_breakdown, scale_breakdown
 from repro.dataflow.gemm import GEMMWorkload
 from repro.dataflow.mapping import DataflowMapper
 from repro.devices.response import QuadraticPhaseShifterResponse, TabulatedResponse
-from repro.explore import DesignSpace, DesignSpaceExplorer
 from repro.layout import SignalFlowFloorplanner, naive_footprint_sum_um2
 from repro.onn import ONNConversionConfig, convert_to_onn, extract_workloads
 from repro.onn.layers import dtype_mode
@@ -887,7 +883,6 @@ def _check_dse_large_grid(result: ScenarioResult) -> None:
         objectives=("energy_uj", "latency_ns", "area_mm2"),
         columns=("design point", "energy (uJ)", "latency (ns)", "area (mm2)", "pareto"),
         params={"backend": "serial", "jobs": 0},
-        env_params={"backend": "REPRO_DSE_BACKEND", "jobs": "REPRO_DSE_JOBS"},
         description=(
             "The full 192-point grid over tiles/cores/core-size/wavelengths with "
             "data-carrying transformer-block workloads.  The rendered table is "
@@ -933,228 +928,6 @@ def _build_dse_large_grid(ctx: ScenarioContext) -> ScenarioResult:
             "engine_passes": sum(t.count for t in result.pass_timings.values()),
         },
         extras={"dse_result": result, "front": front},
-    )
-
-
-# ---------------------------------------------------------------------------------
-# Extension: execution-backend scaling on the large grid
-# ---------------------------------------------------------------------------------
-
-
-def _check_dse_backend_scaling(result: ScenarioResult) -> None:
-    # Hard guarantee first: all backends record identical design points.
-    assert all(result.metrics["identical"].values()), result.metrics["identical"]
-    timings = result.metrics["timings_ms"]
-    assert set(timings) == {"serial", "threads", "processes"}
-    assert all(t > 0 for t in timings.values())
-    # The wall-clock claim needs enough real cores that the margin is
-    # structural, not scheduler noise (affinity-aware, so a cpuset-pinned
-    # container doesn't promise parallelism it cannot deliver).  On >= 4
-    # effective CPUs the GIL-bound thread sweep cannot scale while the process
-    # sweep must, with room to spare over pool startup and per-chunk pickling;
-    # on 1-3 CPUs the table still reports the measured ratios, unasserted.
-    if int(result.metrics["cpu_count"]) >= 4:
-        assert timings["processes"] < 0.9 * timings["threads"], (
-            f"process backend only {timings['threads'] / timings['processes']:.2f}x "
-            "over threads on a multi-core host"
-        )
-
-
-@REGISTRY.register(
-    ScenarioSpec(
-        name="dse_backend_scaling",
-        title="Serial vs thread vs process backends on the large-grid DSE",
-        figure="extension",
-        templates=("tempo",),
-        workloads=("blk_qkv", "blk_ffn_in", "blk_ffn_out"),
-        sweep=_DSE_LARGE_SWEEP,
-        strategy="grid",
-        columns=("backend", "jobs", "wall-clock (ms)", "vs serial", "vs threads"),
-        params={"jobs": 2},
-        env_params={"jobs": "REPRO_BACKEND_JOBS"},
-        deterministic=False,
-        description=(
-            "Times the 192-point grid with the engine cache off (every point "
-            "pays its full pure-Python cost) under each execution backend.  "
-            "Wall-clock timings; the rendered table is not byte-reproducible."
-        ),
-        tags=("dse", "perf"),
-    ),
-    verify=_check_dse_backend_scaling,
-)
-def _build_dse_backend_scaling(ctx: ScenarioContext) -> ScenarioResult:
-    from repro.exec import available_cpus
-
-    jobs = int(ctx.params["jobs"])
-    space = ctx.design_space()
-    workloads = large_grid_workloads()
-
-    def timed_sweep(backend: str):
-        # A fresh disabled cache per sweep: every backend pays the identical
-        # per-point cost, which is exactly the GIL-bound work processes dodge.
-        explorer = DesignSpaceExplorer(
-            build_tempo, workloads, base_config=ctx.spec.arch_config(), cache=False
-        )
-        start = time.perf_counter()
-        result = explorer.explore(space, backend=backend, max_workers=jobs)
-        return (time.perf_counter() - start) * 1e3, result
-
-    timings: Dict[str, float] = {}
-    results = {}
-    for backend in ("serial", "threads", "processes"):
-        timings[backend], results[backend] = timed_sweep(backend)
-
-    identical = {
-        backend: results[backend].points == results["serial"].points
-        for backend in ("threads", "processes")
-    }
-    rows = [
-        (
-            backend,
-            1 if backend == "serial" else jobs,
-            f"{timings[backend]:.1f}",
-            f"{timings['serial'] / timings[backend]:.2f}x",
-            f"{timings['threads'] / timings[backend]:.2f}x",
-        )
-        for backend in ("serial", "threads", "processes")
-    ]
-    table = format_table(list(ctx.spec.columns), rows)
-    text = (
-        f"large-grid backend scaling: {space.size()} points x "
-        f"{len(workloads)} workloads (TeMPO, engine cache off)\n"
-        f"{table}"
-    )
-    return ScenarioResult(
-        table=text,
-        metrics={
-            "timings_ms": timings,
-            "identical": identical,
-            "jobs": jobs,
-            "cpu_count": available_cpus(),
-        },
-        extras={"results": results},
-    )
-
-
-# ---------------------------------------------------------------------------------
-# Extension: DSE scaling benchmark (memoized engine vs seed-style sweep)
-# ---------------------------------------------------------------------------------
-
-_DSE_SCALING_ROUNDS = 5
-
-
-def _check_dse_scaling(result: ScenarioResult) -> None:
-    # All configurations agree on every recorded value.
-    assert all(result.metrics["identical"].values())
-
-    # The shared cache pays even within one cold sweep: structural rebinds
-    # replace 16 of 18 template builds, and lambda-insensitive passes collapse.
-    stats = result.metrics["cache_stats"]
-    assert stats["build"] == [16, 18]
-    assert stats["critical_path"][0] >= 9
-    assert stats["floorplan"][0] >= 16
-
-    timings = result.metrics["timings_ms"]
-    t_seed = timings["seed-style (cache off)"]
-    t_cold = timings["cached, cold"]
-    t_warm = timings["cached, steady-state"]
-    # Cold, the engine cache removes well over half the sweep; steady-state
-    # (every realistic repeated / interactive sweep) clears 3x with a wide margin.
-    # Thresholds are set below the locally measured ratios (~2.9x cold, ~80x
-    # steady-state on an idle machine) to stay robust on loaded CI runners.
-    assert t_cold < t_seed / 1.75, f"cold cached sweep only {t_seed / t_cold:.2f}x faster"
-    assert t_warm < t_seed / 3.0, f"steady-state sweep only {t_seed / t_warm:.2f}x faster"
-
-
-@REGISTRY.register(
-    ScenarioSpec(
-        name="dse_scaling",
-        title="Memoized engine + parallel explorer vs seed-style sweep",
-        figure="extension",
-        templates=("tempo",),
-        config_overrides=_DSE_BASE,
-        workloads=("paper_gemm",),
-        sweep=_DSE_SWEEP,
-        strategy="grid",
-        columns=("configuration", "sweep wall-clock (ms)", "speedup"),
-        deterministic=False,
-        description="Wall-clock timings; the rendered table is not byte-reproducible.",
-        tags=("dse", "perf"),
-    ),
-    verify=_check_dse_scaling,
-)
-def _build_dse_scaling(ctx: ScenarioContext) -> ScenarioResult:
-    space = ctx.design_space()
-    workload = paper_gemm()
-
-    def make_explorer(cache: bool, max_workers=None) -> DesignSpaceExplorer:
-        # Deliberately *not* the batch-shared cache: each configuration times a
-        # fresh (or deliberately reused) cache to measure cold/steady-state cost.
-        return DesignSpaceExplorer(
-            build_tempo,
-            [workload],
-            base_config=ctx.spec.arch_config(),
-            cache=cache,
-            max_workers=max_workers,
-        )
-
-    def timed_sweep(explorer: DesignSpaceExplorer):
-        start = time.perf_counter()
-        result = explorer.explore(space)
-        return time.perf_counter() - start, result
-
-    timings: Dict[str, float] = {}
-    seed_result = cold_result = warm_result = None
-    seed_times, cold_times, warm_times, par_times = [], [], [], []
-    for _ in range(_DSE_SCALING_ROUNDS):
-        t, seed_result = timed_sweep(make_explorer(cache=False))
-        seed_times.append(t)
-        explorer = make_explorer(cache=True)
-        t, cold_result = timed_sweep(explorer)
-        cold_times.append(t)
-        t, warm_result = timed_sweep(explorer)
-        warm_times.append(t)
-        t, _ = timed_sweep(make_explorer(cache=True, max_workers=4))
-        par_times.append(t)
-    timings["seed-style (cache off)"] = min(seed_times)
-    timings["cached, cold"] = min(cold_times)
-    timings["cached, steady-state"] = min(warm_times)
-    timings["cached + parallel (4 workers), cold"] = min(par_times)
-
-    # Determinism: parallel and serial sweeps yield identical DesignPoint records.
-    par_result = make_explorer(cache=True, max_workers=4).explore(space)
-
-    stats = {
-        stage: [s.hits, s.lookups] for stage, s in sorted(cold_result.cache_stats.items())
-    }
-
-    base = timings["seed-style (cache off)"]
-    rows = [
-        (label, f"{seconds * 1e3:.2f}", f"{base / seconds:.2f}x")
-        for label, seconds in timings.items()
-    ]
-    table = format_table(list(ctx.spec.columns), rows)
-    stat_lines = "\n".join(
-        f"  {stage:16s} {hits}/{lookups} hits" for stage, (hits, lookups) in stats.items()
-    )
-    text = (
-        f"grid: {space.size()} points (core_height x core_width x num_wavelengths), "
-        "TeMPO, paper GEMM\n"
-        f"{table}\n\ncold-sweep cache hit rates per pass:\n{stat_lines}"
-    )
-    timings_ms = {label: seconds * 1e3 for label, seconds in timings.items()}
-    return ScenarioResult(
-        table=text,
-        metrics={
-            "timings_ms": timings_ms,
-            "identical": {
-                "cold": cold_result.points == seed_result.points,
-                "warm": warm_result.points == seed_result.points,
-                "parallel": par_result.points == seed_result.points,
-            },
-            "cache_stats": stats,
-        },
-        extras={"seed_result": seed_result, "cold_result": cold_result},
     )
 
 
@@ -1235,11 +1008,7 @@ def _check_variation_robustness(result: ScenarioResult) -> None:
             "backend": "serial",
             "jobs": 0,
         },
-        env_params={
-            "trials": "REPRO_MC_TRIALS",
-            "backend": "REPRO_MC_BACKEND",
-            "jobs": "REPRO_MC_JOBS",
-        },
+        env_params={"trials": "REPRO_MC_TRIALS"},
         description=(
             "Scales a representative silicon-photonics noise corner "
             "(weight-encoding error, phase noise, crosstalk, link-loss drift) "
@@ -1437,7 +1206,6 @@ def _check_accuracy_energy_pareto(result: ScenarioResult) -> None:
             "backend": "serial",
             "jobs": 0,
         },
-        env_params={"backend": "REPRO_PARETO_BACKEND", "jobs": "REPRO_PARETO_JOBS"},
         description=(
             "Sweeps converter precision and core geometry with Monte Carlo "
             "inference accuracy as a first-class DSE objective next to energy: "

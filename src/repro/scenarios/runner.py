@@ -76,10 +76,9 @@ class BatchReport:
     plumbing: ``ctx.simulate`` / ``ctx.explorer``), merged across workers when
     the batch ran on the process backend.  The cache-identity scoping is what
     keeps concurrent runners from cross-contaminating each other; its flip side
-    is that scenarios which deliberately construct *private* caches (the
-    ``dse_scaling``/``dse_backend_scaling`` timing studies measure fresh caches
-    by design) are excluded from these counters.  The store-hit contract is
-    unaffected: a fully store-served batch reports ``engine_passes == 0``.
+    is that engines a scenario builds on a *private* cache are excluded from
+    these counters.  The store-hit contract is unaffected: a fully
+    store-served batch reports ``engine_passes == 0``.
     """
 
     items: List[BatchItem] = field(default_factory=list)

@@ -77,11 +77,11 @@ class ScenarioSpec:
     - ``columns``: the output table's column headers;
     - ``params``: scenario-specific knobs with their defaults (e.g. the number
       of simulated BERT encoder blocks), overridable per run;
-    - ``env_params``: ``{param: ENV_VAR}`` environment overrides for ``params``
-      (kept for compatibility with the seed benchmarks' env knobs);
-    - ``tags``: free-form labels; ``"smoke"`` marks the fast CI subset;
-    - ``deterministic``: whether the rendered table is byte-reproducible
-      (wall-clock timing tables are not).
+    - ``env_params``: ``{param: ENV_VAR}`` environment overrides for ``params``.
+      Only numerics knobs (registered with ``affects_numerics=True``) belong
+      here; execution shape such as a ``backend``/``jobs`` pair is chosen
+      through the params alone;
+    - ``tags``: free-form labels; ``"smoke"`` marks the fast CI subset.
     """
 
     name: str
@@ -99,7 +99,6 @@ class ScenarioSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
     env_params: Mapping[str, str] = field(default_factory=dict)
     tags: Tuple[str, ...] = ()
-    deterministic: bool = True
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("_", "").isalnum():

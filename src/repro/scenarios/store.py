@@ -6,14 +6,17 @@ store root.  The fingerprint is a SHA-1 over
 - the scenario's canonical :class:`~repro.scenarios.spec.ScenarioSpec` (every
   declarative field, including overrides and sweep axes),
 - the resolved per-run parameters,
+- the numerics knobs that are set (the ``affects_numerics`` slice of
+  :func:`~repro.core.knobs.repro_env_snapshot`), so a throughput-mode run
+  (say ``REPRO_RNG=philox``) can never serve its table to a default-mode run,
 - a *code hash* of everything that can change the numbers: the source of every
   module in the ``repro`` package (plus, for externally registered scenarios,
   the module defining the build function) and the package version.
 
 Re-running an unchanged scenario therefore hits the store across processes --
 ``repro batch`` twice in a row executes zero engine passes the second time --
-while any edit to the catalog, a spec field, a parameter or the package version
-misses cleanly and recomputes.
+while any edit to the catalog, a spec field, a parameter, a numerics knob or the
+package version misses cleanly and recomputes.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from repro.core.cache import digest
+from repro.core.knobs import numeric_knob_names, repro_env_snapshot
 from repro.core.knobs import raw_value as _knob_raw
 from repro.scenarios.spec import ScenarioResult, ScenarioSpec
 
@@ -79,8 +83,13 @@ def scenario_fingerprint(
     params: Mapping[str, Any],
     build: Optional[Callable[..., Any]] = None,
 ) -> str:
-    """Content address of one (spec, params, code) combination."""
+    """Content address of one (spec, params, numerics knobs, code) combination."""
     from repro import __version__
+
+    numeric = set(numeric_knob_names())
+    numerics_env = {
+        name: raw for name, raw in repro_env_snapshot().items() if name in numeric
+    }
 
     code_parts: List[str] = [__version__, _package_source_hash()]
     if build is not None:
@@ -89,7 +98,7 @@ def scenario_fingerprint(
         module_name = getattr(build, "__module__", None)
         if module_name and not module_name.startswith("repro."):
             code_parts.append(_module_source_hash(module_name))
-    return digest("scenario", spec, dict(params), tuple(code_parts))
+    return digest("scenario", spec, dict(params), numerics_env, tuple(code_parts))
 
 
 class ResultStore:

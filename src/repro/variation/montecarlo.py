@@ -42,7 +42,6 @@ from repro.onn.layers import (
     Module,
     compute_dtype,
     dtype_mode,
-    forward_mode,
     pinned_modes,
     scratch_workspace,
 )
@@ -51,12 +50,9 @@ from repro.variation.accuracy import (
     TrialResult,
     _weighted_layer_sizes,
     aggregate_trials,
-    classification_agreement,
     classification_agreement_batch,
     model_fingerprint,
-    noisy_forward,
     noisy_forward_batch,
-    output_rmse,
     output_rmse_batch,
     reference_forward,
 )
@@ -201,12 +197,11 @@ class _TrialContext:
     #: context (not re-read from the environment) so process-pool workers run
     #: the same mode as the parent regardless of env propagation.
     rng_mode: str = "seedseq"
-    #: Forward-path and compute-precision modes, resolved at dispatch time for
-    #: the same reason: a process (or cluster) worker pins these around the
-    #: trial via :func:`repro.onn.layers.pinned_modes`, so flipping
-    #: ``REPRO_FORWARD``/``REPRO_DTYPE`` after task encoding -- or running a
-    #: worker under a different shell environment -- cannot change results.
-    forward_mode: str = "vectorized"
+    #: The compute-precision mode, resolved at dispatch time for the same
+    #: reason: a process (or cluster) worker pins it around the trials via
+    #: :func:`repro.onn.layers.pinned_modes`, so flipping ``REPRO_DTYPE`` after
+    #: task encoding -- or running a worker under a different shell
+    #: environment -- cannot change results.
     dtype_mode: str = "float64"
 
 
@@ -269,51 +264,19 @@ class _SlabRows:
         return slab[self.start : self.stop]
 
 
-def _run_trial(shared: _TrialContext, trial: int) -> TrialResult:
-    """One Monte Carlo trial: a pure function of the shared context and its index."""
-    shared = _materialized(shared)
-    with pinned_modes(shared.forward_mode, shared.dtype_mode):
-        return _run_trial_pinned(shared, trial)
-
-
-def _run_trial_pinned(shared: _TrialContext, trial: int) -> TrialResult:
-    rng = make_trial_rng(shared.seed, trial, shared.rng_mode)
-    extra_loss_db = shared.spec.sample_loss_db(rng)
-    if shared.link is not None:
-        effective_bits = shared.link.effective_bits(extra_loss_db)
-    else:
-        effective_bits = math.inf
-    outputs = noisy_forward(
-        shared.model,
-        shared.inputs,
-        shared.spec,
-        rng,
-        input_bits=shared.input_bits,
-        weight_bits=shared.weight_bits,
-        output_bits=shared.output_bits,
-        effective_bits=effective_bits,
-    )
-    return TrialResult(
-        trial=trial,
-        accuracy=classification_agreement(outputs, shared.reference),
-        rmse=output_rmse(outputs, shared.reference),
-        effective_bits=float(effective_bits),
-        extra_loss_db=float(extra_loss_db),
-    )
-
-
 def _run_trial_chunk(shared: _TrialContext, trials: List[int]) -> List[TrialResult]:
     """A contiguous chunk of trials as one batched forward.
 
     Each trial's RNG is rebuilt from ``(seed, trial index)`` and consumed in
-    the serial order (link loss first, then per-layer weight noise), so the
-    per-trial random draws are bit-identical to :func:`_run_trial` no matter
-    how the trial axis was chunked.  The forwards themselves run stacked --
-    one batched numpy pass per layer per resolved-bits group instead of
+    the per-trial order (link loss first, then per-layer weight noise), so
+    every trial's random draws are bit-identical to a one-trial-at-a-time
+    :func:`~repro.variation.accuracy.noisy_forward` study no matter how the
+    trial axis was chunked.  The forwards themselves run stacked -- one
+    batched numpy pass per layer per resolved-bits group instead of
     ``len(trials)`` full model clones.
     """
     shared = _materialized(shared)
-    with pinned_modes(shared.forward_mode, shared.dtype_mode):
+    with pinned_modes(shared.dtype_mode):
         return _run_trial_chunk_pinned(shared, trials)
 
 
@@ -388,7 +351,7 @@ def _run_philox_chunk(
     if isinstance(draws, _SlabRows):
         with stage("rng"):
             task = (trials, draws.resolve())
-    with pinned_modes(shared.forward_mode, shared.dtype_mode):
+    with pinned_modes(shared.dtype_mode):
         return _run_philox_chunk_pinned(shared, task)
 
 
@@ -490,11 +453,9 @@ def run_monte_carlo(
         )
     mode = active_rng_mode()
     # Every mode is resolved HERE, at dispatch time, and carried in the task
-    # context: workers pin them around each trial, so neither later env flips
+    # context: workers pin them around each chunk, so neither later env flips
     # in this process nor a remote worker's own environment can change what a
     # dispatched study computes.
-    fwd_mode = forward_mode()
-    dt_mode = dtype_mode()
     shared = _TrialContext(
         model=request.model,
         inputs=request.inputs,
@@ -506,8 +467,7 @@ def run_monte_carlo(
         seed=request.seed,
         link=link,
         rng_mode=mode,
-        forward_mode=fwd_mode,
-        dtype_mode=dt_mode,
+        dtype_mode=dtype_mode(),
     )
     backend = resolve_backend(request.backend, request.jobs)
     if backend.ships_tasks and shm_enabled():
@@ -515,75 +475,61 @@ def run_monte_carlo(
         # content-addressed handles; workers resolve (and cache) them once
         # per host instead of unpickling per-chunk copies.
         shared = _shm_context(shared)
-    if fwd_mode == "loop":
-        # Legacy reference path: one task per trial, full model clone each.
-        with backend.session():
-            results = _observed_dispatch(
-                lambda: backend.map_tasks(
-                    _run_trial, list(range(request.trials)), shared=shared
+    # Shard the trial axis into contiguous chunks, capped at _TRIAL_CHUNK_CAP
+    # trials so the stacked per-layer temporaries stay cache-resident.
+    # In-process backends keep the near-equal static partition; task-shipping
+    # pools get size-tiered chunks that their completion-driven schedulers
+    # pull as workers free up, so a straggler strands at most one small tail
+    # chunk.  Either way the partition is a pure function of (trials, jobs),
+    # and per-trial seeds (or, in philox mode, per-trial slab rows) make
+    # results chunking-invariant anyway.
+    if backend.ships_tasks:
+        chunks = steal_partition(request.trials, backend.jobs, cap=_TRIAL_CHUNK_CAP)
+    else:
+        parts = max(backend.jobs, math.ceil(request.trials / _TRIAL_CHUNK_CAP))
+        chunks = partition_indices(request.trials, parts)
+    if mode == "philox" and request.noise.supports_fused_sampling():
+        # Counter-based fast path: generate the whole study's draws as one
+        # (trials, loss + weight draws) Philox call in the parent, then ship
+        # each chunk its contiguous row slice.  Trial i's draws are row i
+        # regardless of chunking or backend.
+        loss_columns = request.noise.loss_draw_count()
+        weight_columns = sum(
+            request.noise.weight_draw_count(size)
+            for size in _weighted_layer_sizes(request.model)
+        )
+        draws = loss_columns + weight_columns
+        dtype = compute_dtype()
+        if backend.ships_tasks:
+            # Each task carries a ~100-byte generation spec; the worker
+            # re-derives its rows from the memoized pure slab function instead
+            # of receiving pickled (or even shm-published) bytes.
+            tasks = [
+                (
+                    chunk,
+                    _SlabRows(
+                        int(request.seed), request.trials, draws,
+                        dtype.str, chunk[0], chunk[-1] + 1,
+                    ),
                 )
+                for chunk in chunks
+            ]
+        else:
+            with stage("rng"):
+                slab = philox_fused_normals(
+                    request.seed, request.trials, draws, dtype=dtype.type
+                )
+            tasks = [(chunk, slab[chunk[0] : chunk[-1] + 1]) for chunk in chunks]
+        with backend.session():
+            nested = _observed_dispatch(
+                lambda: backend.map_tasks(_run_philox_chunk, tasks, shared=shared)
             )
     else:
-        # Trial-batched path: shard the trial axis into contiguous chunks,
-        # capped at _TRIAL_CHUNK_CAP trials so the stacked per-layer
-        # temporaries stay cache-resident.  In-process backends keep the
-        # near-equal static partition; task-shipping pools get size-tiered
-        # chunks that their completion-driven schedulers pull as workers free
-        # up, so a straggler strands at most one small tail chunk.  Either
-        # way the partition is a pure function of (trials, jobs), and
-        # per-trial seeds (or, in philox mode, per-trial slab rows) make
-        # results chunking-invariant anyway.
-        if backend.ships_tasks:
-            chunks = steal_partition(
-                request.trials, backend.jobs, cap=_TRIAL_CHUNK_CAP
+        with backend.session():
+            nested = _observed_dispatch(
+                lambda: backend.map_tasks(_run_trial_chunk, chunks, shared=shared)
             )
-        else:
-            parts = max(backend.jobs, math.ceil(request.trials / _TRIAL_CHUNK_CAP))
-            chunks = partition_indices(request.trials, parts)
-        if mode == "philox" and request.noise.supports_fused_sampling():
-            # Counter-based fast path: generate the whole study's draws as one
-            # (trials, loss + weight draws) Philox call in the parent, then
-            # ship each chunk its contiguous row slice.  Trial i's draws are
-            # row i regardless of chunking or backend.
-            loss_columns = request.noise.loss_draw_count()
-            weight_columns = sum(
-                request.noise.weight_draw_count(size)
-                for size in _weighted_layer_sizes(request.model)
-            )
-            draws = loss_columns + weight_columns
-            dtype = compute_dtype()
-            if backend.ships_tasks:
-                # Each task carries a ~100-byte generation spec; the worker
-                # re-derives its rows from the memoized pure slab function
-                # instead of receiving pickled (or even shm-published) bytes.
-                tasks = [
-                    (
-                        chunk,
-                        _SlabRows(
-                            int(request.seed), request.trials, draws,
-                            dtype.str, chunk[0], chunk[-1] + 1,
-                        ),
-                    )
-                    for chunk in chunks
-                ]
-            else:
-                with stage("rng"):
-                    slab = philox_fused_normals(
-                        request.seed, request.trials, draws, dtype=dtype.type
-                    )
-                tasks = [
-                    (chunk, slab[chunk[0] : chunk[-1] + 1]) for chunk in chunks
-                ]
-            with backend.session():
-                nested = _observed_dispatch(
-                    lambda: backend.map_tasks(_run_philox_chunk, tasks, shared=shared)
-                )
-        else:
-            with backend.session():
-                nested = _observed_dispatch(
-                    lambda: backend.map_tasks(_run_trial_chunk, chunks, shared=shared)
-                )
-        results = [result for chunk_results in nested for result in chunk_results]
+    results = [result for chunk_results in nested for result in chunk_results]
     return aggregate_trials(
         tuple(results),
         seed=request.seed,

@@ -13,22 +13,20 @@ list differently would derive different children.  Keying the spawn path by
 the trial index directly has no such ordering dependence.
 
 **Throughput mode (``REPRO_RNG=philox``).**  The seed contract's per-trial
-SeedSequence hashing and PCG64 state derivation dominate large studies (both
-the loop and vectorized paths pay them).  Philox is *counter-based*: a stream
+SeedSequence hashing and PCG64 state derivation dominate large studies.  Philox is *counter-based*: a stream
 is a pure function of its 128-bit key, so
 
 - :func:`philox_fused_normals` derives **one** keyed stream per scenario seed
   and generates every trial's fused standard-normal block in a single
   ``(trials, draws)`` call -- trial ``i`` owns row ``i``, a pure function of
   ``(seed, i, draws)`` independent of how the trial axis is later chunked;
-- :func:`philox_trial_rng` (the per-trial fallback for the loop forward path
-  and for custom noise models) keys an independent Philox stream directly by
+- :func:`philox_trial_rng` (the per-trial fallback for custom noise models
+  outside the fused layout) keys an independent Philox stream directly by
   ``(seed, trial)`` -- no hashing, no state cache.
 
 Philox mode is deterministic and backend-invariant for a fixed seed, but its
 streams differ from the SeedSequence contract, so committed reference tables
-are only reproduced in the default mode (the same pattern as
-``REPRO_FORWARD=loop`` vs the vectorized forward).
+are only reproduced in the default mode.
 """
 
 from __future__ import annotations
@@ -175,8 +173,8 @@ def philox_fused_normals(
 def philox_trial_rng(base_seed: int, trial: int) -> np.random.Generator:
     """A counter-keyed per-trial generator: cheap, cache-free construction.
 
-    Used where philox mode still needs a stream object per trial (the legacy
-    loop forward path, custom noise models outside the fused layout).  The key
+    Used where philox mode still needs a stream object per trial (custom
+    noise models outside the fused layout).  The key
     is ``(seed-derived base) xor trial``, so streams are independent across
     trials and deterministic no matter where they are built.
     """

@@ -19,7 +19,7 @@ class TestList:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         for name in ("fig6_layout", "fig7_tempo_validation", "table1_taxonomy",
-                     "dse_scaling"):
+                     "dse_large_grid"):
             assert name in out
 
     def test_tag_filter(self, capsys):

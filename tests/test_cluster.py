@@ -31,7 +31,7 @@ from repro.exec import (
     spawn_local_workers,
 )
 from repro.exec.cluster import PROTOCOL, recv_frame, send_frame
-from repro.onn.layers import dtype_mode, forward_mode, pinned_modes
+from repro.onn.layers import dtype_mode, pinned_modes
 from repro.onn.models import build_mlp
 from repro.scenarios import REGISTRY, BatchRunner
 from repro.variation import (
@@ -311,7 +311,6 @@ def _trial_context(model, inputs, **overrides):
         seed=7,
         link=None,
         rng_mode="seedseq",
-        forward_mode="vectorized",
         dtype_mode="float64",
     )
     fields.update(overrides)
@@ -320,22 +319,17 @@ def _trial_context(model, inputs, **overrides):
 
 class TestModePinning:
     def test_pinned_modes_override_and_restore(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FORWARD", "vectorized")
         monkeypatch.setenv("REPRO_DTYPE", "float64")
-        with pinned_modes("loop", "float32"):
-            assert forward_mode() == "loop"
+        with pinned_modes("float32"):
             assert dtype_mode() == "float32"
-            with pinned_modes(dtype="float64"):  # nested pin, forward inherited
-                assert forward_mode() == "loop"
+            with pinned_modes(dtype="float64"):  # nested pin
                 assert dtype_mode() == "float64"
+                with pinned_modes():  # no pin: the outer pin stays
+                    assert dtype_mode() == "float64"
             assert dtype_mode() == "float32"
-        assert forward_mode() == "vectorized"
         assert dtype_mode() == "float64"
 
     def test_invalid_pins_fail_loudly(self):
-        with pytest.raises(ValueError, match="forward mode"):
-            with pinned_modes(forward="simd"):
-                pass
         with pytest.raises(ValueError, match="dtype mode"):
             with pinned_modes(dtype="float16"):
                 pass
@@ -350,7 +344,6 @@ class TestModePinning:
         flipped_context = dataclasses.replace(context, dtype_mode="float32")
         assert _run_trial_chunk(flipped_context, list(range(6))) != baseline
         # Flip the parent environment AFTER encoding: results must not move.
-        monkeypatch.setenv("REPRO_FORWARD", "loop")
         monkeypatch.setenv("REPRO_DTYPE", "float32")
         assert _run_trial_chunk(context, list(range(6))) == baseline
 
@@ -363,7 +356,6 @@ class TestModePinning:
         context = _trial_context(mc_model, mc_inputs)
         chunks = [list(range(3)), list(range(3, 6))]
         baseline = [_run_trial_chunk(context, chunk) for chunk in chunks]
-        monkeypatch.setenv("REPRO_FORWARD", "loop")
         monkeypatch.setenv("REPRO_DTYPE", "float32")
         nested = ProcessBackend(jobs=2).map_tasks(
             _run_trial_chunk, chunks, shared=context

@@ -26,11 +26,10 @@ from repro.core.knobs import (
 def test_every_mode_knob_is_declared():
     names = knob_names()
     for name in (
-        "REPRO_FORWARD",
         "REPRO_DTYPE",
         "REPRO_RNG",
         "REPRO_MC_TRIALS",
-        "REPRO_MC_BACKEND",
+        "REPRO_POOL",
         "REPRO_STORE",
         "REPRO_CLUSTER_HOST",
         "REPRO_CLUSTER_PORT",
@@ -40,24 +39,31 @@ def test_every_mode_knob_is_declared():
 
 def test_numeric_knobs_cover_the_result_affecting_surface():
     numeric = set(numeric_knob_names())
-    assert {"REPRO_FORWARD", "REPRO_DTYPE", "REPRO_RNG", "REPRO_MC_TRIALS"} <= numeric
+    assert {"REPRO_DTYPE", "REPRO_RNG", "REPRO_MC_TRIALS"} <= numeric
     # Execution shape must never be classified as numerics.
-    assert "REPRO_MC_JOBS" not in numeric
     assert "REPRO_CLUSTER_WORKERS" not in numeric
+    assert "REPRO_POOL" not in numeric
+    # Scenario env overrides are numerics knobs only: execution shape (a
+    # scenario's backend/jobs) reaches a scenario through its params alone.
+    from repro.scenarios import REGISTRY
+
+    for scenario in REGISTRY:
+        for var in scenario.spec.env_params.values():
+            assert var in numeric, f"{scenario.spec.name}: {var} is not a numerics knob"
 
 
 def test_register_is_idempotent_and_conflicts_raise():
-    knob = knobs.get("REPRO_FORWARD")
+    knob = knobs.get("REPRO_DTYPE")
     again = register(
-        "REPRO_FORWARD",
-        default="vectorized",
-        choices=("vectorized", "loop"),
+        "REPRO_DTYPE",
+        default="float64",
+        choices=("float64", "float32"),
         affects_numerics=True,
         description=knob.description,
     )
     assert again == knob
     with pytest.raises(ValueError, match="different declaration"):
-        register("REPRO_FORWARD", default="loop", choices=("vectorized", "loop"))
+        register("REPRO_DTYPE", default="float32", choices=("float64", "float32"))
 
 
 def test_unknown_knob_is_an_actionable_keyerror():
@@ -85,7 +91,7 @@ def test_value_coerces_and_falls_back_to_default():
         assert value("REPRO_MC_TRIALS") == 17
     with forced_env("REPRO_CLUSTER_WAIT_S", "2.5"):
         assert value("REPRO_CLUSTER_WAIT_S") == 2.5
-    assert value("REPRO_FORWARD") in ("vectorized", "loop")  # default applies
+    assert value("REPRO_DTYPE") in ("float64", "float32")  # default applies
     assert value("REPRO_MC_TRIALS") is None or isinstance(
         value("REPRO_MC_TRIALS"), int
     )
@@ -95,18 +101,18 @@ def test_value_rejects_bad_coercion_and_choices():
     with forced_env("REPRO_MC_TRIALS", "many"):
         with pytest.raises(ValueError, match="must parse as int"):
             value("REPRO_MC_TRIALS")
-    with forced_env("REPRO_FORWARD", "warp"):
+    with forced_env("REPRO_DTYPE", "float16"):
         with pytest.raises(ValueError, match="must be one of"):
-            value("REPRO_FORWARD")
+            value("REPRO_DTYPE")
 
 
 def test_forced_env_restores_previous_state():
-    name = "REPRO_MC_BACKEND"
+    name = "REPRO_POOL"
     before = os.environ.get(name)
-    with forced_env(name, "serial"):
-        assert raw_value(name) == "serial"
+    with forced_env(name, "warm"):
+        assert raw_value(name) == "warm"
         with forced_env(name, None):  # None = leave as is
-            assert raw_value(name) == "serial"
+            assert raw_value(name) == "warm"
     assert os.environ.get(name) == before
     with pytest.raises(KeyError):
         with forced_env("REPRO_NO_SUCH_KNOB", "x"):
@@ -117,9 +123,9 @@ def test_forced_env_restores_previous_state():
 
 
 def test_snapshot_contains_every_set_registered_knob():
-    with forced_env("REPRO_FORWARD", "loop"), forced_env("REPRO_MC_TRIALS", "5"):
+    with forced_env("REPRO_RNG", "philox"), forced_env("REPRO_MC_TRIALS", "5"):
         snapshot = repro_env_snapshot()
-        assert snapshot["REPRO_FORWARD"] == "loop"
+        assert snapshot["REPRO_RNG"] == "philox"
         assert snapshot["REPRO_MC_TRIALS"] == "5"
     assert all(key.startswith(REPRO_ENV_PREFIX) for key in repro_env_snapshot())
 

@@ -394,12 +394,8 @@ class TestBenchModeMatrix:
         assert entry["reference"]["knobs"]["REPRO_RNG"] == "seedseq"
         assert entry["reference"]["knobs"]["REPRO_DTYPE"] == "float64"
         assert entry["speedup_vs_reference_median"] > 0
-        assert check_speedups(
-            payload, {"variation_robustness": 0.0}, key="speedup_vs_reference_median"
-        ) == []
-        failures = check_speedups(
-            payload, {"variation_robustness": 1e9}, key="speedup_vs_reference_median"
-        )
+        assert check_speedups(payload, {"variation_robustness": 0.0}) == []
+        failures = check_speedups(payload, {"variation_robustness": 1e9})
         assert failures and "below" in failures[0]
 
     def test_analytic_scenario_skips_reference_comparison(self):
@@ -414,18 +410,14 @@ class TestBenchModeMatrix:
         assert entry["analytic_only"] is True
         assert "reference" not in entry
         assert "speedup_vs_reference_median" not in entry
-        failures = check_speedups(
-            payload, {"table1_taxonomy": 1.0}, key="speedup_vs_reference_median"
-        )
+        failures = check_speedups(payload, {"table1_taxonomy": 1.0})
         assert len(failures) == 1 and "analytic-only" in failures[0]
 
     def test_reference_mode_has_no_reference_block(self):
         payload = bench_scenarios(["variation_robustness"], repeats=1, warmup=0)
         entry = payload["scenarios"]["variation_robustness"]
         assert "reference" not in entry
-        failures = check_speedups(
-            payload, {"variation_robustness": 1.0}, key="speedup_vs_reference_median"
-        )
+        failures = check_speedups(payload, {"variation_robustness": 1.0})
         assert failures == [
             "variation_robustness: no reference-mode comparison recorded"
         ]

@@ -29,7 +29,6 @@ class TestScenarioSpecValidation:
     def test_minimal_spec_is_valid(self):
         spec = ScenarioSpec(name="demo", title="a demo")
         assert spec.name == "demo"
-        assert spec.deterministic
 
     def test_unknown_config_override_raises_with_suggestion(self):
         with pytest.raises(KeyError, match=r"core_heigth.*did you mean 'core_height'"):
@@ -178,6 +177,26 @@ class TestRunAndStore:
         run_scenario("table1_taxonomy", store=store)
         again = run_scenario("table1_taxonomy", store=store, force=True)
         assert not again.from_store
+
+    def test_throughput_mode_artifact_never_serves_a_default_run(
+        self, tmp_path, monkeypatch
+    ):
+        """The numerics knobs key the store: a table computed under
+        philox/float32 must miss on a default-mode run, never be served."""
+        store = ResultStore(tmp_path / "store")
+        params = {"trials": 4}
+        monkeypatch.setenv("REPRO_RNG", "philox")
+        monkeypatch.setenv("REPRO_DTYPE", "float32")
+        fast = run_scenario("variation_robustness", store=store, params=params)
+        assert run_scenario("variation_robustness", store=store, params=params).from_store
+        monkeypatch.delenv("REPRO_RNG")
+        monkeypatch.delenv("REPRO_DTYPE")
+        reference = run_scenario("variation_robustness", store=store, params=params)
+        assert not reference.from_store
+        assert reference.fingerprint != fast.fingerprint
+        assert reference.table == run_scenario(
+            "variation_robustness", params=params
+        ).table
 
     def test_different_params_address_different_artifacts(self, tmp_path):
         store = ResultStore(tmp_path / "store")

@@ -1,10 +1,8 @@
 """Acceptance: every registered scenario reproduces its checked-in benchmark table.
 
-Runs all eleven figure/table experiments through the registry (one shared
-evaluation cache, exactly like ``python -m repro batch --all``) and compares the
-rendered tables byte-for-byte against ``benchmarks/results/*.txt``.  Scenarios
-registered with ``deterministic=False`` (wall-clock timing tables) are checked
-structurally instead.
+Runs every registered scenario through the registry (one shared evaluation
+cache, exactly like ``python -m repro batch --all``) and compares the rendered
+tables byte-for-byte against ``benchmarks/results/*.txt``.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from repro.scenarios import REGISTRY, BatchRunner
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
 ALL_SCENARIOS = REGISTRY.names()
-DETERMINISTIC = [n for n in ALL_SCENARIOS if REGISTRY.get(n).spec.deterministic]
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +31,7 @@ def test_every_result_file_has_a_scenario_and_vice_versa():
     assert stems == set(ALL_SCENARIOS)
 
 
-@pytest.mark.parametrize("name", DETERMINISTIC)
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_scenario_reproduces_checked_in_table(batch_report, name):
     result = batch_report.item(name).result
     reference = (RESULTS_DIR / f"{name}.txt").read_text()
@@ -43,23 +40,7 @@ def test_scenario_reproduces_checked_in_table(batch_report, name):
     )
 
 
-@pytest.mark.parametrize("name", DETERMINISTIC)
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_scenario_passes_its_shape_checks(batch_report, name):
     REGISTRY.verify(name, batch_report.item(name).result)
 
-
-def test_timing_scenarios_render_the_same_structure(batch_report):
-    """Non-deterministic tables must match the reference line-for-line in shape."""
-    for name in set(ALL_SCENARIOS) - set(DETERMINISTIC):
-        result = batch_report.item(name).result
-        reference = (RESULTS_DIR / f"{name}.txt").read_text().rstrip("\n")
-        ours = result.table.splitlines()
-        theirs = reference.splitlines()
-        assert len(ours) == len(theirs), name
-        # Same first column (labels) everywhere; only measured numbers (and the
-        # column widths that depend on them) may move.
-        for our_line, their_line in zip(ours, theirs):
-            if set(our_line) <= set("-+ "):  # table rule, width tracks the numbers
-                assert set(their_line) <= set("-+ "), name
-                continue
-            assert our_line.split("|")[0].rstrip() == their_line.split("|")[0].rstrip(), name

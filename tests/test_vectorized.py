@@ -2,12 +2,12 @@
 
 Covers the three contracts the performance work must not break:
 
-- the stride-tricks im2col and every ``forward_batch`` agree with the legacy
-  loop path (bit-identical where the arithmetic is re-orderings of the same
-  elementwise ops, <= 1e-9 everywhere else);
+- the stride-tricks im2col and every ``forward_batch`` agree with the loop
+  oracles in ``tests/oracles.py`` (bit-identical where the arithmetic is
+  re-orderings of the same elementwise ops, <= 1e-9 everywhere else);
 - the trial-batched Monte Carlo consumes each trial's SeedSequence child RNG
-  bit-identically to the per-trial loop, so reports match across forward
-  modes, chunkings and execution backends;
+  bit-identically to the per-trial study loop, so reports match the oracle
+  across chunkings and execution backends;
 - the ``repro bench`` harness produces sane machine-readable reports and its
   speedup gate fails loudly when a comparison is missing.
 """
@@ -22,8 +22,8 @@ import pytest
 from repro.cli import main
 from repro.dataflow.gemm import GEMMWorkload
 from repro.exec import partition_indices
+from oracles import im2col_loop, loop_monte_carlo
 from repro.onn.layers import (
-    FORWARD_MODE_ENV,
     AvgPool2d,
     BatchNorm2d,
     Conv2d,
@@ -36,7 +36,6 @@ from repro.onn.layers import (
     MultiHeadAttention,
     ReLU,
     Sequential,
-    forward_mode,
 )
 from repro.onn.models import build_mlp, build_vgg8_cifar10
 from repro.onn.models.transformer import TransformerEncoder
@@ -73,11 +72,6 @@ RNG = np.random.default_rng(20250730)
 
 
 @pytest.fixture
-def loop_mode(monkeypatch):
-    monkeypatch.setenv(FORWARD_MODE_ENV, "loop")
-
-
-@pytest.fixture
 def small_models():
     return {
         "mlp": build_mlp((16, 24, 12, 6), rng=np.random.default_rng(3)),
@@ -101,40 +95,25 @@ def model_input(kind: str) -> np.ndarray:
     return rng.normal(size=(3, 8, 8))
 
 
-class TestForwardMode:
-    def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv(FORWARD_MODE_ENV, raising=False)
-        assert forward_mode() == "vectorized"
-
-    def test_env_selects_loop(self, loop_mode):
-        assert forward_mode() == "loop"
-
-    def test_unknown_mode_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(FORWARD_MODE_ENV, "turbo")
-        with pytest.raises(ValueError, match="REPRO_FORWARD"):
-            forward_mode()
-
-
 class TestIm2colEquivalence:
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (3, 2)])
     def test_loop_and_strided_im2col_are_bit_identical(self, stride, padding):
         conv = Conv2d(3, 4, 3, stride=stride, padding=padding,
                       rng=np.random.default_rng(0))
         x = RNG.normal(size=(3, 11, 9))
-        cols_loop, hw_loop = conv._im2col_loop(x)
-        cols_fast, hw_fast = conv._im2col_strided(x)
+        cols_loop, hw_loop = im2col_loop(conv, x)
+        cols_fast, hw_fast = conv._im2col(x)
         assert hw_loop == hw_fast
         assert np.array_equal(cols_loop, cols_fast)
 
     def test_forward_and_gemms_match_across_modes(self, monkeypatch):
         conv = Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(1))
         x = RNG.normal(size=(2, 7, 7))
-        monkeypatch.setenv(FORWARD_MODE_ENV, "loop")
-        y_loop = conv.forward(x)
-        gemms_loop, _ = conv.extract_gemms(x)
-        monkeypatch.setenv(FORWARD_MODE_ENV, "vectorized")
         y_fast = conv.forward(x)
         gemms_fast, _ = conv.extract_gemms(x)
+        monkeypatch.setattr(Conv2d, "_im2col", im2col_loop)
+        y_loop = conv.forward(x)
+        gemms_loop, _ = conv.extract_gemms(x)
         assert np.array_equal(y_loop, y_fast)
         assert np.array_equal(gemms_loop[0].input_values, gemms_fast[0].input_values)
 
@@ -143,7 +122,7 @@ class TestIm2colEquivalence:
         stack = RNG.normal(size=(5, 3, 9, 9))
         cols_batch, hw = conv._im2col_batch(stack)
         for i in range(stack.shape[0]):
-            cols_i, hw_i = conv._im2col_strided(stack[i])
+            cols_i, hw_i = conv._im2col(stack[i])
             assert hw == hw_i
             assert np.array_equal(cols_batch[i], cols_i)
 
@@ -260,20 +239,18 @@ class TestModelEquivalence:
     def test_loop_vs_vectorized_forward(self, monkeypatch, small_models, kind):
         model = small_models[kind]
         x = model_input(kind)
-        monkeypatch.setenv(FORWARD_MODE_ENV, "loop")
-        y_loop = model.forward(x)
-        monkeypatch.setenv(FORWARD_MODE_ENV, "vectorized")
         y_fast = model.forward(x)
+        monkeypatch.setattr(Conv2d, "_im2col", im2col_loop)
+        y_loop = model.forward(x)
         np.testing.assert_allclose(y_fast, y_loop, atol=1e-9, rtol=0)
 
     @pytest.mark.parametrize("kind", ["mlp", "vgg", "transformer"])
     def test_loop_vs_vectorized_gemm_extraction(self, monkeypatch, small_models, kind):
         model = small_models[kind]
         x = model_input(kind)
-        monkeypatch.setenv(FORWARD_MODE_ENV, "loop")
-        gemms_loop, out_loop = model.extract_gemms(x)
-        monkeypatch.setenv(FORWARD_MODE_ENV, "vectorized")
         gemms_fast, out_fast = model.extract_gemms(x)
+        monkeypatch.setattr(Conv2d, "_im2col", im2col_loop)
+        gemms_loop, out_loop = model.extract_gemms(x)
         assert [g.name for g in gemms_loop] == [g.name for g in gemms_fast]
         np.testing.assert_allclose(out_fast, out_loop, atol=1e-9, rtol=0)
         for a, b in zip(gemms_loop, gemms_fast):
@@ -472,12 +449,8 @@ class TestBatchedMonteCarlo:
         defaults.update(kwargs)
         return AccuracyRequest(model, inputs, **defaults)
 
-    def test_loop_and_batched_reports_are_identical(self, monkeypatch):
-        monkeypatch.setenv(FORWARD_MODE_ENV, "loop")
-        loop_report = run_monte_carlo(self.request())
-        monkeypatch.setenv(FORWARD_MODE_ENV, "vectorized")
-        batched_report = run_monte_carlo(self.request())
-        assert loop_report == batched_report
+    def test_loop_and_batched_reports_are_identical(self):
+        assert loop_monte_carlo(self.request()) == run_monte_carlo(self.request())
 
     def test_reports_identical_across_backends(self):
         serial = run_monte_carlo(self.request(backend="serial"))
@@ -486,12 +459,10 @@ class TestBatchedMonteCarlo:
         assert serial == threads
         assert serial == processes
 
-    def test_per_trial_seeds_survive_chunking(self, monkeypatch):
+    def test_per_trial_seeds_survive_chunking(self):
         """extra_loss_db is the first draw of each trial's stream: bit-equal
-        values across modes prove the seed contract held under batching."""
-        monkeypatch.setenv(FORWARD_MODE_ENV, "loop")
-        loop_report = run_monte_carlo(self.request(trials=70))
-        monkeypatch.setenv(FORWARD_MODE_ENV, "vectorized")
+        values against the loop prove the seed contract held under batching."""
+        loop_report = loop_monte_carlo(self.request(trials=70))
         batched_report = run_monte_carlo(self.request(trials=70))
         assert loop_report.accuracies == batched_report.accuracies
         assert loop_report.effective_bits_mean == batched_report.effective_bits_mean
@@ -554,8 +525,7 @@ class TestBenchHarness:
     def test_time_scenario_records_passes_and_stats(self):
         timing = time_scenario("table1_taxonomy", repeats=2, warmup=0)
         assert timing.repeats == 2
-        assert timing.mode == "vectorized/seedseq/float64"
-        assert timing.knobs["REPRO_FORWARD"] == "vectorized"
+        assert timing.mode == "seedseq/float64"
         assert timing.knobs["REPRO_RNG"] == "seedseq"
         assert timing.knobs["REPRO_DTYPE"] == "float64"
         assert timing.median_s > 0
@@ -563,23 +533,18 @@ class TestBenchHarness:
         assert len(timing.times_s) == 2
 
     def test_bench_scenarios_payload_and_speedup_gate(self):
-        payload = bench_scenarios(
-            ["table1_taxonomy"], repeats=1, warmup=0,
-            compare_loop=["table1_taxonomy"],
-        )
+        payload = bench_scenarios(["table1_taxonomy"], repeats=1, warmup=0)
         assert payload["schema"] == BENCH_SCHEMA
         entry = payload["scenarios"]["table1_taxonomy"]
-        assert "loop" in entry and "vectorized" in entry
-        assert entry["speedup_median"] > 0
-        assert check_speedups(payload, {"table1_taxonomy": 0.0}) == []
-        failures = check_speedups(payload, {"table1_taxonomy": 1e9})
+        assert "vectorized" in entry and "reference" not in entry
+        gated = {"scenarios": {"mc": {"speedup_vs_reference_median": 2.0}, "ref": {}}}
+        assert check_speedups(gated, {"mc": 0.0}) == []
+        failures = check_speedups(gated, {"mc": 1e9})
         assert failures and "below" in failures[0]
+        assert check_speedups(gated, {"ref": 1.0}) == [
+            "ref: no reference-mode comparison recorded"
+        ]
         assert check_speedups(payload, {"missing": 1.0}) == ["missing: not benchmarked"]
-
-    def test_compare_loop_must_be_selected(self):
-        with pytest.raises(ValueError, match="not in the benchmark selection"):
-            bench_scenarios(["table1_taxonomy"], repeats=1, warmup=0,
-                            compare_loop=["fig6_layout"])
 
     def test_write_report_round_trips(self, tmp_path):
         payload = bench_scenarios(["table1_taxonomy"], repeats=1, warmup=0)
@@ -591,39 +556,42 @@ class TestBenchHarness:
         out = tmp_path / "BENCH.json"
         assert main([
             "bench", "table1_taxonomy", "--repeats", "1", "--warmup", "0",
-            "--compare-loop", "table1_taxonomy",
-            "--fail-below", "table1_taxonomy=0.0",
             "--output", str(out),
         ]) == 0
         captured = capsys.readouterr()
         assert "table1_taxonomy" in captured.out
         assert out.exists()
         payload = json.loads(out.read_text())
-        assert "speedup_median" in payload["scenarios"]["table1_taxonomy"]
+        assert payload["scenarios"]["table1_taxonomy"]["vectorized"]["repeats"] == 1
 
     def test_cli_bench_fail_below_needs_comparison(self):
-        with pytest.raises(SystemExit):
+        """--fail-below-ref gates the throughput mode against the reference,
+        so it needs a non-reference mode to compare."""
+        with pytest.raises(SystemExit, match="non-reference mode"):
             main([
                 "bench", "table1_taxonomy", "--repeats", "1", "--warmup", "0",
-                "--fail-below", "table1_taxonomy=1.0",
+                "--fail-below-ref", "table1_taxonomy=1.0",
             ])
 
     def test_cli_bench_unmet_threshold_fails(self, tmp_path, capsys):
         assert main([
-            "bench", "table1_taxonomy", "--repeats", "1", "--warmup", "0",
-            "--compare-loop", "table1_taxonomy",
-            "--fail-below", "table1_taxonomy=1000000",
+            "bench", "variation_robustness", "--repeats", "1", "--warmup", "0",
+            "--param", "trials=4", "--rng", "philox",
+            "--fail-below-ref", "variation_robustness=1000000",
             "--output", str(tmp_path / "b.json"),
         ]) == 1
         assert "SPEEDUP CHECK FAILED" in capsys.readouterr().err
 
 
 class TestScenarioTablesUnchanged:
-    """The vectorized default must reproduce the committed accuracy tables."""
+    """The batched study must render the same table as the per-trial loop."""
 
     def test_variation_robustness_table_matches_loop_path(self, monkeypatch):
-        monkeypatch.setenv(FORWARD_MODE_ENV, "vectorized")
         fast = REGISTRY.run("variation_robustness", store=None, force=True)
-        monkeypatch.setenv(FORWARD_MODE_ENV, "loop")
+        monkeypatch.setattr(Conv2d, "_im2col", im2col_loop)
+        # The engine's mc_accuracy pass resolves run_monte_carlo at call time.
+        monkeypatch.setattr(
+            "repro.variation.montecarlo.run_monte_carlo", loop_monte_carlo
+        )
         legacy = REGISTRY.run("variation_robustness", store=None, force=True)
         assert fast.table == legacy.table
