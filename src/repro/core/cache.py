@@ -13,7 +13,12 @@ compare structurally; per-object identities (:func:`digest`) compress the heavy
 canonicalization into a SHA-1 string computed once and memoized on the object:
 
 - dataclasses/enums/dicts/sequences are recursively canonicalized with sorted keys;
-- numpy arrays hash their shape, dtype and raw bytes (value-exact, no tolerance);
+- numpy arrays hash their shape, dtype and raw bytes (value-exact, no tolerance),
+  read straight from the array's buffer with no copy when it is C- or
+  F-contiguous.  An F-contiguous array (a transposed weight view) hashes its
+  transpose's buffer and carries an ``"F"`` layout tag, so it never shares a key
+  with the C-ordered array holding the same bytes; only strided arrays are
+  copied to C order first;
 - :class:`~repro.dataflow.gemm.GEMMWorkload` operand tensors are hashed once and the
   digest is memoized on the workload object (workloads are treated as immutable
   once handed to an engine -- mutate a copy, not the original, between runs).
@@ -65,9 +70,16 @@ def canonical_value(obj: Any, depth: int = 0) -> Any:
     if isinstance(obj, Enum):
         return ("enum", type(obj).__name__, obj.value)
     if isinstance(obj, np.ndarray):
-        data = np.ascontiguousarray(obj)
-        digest = hashlib.sha1(data.tobytes()).hexdigest()
-        return ("ndarray", data.shape, str(data.dtype), digest)
+        if obj.flags.f_contiguous and not obj.flags.c_contiguous:
+            # A transposed view (the extracted weight operands): hash its
+            # transpose's C buffer in place.  The layout tag keeps it apart
+            # from the C-ordered array whose buffer holds the same bytes.
+            digest = hashlib.sha1(obj.T).hexdigest()
+            return ("ndarray", obj.shape, str(obj.dtype), digest, "F")
+        # C-contiguous arrays hash their buffer without a bytes copy.  Strided
+        # arrays are copied to C order first, and 0-d arrays key as shape (1,).
+        data = obj if obj.flags.c_contiguous and obj.ndim else np.ascontiguousarray(obj)
+        return ("ndarray", data.shape, str(data.dtype), hashlib.sha1(data).hexdigest())
     if isinstance(obj, np.generic):
         return canonical_value(obj.item(), depth + 1)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

@@ -21,6 +21,11 @@ class GEMMWorkload:
 
     Conventionally operand B holds the *weights* (the operand that may be held
     stationary on a PTC) and operand A holds the *activations*.
+
+    Operand arrays may be read-only views of model state rather than copies,
+    in either memory order: layer extraction records ``weight.T`` (an
+    F-contiguous view of the layer's weight) and slices of its activations.
+    Treat them as immutable; copy before editing.
     """
 
     name: str

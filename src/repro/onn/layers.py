@@ -131,6 +131,18 @@ def _match_dtype(x: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return x if x.dtype == dtype else x.astype(dtype)
 
 
+def _read_only(view: np.ndarray) -> np.ndarray:
+    """Mark a GEMM operand view read-only and return it.
+
+    Workload records hold views of model weights and activations, not copies:
+    a copy of every weight matrix would double extraction's memory.  Writes
+    through a record fail loudly; layers only ever *rebind* their weight
+    (conversion, variation clones), so a recorded view keeps the values it saw.
+    """
+    view.setflags(write=False)
+    return view
+
+
 # -- reusable scratch buffers ----------------------------------------------------------
 
 
@@ -408,9 +420,9 @@ class Linear(Module):
             weight_bits=self.weight_bits,
             output_bits=self.output_bits,
             layer_type="linear",
-            weight_values=weight.T.copy(),
-            input_values=flat.copy(),
-            pruning_mask=None if self.pruning_mask is None else self.pruning_mask.T.copy(),
+            weight_values=_read_only(weight.T),
+            input_values=_read_only(flat),
+            pruning_mask=None if self.pruning_mask is None else _read_only(self.pruning_mask.T),
             weight_static=True,
         )
         return [gemm], self.forward(x)
@@ -518,18 +530,27 @@ class Conv2d(Module):
             return self.weight
         return np.where(self.pruning_mask, self.weight, 0.0)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _lower(self, x: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int], np.ndarray]:
+        """The im2col patches of ``x``, the output size and the 2-D weight."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 3 or x.shape[0] != self.in_channels:
             raise ValueError(
                 f"{self.name}: expected (C={self.in_channels}, H, W) input, got {x.shape}"
             )
-        cols, (out_h, out_w) = self._im2col(x)
-        weight = self.effective_weight().reshape(self.out_channels, -1)
+        cols, out_hw = self._im2col(x)
+        return cols, out_hw, self.effective_weight().reshape(self.out_channels, -1)
+
+    def _output(
+        self, cols: np.ndarray, out_hw: Tuple[int, int], weight: np.ndarray
+    ) -> np.ndarray:
+        """``(out_c, out_h, out_w)`` output of the lowered GEMM ``cols @ weight.T``."""
         out = cols @ weight.T
         if self.bias is not None:
             out = out + self.bias
-        return out.T.reshape(self.out_channels, out_h, out_w)
+        return out.T.reshape(self.out_channels, *out_hw)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self._output(*self._lower(x))
 
     def forward_batch(
         self, x: np.ndarray, weight: Optional[np.ndarray] = None
@@ -581,13 +602,11 @@ class Conv2d(Module):
         )
 
     def extract_gemms(self, x: np.ndarray) -> Tuple[List[GEMMWorkload], np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        cols, _ = self._im2col(x)
-        weight = self.effective_weight().reshape(self.out_channels, -1)
+        cols, out_hw, weight = self._lower(x)
         mask = (
             None
             if self.pruning_mask is None
-            else self.pruning_mask.reshape(self.out_channels, -1).T.copy()
+            else _read_only(self.pruning_mask.reshape(self.out_channels, -1).T)
         )
         gemm = GEMMWorkload(
             name=self.name,
@@ -598,12 +617,13 @@ class Conv2d(Module):
             weight_bits=self.weight_bits,
             output_bits=self.output_bits,
             layer_type="conv",
-            weight_values=weight.T.copy(),
-            input_values=cols,
+            weight_values=_read_only(weight.T),
+            input_values=_read_only(cols),
             pruning_mask=mask,
             weight_static=True,
         )
-        return [gemm], self.forward(x)
+        # The output reuses the patch matrix built above instead of a second im2col.
+        return [gemm], self._output(cols, out_hw, weight)
 
 
 class MultiHeadAttention(Module):
@@ -704,11 +724,12 @@ class MultiHeadAttention(Module):
         x = np.asarray(x, dtype=float)
         tokens = x.shape[0]
         gemms: List[GEMMWorkload] = []
+        projected = []
         for proj in (self.w_q, self.w_k, self.w_v):
-            proj_gemms, _ = proj.extract_gemms(x)
+            proj_gemms, out = proj.extract_gemms(x)
             gemms.extend(proj_gemms)
-        q, k, v = self.w_q(x), self.w_k(x), self.w_v(x)
-        qh, kh, vh = self._heads(q), self._heads(k), self._heads(v)
+            projected.append(out)
+        qh, kh, vh = (self._heads(y) for y in projected)
         # Dynamic attention matmuls (one GEMM record per head, operands both
         # data dependent).  The scores/attention tensors are computed once,
         # batched over heads, and sliced into the per-head records.
@@ -725,8 +746,8 @@ class MultiHeadAttention(Module):
                     weight_bits=self.input_bits,
                     output_bits=self.output_bits,
                     layer_type="attention",
-                    weight_values=kh[head].T.copy(),
-                    input_values=qh[head].copy(),
+                    weight_values=_read_only(kh[head].T),
+                    input_values=_read_only(qh[head]),
                     weight_static=False,
                 )
             )
@@ -741,8 +762,8 @@ class MultiHeadAttention(Module):
                     weight_bits=self.input_bits,
                     output_bits=self.output_bits,
                     layer_type="attention",
-                    weight_values=vh[head].copy(),
-                    input_values=attn[head].copy(),
+                    weight_values=_read_only(vh[head]),
+                    input_values=_read_only(attn[head]),
                     weight_static=False,
                 )
             )

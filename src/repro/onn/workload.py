@@ -52,8 +52,12 @@ def _assign_ptc(gemm_name: str, assignment: Dict[str, str]) -> Optional[str]:
 
 
 def extract_workloads(model: Module, input_array: np.ndarray) -> List[LayerWorkload]:
-    """Run ``model`` on ``input_array`` and return all extracted GEMM workloads."""
-    input_array = np.asarray(input_array, dtype=float)
+    """Run ``model`` on ``input_array`` and return all extracted GEMM workloads.
+
+    Records hold read-only views of the model's weights and activations; the
+    input is copied once so no record aliases memory the caller still owns.
+    """
+    input_array = np.array(input_array, dtype=float)
     gemms, _ = model.extract_gemms(input_array)
     assignment = ptc_assignment_of(model)
     workloads: List[LayerWorkload] = []

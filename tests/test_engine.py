@@ -137,6 +137,35 @@ class TestCanonicalHashing:
         b[3] += 1e-12
         assert fingerprint(a) != fingerprint(b)
 
+    def test_c_contiguous_key_is_pinned(self):
+        # Golden keys: a change to the C-order rendering would re-key every
+        # cached entry and stored digest, so it must fail here first.
+        assert canonical_value(np.arange(6, dtype=float).reshape(2, 3)) == (
+            "ndarray", (2, 3), "float64", "431f35234d8181ad8a04ca20929785ba6909bc97",
+        )
+        assert canonical_value(np.array(2.5)) == (
+            "ndarray", (1,), "float64", "54c68fbaf5ddba3d7d0b42622c92276d7bd228b6",
+        )
+
+    def test_f_layout_never_shares_a_key_with_same_bytes(self):
+        c_order = np.arange(6, dtype=float).reshape(2, 3)
+        f_order = np.arange(6, dtype=float).reshape(3, 2).T
+        assert f_order.flags.f_contiguous and not f_order.flags.c_contiguous
+        assert c_order.shape == f_order.shape
+        assert bytes(memoryview(f_order.T)) == c_order.tobytes()
+        assert canonical_value(f_order) != canonical_value(c_order)
+
+    def test_equal_arrays_in_one_layout_share_a_key(self):
+        weights = np.random.default_rng(3).normal(size=(4, 5))
+        assert canonical_value(weights.T) == canonical_value(weights.copy().T)
+        assert canonical_value(weights) == canonical_value(weights.copy())
+
+    def test_strided_view_keys_as_its_contiguous_copy(self):
+        base = np.arange(40, dtype=float).reshape(5, 8)
+        strided = base[::2, 1::3]
+        assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+        assert canonical_value(strided) == canonical_value(np.ascontiguousarray(strided))
+
     def test_dataclass_fields_hashed(self):
         c1 = ArchitectureConfig(core_height=4)
         c2 = ArchitectureConfig(core_height=4)

@@ -119,6 +119,22 @@ class TestConv2d:
         assert gemm.layer_type == "conv"
         assert out.shape == (8, 10, 10)
 
+    def test_extract_output_bit_identical_to_forward(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        conv = Conv2d(3, 5, 3, stride=2, padding=1, name="conv", rng=rng)
+        conv.bias = rng.normal(size=5)
+        x = rng.normal(size=(3, 11, 9))
+        expected = conv.forward(x)
+        im2col = conv._im2col
+        calls = []
+        monkeypatch.setattr(conv, "_im2col", lambda a: calls.append(a.shape) or im2col(a))
+        gemms, out = conv.extract_gemms(x)
+        # One im2col: the output comes from the patch matrix the record holds.
+        assert calls == [x.shape]
+        assert out.shape == expected.shape and out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+        assert gemms[0].input_values.shape == (6 * 5, 3 * 3 * 3)
+
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             Conv2d(1, 1, 0)

@@ -247,3 +247,85 @@ class TestWorkloadExtraction:
         model = build_mlp((8, hidden, out))
         workloads = extract_workloads(model, np.ones(8))
         assert total_macs(workloads) == 8 * hidden + hidden * out
+
+
+def _weighted_layers(model):
+    return {m.name: m for m in model.modules() if isinstance(m, (Conv2d, Linear))}
+
+
+def _small_bert():
+    return build_bert_base_image(image_size=32, num_layers=1, num_classes=10)
+
+
+def _small_vgg():
+    return build_vgg8_cifar10(width_multiplier=0.05, input_size=16)
+
+
+class TestZeroCopyExtraction:
+    """Workload records are read-only views of model state, not copies."""
+
+    @pytest.mark.parametrize("build, shape", [(_small_bert, (3, 32, 32)),
+                                              (_small_vgg, (3, 16, 16))])
+    def test_static_weights_are_read_only_views(self, build, shape):
+        model = build()
+        workloads = extract_workloads(model, np.random.default_rng(0).normal(size=shape))
+        layers = _weighted_layers(model)
+        static = [w.gemm for w in workloads if w.gemm.weight_static]
+        assert len(static) == len(layers)
+        for gemm in static:
+            assert np.shares_memory(gemm.weight_values, layers[gemm.name].weight)
+        for w in workloads:
+            for operand in (w.gemm.weight_values, w.gemm.input_values):
+                with pytest.raises(ValueError):
+                    operand[0, 0] = 1.0
+
+    def test_records_do_not_alias_the_caller_input(self):
+        model = build_mlp((16, 8, 4))
+        image = np.ones(16)
+        workloads = extract_workloads(model, image)
+        assert not np.shares_memory(workloads[0].gemm.input_values, image)
+
+    def test_one_projection_pass_per_encoder_block(self, monkeypatch):
+        calls = []
+        forward = Linear.forward
+
+        def counting(self, x):
+            calls.append(self.name)
+            return forward(self, x)
+
+        monkeypatch.setattr(Linear, "forward", counting)
+        model = _small_bert()
+        extract_workloads(model, np.zeros((3, 32, 32)))
+        block = model.blocks[0].name + "."
+        # q, k, v, out projections plus the two MLP layers: once each.
+        assert sum(name.startswith(block) for name in calls) == 6
+
+    def test_requantization_leaves_extracted_workloads_unchanged(self):
+        model = _small_bert()
+        convert_to_onn(model, ONNConversionConfig(weight_bits=8))
+        workloads = extract_workloads(model, np.random.default_rng(1).normal(size=(3, 32, 32)))
+        before = [(w.gemm.weight_values.copy(), w.gemm.input_values.copy()) for w in workloads]
+        weights = {name: layer.weight for name, layer in _weighted_layers(model).items()}
+        convert_to_onn(model, ONNConversionConfig(weight_bits=3))
+        # Re-conversion re-quantizes (rebinds) at least the attention projections.
+        requantized = [name for name, layer in _weighted_layers(model).items()
+                       if not np.array_equal(layer.weight, weights[name])]
+        assert model.blocks[0].attention.w_q.name in requantized
+        for w, (weight, inputs) in zip(workloads, before):
+            assert np.array_equal(w.gemm.weight_values, weight)
+            assert np.array_equal(w.gemm.input_values, inputs)
+
+    def test_extraction_peak_memory_below_model_weights(self):
+        import tracemalloc
+
+        model = _small_bert()
+        image = np.random.default_rng(2).normal(size=(3, 32, 32))
+        weight_bytes = sum(layer.weight.nbytes for layer in _weighted_layers(model).values())
+        tracemalloc.start()
+        try:
+            extract_workloads(model, image)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Copying the operands out would allocate every weight matrix again.
+        assert peak < weight_bytes
