@@ -2,12 +2,12 @@
 
 Scope: classes whose instances cross process boundaries through the
 ``ships_tasks`` backends -- identified by the repo's naming convention
-(``*Context`` / ``*Task`` / ``*Outcome``).  ``ProcessBackend.check_picklable``
-catches violations at run time, but only on the code path that actually
-ships; this rule catches them at lint time: captured lambdas, lock/handle
-attributes, and lambda/lock ``default_factory`` fields all raise
-``PicklingError`` the first time a study runs on the process or cluster
-backend.  Raw ``multiprocessing.shared_memory.SharedMemory`` objects are
+(``*Context`` / ``*Task`` / ``*Outcome``).  The pickle probe that opens
+every shipped round catches violations at run time, but only on the code
+path that actually ships; this rule catches them at lint time: captured
+lambdas, lock/handle attributes, and lambda/lock ``default_factory`` fields
+all raise ``PicklingError`` the first time a study runs on the process or
+cluster backend.  Raw ``multiprocessing.shared_memory.SharedMemory`` objects are
 flagged too -- a pickled segment re-attaches with no refcount, cleanup or
 content addressing, so task classes must carry
 :class:`repro.exec.shm.ShmHandle` instead.

@@ -790,80 +790,36 @@ class AggregatePass(EnginePass):
 
 # -- pass observation hook ------------------------------------------------------------
 
-#: Registered observer entries, swapped atomically as a tuple under the lock so
-#: concurrent registration from worker threads never corrupts the sequence and
-#: engine runs iterate a consistent snapshot without holding the lock.
+#: Registered observer callbacks, swapped atomically as a tuple under the lock
+#: so concurrent registration from worker threads never corrupts the sequence
+#: and engine runs iterate a consistent snapshot without holding the lock.
+PassObserver = Callable[[str, "EvaluationEngine", float], None]
 _OBSERVER_LOCK = threading.Lock()
-_PASS_OBSERVERS: Tuple["_ObserverEntry", ...] = ()
-
-
-class _ObserverEntry:
-    """One registration of a pass observer (unique even for a reused callback).
-
-    Registration is stacked and re-entrant: the same callback may be registered
-    multiple times (each ``with`` block removes exactly its own entry), and
-    nested orchestration layers -- a batch runner inside an observed test, an
-    explorer inside a batch scenario -- each see every pass and apply their own
-    filtering (typically by engine-cache identity) to count only their work.
-    """
-
-    __slots__ = ("callback", "wants_timing")
-
-    def __init__(self, callback: Callable[..., None]) -> None:
-        self.callback = callback
-        self.wants_timing = _accepts_timing(callback)
-
-    def notify(self, stage: str, engine: "EvaluationEngine", elapsed_s: float) -> None:
-        if self.wants_timing:
-            self.callback(stage, engine, elapsed_s)
-        else:
-            self.callback(stage, engine)
-
-
-def _accepts_timing(callback: Callable[..., None]) -> bool:
-    """Whether ``callback`` takes a third ``elapsed_s`` positional argument.
-
-    Observers predating the per-pass timing telemetry take ``(stage, engine)``;
-    newer ones take ``(stage, engine, elapsed_s)``.  Unintrospectable callables
-    get the legacy two-argument form.
-    """
-    import inspect
-
-    try:
-        signature = inspect.signature(callback)
-    except (TypeError, ValueError):
-        return False
-    positional = 0
-    for param in signature.parameters.values():
-        if param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD):
-            positional += 1
-        elif param.kind == param.VAR_POSITIONAL:
-            return True
-    return positional >= 3
+_PASS_OBSERVERS: Tuple[PassObserver, ...] = ()
 
 
 @contextlib.contextmanager
-def observe_passes(callback: Callable[..., None]):
+def observe_passes(callback: PassObserver):
     """Register ``callback`` for the duration of the ``with`` block.
 
     The callback fires after each pass of *every* engine run in the process
     (including engines created inside the block) as ``callback(pass_name,
-    engine)`` or -- when it accepts a third argument -- ``callback(pass_name,
     engine, elapsed_s)`` with the pass's wall-clock seconds.  Registration is
-    scoped, stacked and thread-safe; concurrent observers each receive every
-    event and are expected to filter for the engines they care about (e.g. by
-    ``engine.cache`` identity) rather than assume exclusive ownership.
+    scoped, stacked and thread-safe: the same callback may be registered
+    several times (each ``with`` block removes exactly one registration), and
+    concurrent observers each receive every event and are expected to filter
+    for the engines they care about (e.g. by ``engine.cache`` identity) rather
+    than assume exclusive ownership.
     """
     global _PASS_OBSERVERS
-    entry = _ObserverEntry(callback)
     with _OBSERVER_LOCK:
-        _PASS_OBSERVERS = _PASS_OBSERVERS + (entry,)
+        _PASS_OBSERVERS = _PASS_OBSERVERS + (callback,)
     try:
         yield callback
     finally:
         with _OBSERVER_LOCK:
             observers = list(_PASS_OBSERVERS)
-            observers.remove(entry)
+            observers.remove(callback)
             _PASS_OBSERVERS = tuple(observers)
 
 
@@ -1021,8 +977,8 @@ class EvaluationEngine:
                 start = time.perf_counter()
                 stage.run(ctx)
                 elapsed = time.perf_counter() - start
-                for entry in observers:
-                    entry.notify(stage.name, self, elapsed)
+                for callback in observers:
+                    callback(stage.name, self, elapsed)
             else:
                 stage.run(ctx)
         return ctx

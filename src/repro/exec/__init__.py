@@ -4,22 +4,25 @@
 scenario runner and the design-space explorer both consume
 :class:`ExecutionBackend` instead of hand-rolled executor code, so ``--backend
 {serial,threads,processes,cluster} --jobs N`` means the same thing everywhere.
-The :mod:`~repro.exec.telemetry` helpers keep the accounting (engine passes,
-per-pass wall-clock, cache hit/miss counters) mergeable across process -- and,
-with :mod:`~repro.exec.cluster`, host -- boundaries, so reports look identical
-no matter which backend ran the work.
+The two task-shipping backends share one worker loop: ``processes`` forks
+local workers that speak the :mod:`~repro.exec.cluster` protocol over
+socketpairs, ``cluster`` accepts the same workers over TCP, and one
+coordinator chunks, ships, requeues and collects for both (warm local fleets
+live in :mod:`~repro.exec.pool`, large payloads travel through
+:mod:`~repro.exec.shm`).  The :mod:`~repro.exec.telemetry` helpers keep the
+accounting (engine passes, per-pass wall-clock, cache hit/miss counters)
+mergeable across process and host boundaries, so reports look identical no
+matter which backend ran the work.
 """
 
 from repro.exec.backends import (
     BACKENDS,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     applied_env_snapshot,
     available_cpus,
     default_jobs,
-    partition_indices,
     repro_env_snapshot,
     resolve_backend,
     steal_partition,
@@ -42,6 +45,7 @@ from repro.exec.cluster import (
     ClusterBackend,
     ClusterCoordinator,
     ClusterTaskError,
+    ProcessBackend,
     coordinator_for,
     parse_address,
     run_worker,
@@ -76,7 +80,6 @@ __all__ = [
     "as_array",
     "as_object",
     "available_cpus",
-    "partition_indices",
     "cache_stats_delta",
     "cache_stats_snapshot",
     "coordinator_for",

@@ -1,24 +1,27 @@
-"""Pluggable execution backends: serial, thread-pool and process-pool.
+"""Execution backends: the shared interface, serial and thread-pool.
 
 One interface serves both orchestration layers -- design-point evaluation
 batches in :class:`~repro.explore.dse.DesignSpaceExplorer` and batch scenario
 runs in :class:`~repro.scenarios.runner.BatchRunner` -- instead of each
-hand-rolling its own ``ThreadPoolExecutor`` plumbing:
+hand-rolling its own executor plumbing:
 
 - :class:`SerialBackend` runs tasks inline (the reference ordering);
 - :class:`ThreadBackend` spreads tasks over a thread pool -- cheap to start and
   able to share live objects (caches, engines), but every pure-Python engine
   pass still contends for one GIL;
-- :class:`ProcessBackend` sidesteps the GIL with a process pool.  Tasks and the
-  shared context must be picklable (live engines stay home; consumers encode
-  specs/overrides/workload data instead), scheduling is chunked so per-task IPC
-  amortizes, and results always come back in task order, so a process run is
-  byte-identical to a serial one.
+- the task-shipping backends live in :mod:`repro.exec.cluster` and share one
+  dispatch path: :class:`~repro.exec.cluster.ProcessBackend` forks local
+  workers, :class:`~repro.exec.cluster.ClusterBackend` serves TCP-connected
+  ones, and both run every round on a
+  :class:`~repro.exec.cluster.ClusterCoordinator`.  Tasks and the shared
+  context must be picklable (live engines stay home; consumers encode
+  specs/overrides/workload data instead), and results always come back in
+  task order, so a shipped run is byte-identical to a serial one.
 
 All backends implement ``map_tasks(fn, tasks, shared=None)`` calling
 ``fn(shared, task)`` for every task and returning the results in task order.
-``fn`` runs once per task; under :class:`ProcessBackend` it must be a
-module-level (picklable) function and ``shared`` is pickled once per chunk,
+``fn`` runs once per task; on a task-shipping backend it must be a
+module-level (picklable) function and ``shared`` is pickled once per round,
 which is where consumers put the bulky, task-invariant payload.
 """
 
@@ -27,10 +30,9 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import pickle
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable, Dict, List, Optional, Sequence, Type, Union
 
 from repro.core.knobs import REPRO_ENV_PREFIX, repro_env_snapshot
 
@@ -64,32 +66,6 @@ def _validate_jobs(jobs: Optional[int]) -> Optional[int]:
     return jobs
 
 
-def partition_indices(count: int, parts: int) -> List[List[int]]:
-    """Split ``range(count)`` into at most ``parts`` contiguous, near-equal chunks.
-
-    A pure function of ``(count, parts)`` -- no backend or scheduling state --
-    so every execution backend shards identically-seeded work the same way
-    (the trial-batched Monte Carlo path relies on this for deterministic
-    worker assignment).  Leading chunks take the remainder: sizes differ by at
-    most one and concatenating the chunks restores ``range(count)``.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if parts < 1:
-        raise ValueError(f"parts must be positive, got {parts}")
-    if count == 0:
-        return []
-    parts = min(parts, count)
-    base, extra = divmod(count, parts)
-    chunks: List[List[int]] = []
-    start = 0
-    for index in range(parts):
-        size = base + (1 if index < extra else 0)
-        chunks.append(list(range(start, start + size)))
-        start += size
-    return chunks
-
-
 def steal_partition(
     count: int,
     workers: int,
@@ -103,11 +79,12 @@ def steal_partition(
     factor))`` indices, so early chunks are large (amortizing per-chunk
     dispatch cost) and the tail degrades to ``min_chunk``-sized pieces -- a
     straggler can strand at most one small chunk's worth of work, instead of
-    the ``count / workers`` a static one-chunk-per-worker split risks.  Like
-    :func:`partition_indices` this is a pure function of its arguments and the
-    chunks concatenate to ``range(count)``, so reassembling results by chunk
-    position is byte-identical to serial no matter which worker pulled which
-    chunk.  ``cap`` bounds chunk length (e.g. a trial-batch working-set cap).
+    the ``count / workers`` a static one-chunk-per-worker split risks.  It is
+    a pure function of its arguments and the chunks concatenate to
+    ``range(count)``, so every backend shards identically-seeded work the same
+    way and reassembling results by chunk position is byte-identical to serial
+    no matter which worker pulled which chunk.  ``cap`` bounds chunk length
+    (e.g. a trial-batch working-set cap).
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
@@ -187,13 +164,14 @@ class ExecutionBackend:
     #: True for backends whose workers live in other processes (or hosts) and
     #: therefore receive *encoded* tasks: consumers route such backends through
     #: their picklable task path (module-level function + encoded context)
-    #: instead of sharing live objects.  The cluster backend sets this too --
-    #: one flag replaces scattered ``isinstance(backend, ProcessBackend)``
-    #: checks.
+    #: instead of sharing live objects.  One flag replaces scattered
+    #: ``isinstance`` checks.
     ships_tasks = False
 
     def __init__(self) -> None:
-        self._pool: Optional[Executor] = None
+        #: What the open session keeps alive: a thread pool, or the process
+        #: backend's worker fleet (None outside a session and for serial).
+        self._pool: Any = None
         self._session_depth = 0
         self._session_lock = threading.Lock()
 
@@ -201,35 +179,25 @@ class ExecutionBackend:
     def jobs(self) -> int:
         return 1
 
-    def _make_pool(self) -> Optional[Executor]:
-        """The pool a session keeps alive (None for inline backends)."""
+    def _acquire_session_pool(self) -> Any:
+        """Hook: the pool an opening session binds (default: None, run inline)."""
         return None
 
-    def _acquire_session_pool(self) -> Optional[Executor]:
-        """Hook: the executor an opening session binds (None = run inline).
-
-        The default builds a private pool via :meth:`_make_pool`; backends
-        with external pool lifecycles (the process backend's warm pools)
-        override the acquire/release pair instead of ``session`` itself.
-        """
-        return self._make_pool()
-
-    def _release_session_pool(self, pool: Executor) -> None:
-        """Hook: hand the session's executor back (default: tear it down)."""
-        pool.shutdown(wait=True)
+    def _release_session_pool(self, pool: Any) -> None:
+        """Hook: hand the session's pool back when the outermost session ends."""
 
     @contextlib.contextmanager
     def session(self):
         """Scope within which pools -- and per-worker state -- persist.
 
         Callers issuing several ``map_tasks`` rounds (e.g. feedback-driven
-        search strategies) wrap them in one session so thread/process pools
-        are created once: worker processes then keep their memoized state
-        (per-worker caches, architecture builds) across rounds instead of
+        search strategies) wrap them in one session so thread pools and worker
+        processes are created once: worker processes then keep their memoized
+        state (per-worker caches, architecture builds) across rounds instead of
         paying startup and re-pickling per batch.  Sessions nest; the
         outermost one owns the pool.  Without a session every ``map_tasks``
         call builds and tears down its own pool (or, under ``REPRO_POOL=warm``
-        on the process backend, leases the shared warm pool per call).
+        on the process backend, leases the shared warm fleet per call).
         """
         with self._session_lock:
             self._session_depth += 1
@@ -282,8 +250,11 @@ class ThreadBackend(ExecutionBackend):
     def jobs(self) -> int:
         return self._jobs
 
-    def _make_pool(self) -> Executor:
+    def _acquire_session_pool(self) -> ThreadPoolExecutor:
         return ThreadPoolExecutor(max_workers=self._jobs)
+
+    def _release_session_pool(self, pool: ThreadPoolExecutor) -> None:
+        pool.shutdown(wait=True)
 
     def map_tasks(
         self, fn: TaskFn, tasks: Sequence[Any], shared: Any = None
@@ -301,164 +272,11 @@ class ThreadBackend(ExecutionBackend):
             return list(pool.map(lambda task: fn(shared, task), tasks))
 
 
-def _run_chunk(
-    fn: TaskFn, shared: Any, chunk: List[Any], collect_stages: bool = False
-) -> "Tuple[List[Any], Optional[Dict[str, float]]]":
-    """Worker-side loop: one unpickle of (fn, shared) serves the whole chunk.
-
-    Returns ``(results, stage_totals)``.  When the parent has stage observers
-    registered it asks for ``collect_stages``: the worker accumulates its own
-    :func:`repro.variation.stages.stage` blocks and ships the totals home, so
-    stage attribution survives the process boundary (the bug that left cluster
-    bench records with only the parent-side ``rng`` stage).
-    """
-    if not collect_stages:
-        return [fn(shared, task) for task in chunk], None
-    from repro.variation.stages import StageAccumulator, observe_stages
-
-    accumulator = StageAccumulator()
-    with observe_stages(accumulator):
-        results = [fn(shared, task) for task in chunk]
-    return results, (accumulator.totals() or None)
-
-
-class ProcessBackend(ExecutionBackend):
-    """Process-pool execution with chunked scheduling and ordered results.
-
-    ``chunksize`` bounds scheduling granularity: tasks are shipped in contiguous
-    chunks (default: enough chunks for ~4 rounds per worker) so the per-chunk
-    pickling of the shared context amortizes over many tasks while load still
-    balances.  Results are reassembled in submission order, so the output is
-    positionally identical to :class:`SerialBackend`.
-    """
-
-    name = "processes"
-    ships_tasks = True
-
-    def __init__(
-        self, jobs: Optional[int] = None, chunksize: Optional[int] = None
-    ) -> None:
-        super().__init__()
-        self._jobs = _validate_jobs(jobs) or default_jobs()
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be a positive integer, got {chunksize!r}")
-        self.chunksize = chunksize
-        self._warm_release: Optional[Callable[[], None]] = None
-
-    @property
-    def jobs(self) -> int:
-        return self._jobs
-
-    def _make_pool(self) -> Executor:
-        return ProcessPoolExecutor(max_workers=self._jobs)
-
-    def _lease_pool(
-        self, limit: Optional[int] = None
-    ) -> "Tuple[Executor, Callable[[], None]]":
-        """``(executor, release)`` honouring the ``REPRO_POOL`` lifecycle knob.
-
-        ``warm`` leases the process-wide persistent pool (created on first
-        use, revalidated against the ``REPRO_*`` snapshot, reaped when idle;
-        always sized ``jobs`` so every lease shares one pool); ``cold`` keeps
-        the historical build-per-scope executor, sized down to ``limit`` when
-        fewer chunks than workers exist.
-        """
-        from repro.exec import pool as warm_pools
-
-        if warm_pools.pool_mode() == "warm":
-            return warm_pools.checkout(self._jobs)
-        workers = self._jobs if limit is None else max(1, min(self._jobs, limit))
-        executor = ProcessPoolExecutor(max_workers=workers)
-        return executor, lambda: executor.shutdown(wait=True)
-
-    def _acquire_session_pool(self) -> Executor:
-        executor, release = self._lease_pool()
-        self._warm_release = release
-        return executor
-
-    def _release_session_pool(self, pool: Executor) -> None:
-        release, self._warm_release = self._warm_release, None
-        if release is not None:
-            release()
-        else:  # pragma: no cover - defensive: session opened pre-refactor pool
-            pool.shutdown(wait=True)
-
-    def _chunks(self, tasks: List[Any]) -> List[List[Any]]:
-        if self.chunksize is not None:
-            size = self.chunksize
-            return [tasks[i : i + size] for i in range(0, len(tasks), size)]
-        # Size-tiered chunks: workers pull the next pending chunk as they
-        # finish (ProcessPoolExecutor scheduling is completion-driven), so the
-        # decaying sizes bound how much work a straggler can strand while the
-        # leading chunks keep per-chunk shipping amortized.
-        return [
-            tasks[bounds[0] : bounds[-1] + 1]
-            for bounds in steal_partition(len(tasks), self._jobs)
-        ]
-
-    @staticmethod
-    def check_picklable(fn: TaskFn, shared: Any, tasks: Sequence[Any]) -> None:
-        """Fail fast with an actionable error instead of a mid-pool crash.
-
-        Probes ``fn``, ``shared`` and the *first* task only -- task lists are
-        homogeneous encodings (names, override dicts), so one probe catches
-        the realistic failures without re-serializing a potentially large
-        shared payload's worth of tasks twice per dispatch.
-        """
-        try:
-            pickle.dumps((fn, shared, tasks[0] if tasks else None))
-        except Exception as exc:
-            raise ValueError(
-                "the process backend needs picklable tasks: encode specs, "
-                "overrides and workload data instead of live engine objects, "
-                "and use module-level functions (not lambdas or closures) "
-                f"[{type(exc).__name__}: {exc}]"
-            ) from exc
-
-    def map_tasks(
-        self, fn: TaskFn, tasks: Sequence[Any], shared: Any = None
-    ) -> List[Any]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        self.check_picklable(fn, shared, tasks)
-        chunks = self._chunks(tasks)
-        if self._pool is not None:
-            return self._collect(self._pool, fn, shared, chunks)
-        pool, release = self._lease_pool(limit=len(chunks))
-        try:
-            return self._collect(pool, fn, shared, chunks)
-        finally:
-            release()
-
-    @staticmethod
-    def _collect(
-        pool: Executor, fn: TaskFn, shared: Any, chunks: List[List[Any]]
-    ) -> List[Any]:
-        from repro.variation.stages import emit_totals, stages_active
-
-        collect = stages_active()
-        futures = [
-            pool.submit(_run_chunk, fn, shared, chunk, collect) for chunk in chunks
-        ]
-        results: List[Any] = []
-        totals: Dict[str, float] = {}
-        for future in futures:  # submission order == task order
-            chunk_results, chunk_stages = future.result()
-            results.extend(chunk_results)
-            if chunk_stages:
-                for name, seconds in chunk_stages.items():
-                    totals[name] = totals.get(name, 0.0) + seconds
-        if totals:
-            emit_totals(totals)
-        return results
-
-
-#: Backends constructible by name (the CLI's ``--backend`` values).
+#: Backends constructible by name (the CLI's ``--backend`` values);
+#: :mod:`repro.exec.cluster` registers ``processes`` and ``cluster``.
 BACKENDS: Dict[str, Type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     ThreadBackend.name: ThreadBackend,
-    ProcessBackend.name: ProcessBackend,
 }
 
 BackendLike = Union[str, ExecutionBackend, None]

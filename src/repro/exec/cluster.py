@@ -1,28 +1,39 @@
-"""Multi-host sharded execution: a socket-based coordinator/worker backend.
+"""One worker loop for every task-shipping backend: coordinator, workers, fleets.
 
-The in-process backends stop at one machine; :class:`ClusterBackend` ships the
-*same* picklable task encodings the :class:`~repro.exec.backends.ProcessBackend`
-already uses over TCP instead of a fork, so DSE design grids, Monte Carlo trial
-chunks and whole batch scenarios shard across hosts with zero changes to the
-consumers.  Determinism is preserved by construction: tasks are dispatched in
-contiguous chunks whose results are reassembled in submission order, and the
-per-trial SeedSequence/Philox contracts derive every trial's randomness from
-``(seed, trial index)`` alone -- a cluster run is byte-identical to a serial
-one no matter which worker computed which chunk.
+Both backends that ship tasks out of the process run on the scheduler in this
+module.  :class:`ClusterBackend` serves workers that connect over TCP from
+this host or any other; :class:`ProcessBackend` forks local workers that
+speak the same protocol over ``socket.socketpair()``.  Either way one
+:class:`ClusterCoordinator` chunks each ``map_tasks`` round, ships the
+picklable task encodings, caches contexts by digest on the workers, returns
+worker stage totals and requeues the chunks of a dead worker -- so DSE design
+grids, Monte Carlo trial chunks and whole batch scenarios shard the same way
+on one machine or many, with zero changes to the consumers.  Determinism is
+preserved by construction: tasks are dispatched in contiguous chunks whose
+results are reassembled in submission order, and the per-trial
+SeedSequence/Philox contracts derive every trial's randomness from ``(seed,
+trial index)`` alone -- a shipped run is byte-identical to a serial one no
+matter which worker computed which chunk.
 
 Topology
 --------
 
-- The **coordinator** is embedded in the backend: the first
+- A **cluster coordinator** is embedded in the backend: the first
   :class:`ClusterBackend` bound to ``(host, port)`` starts a process-wide
-  :class:`ClusterCoordinator` (shared by every later backend instance in the
-  process, so one `repro run` with many Monte Carlo studies reuses one worker
-  fleet) that listens for workers and schedules rounds.
-- **Workers** are separate processes -- on this host or any other that can
-  reach the coordinator -- started with ``repro worker --connect HOST:PORT``.
-  A worker that arrives before the coordinator retries its connection; a
-  worker that outlives a coordinator session (the coordinator drains on
-  process exit) loops back to reconnect for the next one.
+  coordinator with a TCP listener (shared by every later backend instance in
+  the process, so one `repro run` with many Monte Carlo studies reuses one
+  worker fleet) that accepts workers and schedules rounds.
+- **Cluster workers** are separate processes -- on this host or any other
+  that can reach the coordinator -- started with ``repro worker --connect
+  HOST:PORT``.  A worker that arrives before the coordinator retries its
+  connection; a worker that outlives a coordinator session (the coordinator
+  drains on process exit) loops back to reconnect for the next one.
+- A **local fleet** (:func:`fork_workers`) is a coordinator without a
+  listener: one socketpair per worker, each end handed to a forked child that
+  runs the worker loop and leaves through ``os._exit`` (it never runs the
+  parent's ``atexit`` hooks).  The process backend's session or lease owns
+  the fleet; closing it drains and reaps the children
+  (:mod:`repro.exec.pool` keeps warm fleets between dispatches).
 
 Protocol (version-checked at handshake)
 ---------------------------------------
@@ -54,16 +65,19 @@ per chunk, after which the round fails loudly.  Task exceptions are *not*
 retried (they are deterministic); they re-raise in the caller as
 :class:`ClusterTaskError` carrying the remote traceback.  On shutdown the
 coordinator drains gracefully: every connected worker receives ``("drain",)``
-and goes back to its reconnect loop instead of dying mid-write.
+and goes back to its reconnect loop (a forked local worker exits) instead of
+dying mid-write.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import hashlib
 import itertools
 import os
 import pickle
+import signal
 import socket
 import struct
 import subprocess
@@ -72,7 +86,7 @@ import threading
 import time
 import traceback
 from collections import Counter, OrderedDict, deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import knobs
 from repro.exec.backends import (
@@ -80,6 +94,7 @@ from repro.exec.backends import (
     ExecutionBackend,
     TaskFn,
     _validate_jobs,
+    default_jobs,
     steal_partition,
 )
 
@@ -291,14 +306,14 @@ class ClusterCoordinator:
 
     One coordinator serves arbitrarily many sequential ``map_tasks`` rounds
     (concurrent rounds are serialized on an internal lock); workers persist
-    across rounds, keeping their per-process memoized state -- the cluster
-    analogue of a backend session's warm process pool.
+    across rounds, keeping their per-process memoized state.  Workers arrive
+    through :meth:`attach` -- from the TCP listener :meth:`listen` starts, or
+    from :func:`fork_workers` for a local fleet -- and a constructed
+    coordinator runs no thread until the first one does.
     """
 
     def __init__(
         self,
-        host: str = DEFAULT_CLUSTER_HOST,
-        port: int = 0,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         dead_after_s: float = DEFAULT_DEAD_AFTER_S,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
@@ -310,10 +325,11 @@ class ClusterCoordinator:
         self.heartbeat_s = float(heartbeat_s)
         self.dead_after_s = float(dead_after_s)
         self.max_attempts = int(max_attempts)
-        self._listener = socket.create_server((host, port), backlog=64)
-        self._listener.settimeout(0.2)
-        self.host = host
-        self.port = int(self._listener.getsockname()[1])
+        self._listener: Optional[socket.socket] = None
+        self.host: Optional[str] = None
+        self.port: Optional[int] = None
+        #: Pids of forked local workers, reaped by :meth:`close`.
+        self._children: List[int] = []
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._workers: Dict[int, _WorkerConn] = {}
@@ -321,10 +337,21 @@ class ClusterCoordinator:
         self._round_ids = itertools.count(1)
         self._alive = True
         self._map_lock = threading.Lock()
-        self._accept_thread = threading.Thread(
+
+    def listen(self, host: str, port: int) -> None:
+        """Accept TCP workers on ``(host, port)``; ``port=0`` picks a free port."""
+        self._listener = socket.create_server((host, port), backlog=64)
+        self._listener.settimeout(0.2)
+        self.host = host
+        self.port = int(self._listener.getsockname()[1])
+        threading.Thread(
             target=self._accept_loop, name=f"cluster-accept:{self.port}", daemon=True
-        )
-        self._accept_thread.start()
+        ).start()
+
+    def _restart_hint(self) -> str:
+        if self._listener is None:
+            return "local workers do not come back once they die"
+        return f"start workers with: repro worker --connect {self.host}:{self.port}"
 
     # -- connection handling -----------------------------------------------------------
 
@@ -345,12 +372,16 @@ class ClusterCoordinator:
                 continue
             except OSError:
                 return  # listener closed
-            threading.Thread(
-                target=self._serve_connection,
-                args=(sock, addr),
-                name=f"cluster-worker:{addr[0]}:{addr[1]}",
-                daemon=True,
-            ).start()
+            self.attach(sock, addr)
+
+    def attach(self, sock: socket.socket, addr: Tuple[Any, Any]) -> None:
+        """Serve one worker connection: handshake, then read its frames."""
+        threading.Thread(
+            target=self._serve_connection,
+            args=(sock, addr),
+            name=f"cluster-worker:{addr[0]}:{addr[1]}",
+            daemon=True,
+        ).start()
 
     def _serve_connection(self, sock: socket.socket, addr: Tuple[str, int]) -> None:
         try:
@@ -479,6 +510,13 @@ class ClusterCoordinator:
                     pass
                 return
             worker.alive = False
+            if worker.addr[0] == "local":
+                # A dropped local worker never rejoins; a hung one would also
+                # never exit, so kill it for close() to reap.
+                try:
+                    os.kill(worker.addr[1], signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
             rnd = self._round
             if rnd is not None:
                 lost = [cid for cid, w in rnd.inflight.items() if w is worker]
@@ -512,11 +550,13 @@ class ClusterCoordinator:
             while len(self._workers) < count:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
+                    where = "local worker(s)" if self._listener is None else (
+                        f"worker(s) connected to {self.host}:{self.port}"
+                    )
                     raise RuntimeError(
-                        f"cluster backend needs {count} worker(s) connected to "
-                        f"{self.host}:{self.port} but only {len(self._workers)} "
-                        f"arrived within {timeout_s:.0f}s; start workers with: "
-                        f"repro worker --connect {self.host}:{self.port}"
+                        f"needs {count} {where} but only "
+                        f"{len(self._workers)} arrived within {timeout_s:.0f}s; "
+                        f"{self._restart_hint()}"
                     )
                 self._cond.wait(min(remaining, 0.2))
 
@@ -601,11 +641,10 @@ class ClusterCoordinator:
                                 no_worker_since = now
                             elif now - no_worker_since > worker_wait_s:
                                 raise RuntimeError(
-                                    "every cluster worker disconnected and none "
+                                    "every worker disconnected and none "
                                     f"returned within {worker_wait_s:.0f}s; "
                                     f"{len(rnd.results)}/{len(rnd.chunks)} chunks "
-                                    "completed.  Restart workers with: repro "
-                                    f"worker --connect {self.host}:{self.port}"
+                                    f"completed; {self._restart_hint()}"
                                 )
                     for worker in stale:
                         self._drop_worker(
@@ -661,8 +700,12 @@ class ClusterCoordinator:
 
     # -- shutdown ----------------------------------------------------------------------
 
-    def close(self, kind: str = "drain") -> None:
-        """Stop accepting, send ``kind`` (``drain``/``shutdown``) to every worker."""
+    def close(self, kind: str = "drain", wait: bool = True) -> None:
+        """Stop accepting, send ``kind`` (``drain``/``shutdown``) to every worker.
+
+        Forked local workers exit on either; ``wait`` reaps them, so their
+        resource usage lands in this process's ``RUSAGE_CHILDREN``.
+        """
         with self._cond:
             if not self._alive:
                 return
@@ -670,10 +713,11 @@ class ClusterCoordinator:
             workers = list(self._workers.values())
             self._workers.clear()
             self._cond.notify_all()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        if self._listener is not None:
+            try:
+                self._listener.close()
+            except OSError:
+                pass
         for worker in workers:
             worker.alive = False
             try:
@@ -690,6 +734,13 @@ class ClusterCoordinator:
             except OSError:
                 pass
         _forget_coordinator(self)
+        children, self._children = self._children, []
+        if wait:
+            for pid in children:
+                try:
+                    os.waitpid(pid, 0)
+                except ChildProcessError:
+                    pass
 
 
 #: Process-wide coordinators keyed by (host, port): every ClusterBackend bound
@@ -711,7 +762,8 @@ def coordinator_for(host: str, port: int, **options: Any) -> ClusterCoordinator:
             existing = _COORDINATORS.get((host, port))
             if existing is not None and existing.alive:
                 return existing
-        coordinator = ClusterCoordinator(host=host, port=port, **options)
+        coordinator = ClusterCoordinator(**options)
+        coordinator.listen(host, port)
         _COORDINATORS[(host, coordinator.port)] = coordinator
         return coordinator
 
@@ -734,10 +786,114 @@ def shutdown_coordinators(kind: str = "drain") -> None:
 atexit.register(shutdown_coordinators)
 
 
-# -- the backend -----------------------------------------------------------------------
+# -- the backends ----------------------------------------------------------------------
 
 
-class ClusterBackend(ExecutionBackend):
+class _CoordinatedBackend(ExecutionBackend):
+    """The dispatch path every task-shipping backend shares.
+
+    A subclass only says where its workers come from (:meth:`_fleet`); each
+    round here does the one pickle probe that doubles as the context payload,
+    cuts the tasks with :func:`steal_partition` and runs the chunks through
+    :meth:`ClusterCoordinator.map_tasks_chunked`.
+    """
+
+    ships_tasks = True
+
+    #: Seconds a round waits for a worker to connect once none is left
+    #: (forked local workers never come back).
+    _wait_s = 0.0
+
+    def _fleet(self, count: int) -> "contextlib.AbstractContextManager[ClusterCoordinator]":
+        """The coordinator whose workers run a round of ``count`` tasks."""
+        raise NotImplementedError
+
+    def map_tasks(
+        self, fn: TaskFn, tasks: Sequence[Any], shared: Any = None
+    ) -> List[Any]:
+        tasks = list(tasks)
+        if not tasks:
+            return []
+        # The picklability probe doubles as the round's context payload, so
+        # the (fn, shared) blob -- the expensive part when shared carries
+        # arrays -- is serialized exactly once per round, and before any
+        # worker is started for it.
+        try:
+            context_payload = pickle.dumps(
+                (fn, shared), protocol=pickle.HIGHEST_PROTOCOL
+            )
+            pickle.dumps(tasks[0])
+        except Exception as exc:
+            raise ValueError(
+                f"the {self.name} backend needs picklable tasks: encode specs, "
+                "overrides and workload data instead of live engine objects, "
+                "and use module-level functions (not lambdas or closures) "
+                f"[{type(exc).__name__}: {exc}]"
+            ) from exc
+        with self._fleet(len(tasks)) as coordinator:
+            # Size-tiered chunks feed the completion-driven assignment loop,
+            # so fast workers pull more chunks and a straggler (or a
+            # death-requeued chunk) strands at most one small tail chunk's
+            # worth of work.
+            chunks = [
+                tasks[bounds[0] : bounds[-1] + 1]
+                for bounds in steal_partition(len(tasks), self.jobs)
+            ]
+            nested = coordinator.map_tasks_chunked(
+                fn, shared, chunks,
+                worker_wait_s=self._wait_s,
+                context_payload=context_payload,
+            )
+        return [result for chunk in nested for result in chunk]
+
+
+class ProcessBackend(_CoordinatedBackend):
+    """Forked local workers on the cluster scheduler, ordered results.
+
+    A session (or, without one, each ``map_tasks`` call) leases a fleet of
+    ``jobs`` forked workers from :mod:`repro.exec.pool`: ``REPRO_POOL=cold``
+    forks it for the scope and drains and reaps it afterwards, ``warm`` keeps
+    it alive between dispatches.  Results are reassembled in submission
+    order, so the output is positionally identical to
+    :class:`~repro.exec.backends.SerialBackend`.
+    """
+
+    name = "processes"
+
+    def __init__(self, jobs: Optional[int] = None) -> None:
+        super().__init__()
+        self._jobs = _validate_jobs(jobs) or default_jobs()
+        self._release: Optional[Callable[[], None]] = None
+
+    @property
+    def jobs(self) -> int:
+        return self._jobs
+
+    def _acquire_session_pool(self) -> ClusterCoordinator:
+        from repro.exec import pool
+
+        fleet, self._release = pool.lease(self._jobs)
+        return fleet
+
+    def _release_session_pool(self, pool: ClusterCoordinator) -> None:
+        release, self._release = self._release, None
+        release()
+
+    @contextlib.contextmanager
+    def _fleet(self, count: int) -> Iterator[ClusterCoordinator]:
+        if self._pool is not None:
+            yield self._pool
+            return
+        from repro.exec import pool
+
+        fleet, release = pool.lease(self._jobs, limit=count)
+        try:
+            yield fleet
+        finally:
+            release()
+
+
+class ClusterBackend(_CoordinatedBackend):
     """Coordinator-embedded execution over TCP-connected worker processes.
 
     ``jobs`` is the number of workers the backend *waits for* before
@@ -751,7 +907,6 @@ class ClusterBackend(ExecutionBackend):
     """
 
     name = "cluster"
-    ships_tasks = True
 
     def __init__(
         self,
@@ -817,44 +972,11 @@ class ClusterBackend(ExecutionBackend):
             self._port = coordinator.port  # resolves port=0 to the bound port
         return coordinator
 
-    def map_tasks(
-        self, fn: TaskFn, tasks: Sequence[Any], shared: Any = None
-    ) -> List[Any]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        # The picklability probe doubles as the round's context payload, so
-        # the (fn, shared) blob -- the expensive part when shared carries
-        # arrays -- is serialized exactly once per round.
-        try:
-            context_payload = pickle.dumps(
-                (fn, shared), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            pickle.dumps(tasks[0])
-        except Exception as exc:
-            raise ValueError(
-                "the cluster backend needs picklable tasks: encode specs, "
-                "overrides and workload data instead of live engine objects, "
-                "and use module-level functions (not lambdas or closures) "
-                f"[{type(exc).__name__}: {exc}]"
-            ) from exc
+    @contextlib.contextmanager
+    def _fleet(self, count: int) -> Iterator[ClusterCoordinator]:
         coordinator = self._ensure_coordinator()
         coordinator.wait_for_workers(self._min_workers, self._wait_s)
-        workers = max(coordinator.worker_count, 1)
-        # Same policy as the process backend: size-tiered chunks feed the
-        # completion-driven assignment loop, so fast workers pull more chunks
-        # and a straggler (or a death-requeued chunk) strands at most one
-        # small tail chunk's worth of work.
-        chunks = [
-            tasks[bounds[0] : bounds[-1] + 1]
-            for bounds in steal_partition(len(tasks), workers)
-        ]
-        nested = coordinator.map_tasks_chunked(
-            fn, shared, chunks,
-            worker_wait_s=self._wait_s,
-            context_payload=context_payload,
-        )
-        return [result for chunk in nested for result in chunk]
+        yield coordinator
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -863,6 +985,7 @@ class ClusterBackend(ExecutionBackend):
         )
 
 
+BACKENDS[ProcessBackend.name] = ProcessBackend
 BACKENDS[ClusterBackend.name] = ClusterBackend
 
 
@@ -1077,6 +1200,67 @@ def run_worker(
         _log(quiet, f"session ended ({outcome})")
         if outcome == "shutdown" or (once and outcome != "lost-handshake"):
             return 0
+
+
+def fork_workers(count: int) -> ClusterCoordinator:
+    """A listener-less coordinator serving ``count`` forked local workers.
+
+    Each worker gets one end of a ``socket.socketpair()`` and runs
+    :func:`_serve_session` on it; the parent hands the other end to the
+    coordinator through the same handshake a TCP worker performs.  Every
+    child is forked before any of the coordinator's threads start, and
+    :meth:`ClusterCoordinator.close` drains and reaps them.
+    """
+    coordinator = ClusterCoordinator()
+    # Unflushed parent output would otherwise be written again by each child.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    ends: List[Tuple[socket.socket, int]] = []
+    try:
+        for _ in range(count):
+            parent_end, child_end = socket.socketpair()
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - runs in the child
+                _run_forked_worker(child_end, parent_end)
+            child_end.close()
+            coordinator._children.append(pid)
+            ends.append((parent_end, pid))
+        for parent_end, pid in ends:
+            coordinator.attach(parent_end, ("local", pid))
+        coordinator.wait_for_workers(count, DEFAULT_WAIT_S)
+    except BaseException:
+        # EOF ends every child, handshaken or not, so close() can reap them.
+        for parent_end, _pid in ends:
+            try:
+                parent_end.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        coordinator.close("shutdown")
+        raise
+    return coordinator
+
+
+def _run_forked_worker(sock: socket.socket, parent_end: socket.socket) -> None:
+    """A forked child's whole life: serve one session, then ``os._exit``.
+
+    Leaving through ``os._exit`` skips the ``atexit`` hooks inherited from the
+    parent -- shm ``unlink_all``, the coordinator drain, ``stop_pools`` --
+    which would otherwise act on the parent's resources.
+    """
+    code = 1
+    try:
+        # Holding its own pair's other end would hide the parent's death.
+        parent_end.close()
+        _serve_session(sock, quiet=True)
+        code = 0
+    except BaseException:  # noqa: BLE001 - reported, then the child exits
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
 
 
 def spawn_local_workers(

@@ -1,30 +1,31 @@
-"""Persistent warm process pools shared across dispatches.
+"""Local worker fleets: the process backend's cold and warm lifecycles.
 
-A cold :class:`~concurrent.futures.ProcessPoolExecutor` pays fork + interpreter
-start + module import for every ``BatchRunner`` / ``DesignSpaceExplorer``
-invocation, and its workers die with their memoized state (per-worker caches,
-unpickled shm objects, architecture builds).  With ``REPRO_POOL=warm`` the
-process backend leases its executor from this module instead: one pool per
-worker count stays alive across dispatches, so the second batch starts with
-imported modules and warm caches.
+The process backend runs its tasks on forked local workers that speak the
+cluster protocol (:func:`repro.exec.cluster.fork_workers`).  :func:`lease`
+hands each dispatch scope -- a backend session, or one ``map_tasks`` call
+without one -- such a fleet according to ``REPRO_POOL``:
 
-Correctness guards:
+- ``cold`` (the default) forks a fleet for the scope and drains and reaps it
+  when the scope ends, so every dispatch starts from fresh workers -- the
+  right mode for tests that assert cold-start pass counts;
+- ``warm`` leases one persistent fleet per worker count instead, so the
+  second batch starts with imported modules and warm worker memos
+  (per-worker caches, unpickled shm objects, architecture builds).
 
-- **env-snapshot revalidation** -- a pool remembers the ``REPRO_*`` snapshot it
-  was forked under; a checkout under a different snapshot restarts the pool
-  (forked workers inherit the environment of their fork, and not every task
-  encoding pins every knob), so a warm pool can never serve stale modes.  If
-  the mismatch shows up while another lease is active, the checkout gets a
-  private single-use executor instead -- cold semantics, never a stale pool.
-- **idle reaping** -- a released pool schedules its own shutdown after
+Correctness guards of warm fleets:
+
+- **env-snapshot revalidation** -- a fleet remembers the ``REPRO_*`` snapshot
+  it was forked under; a checkout under a different snapshot restarts the
+  fleet (forked workers inherit the environment of their fork, and not every
+  task encoding pins every knob), so a warm fleet can never serve stale
+  modes.  A fleet that lost a worker is restarted the same way.  If the
+  mismatch shows up while another lease is active, the checkout gets a
+  private single-use fleet instead -- cold semantics, never a stale fleet.
+- **idle reaping** -- a released fleet schedules its own shutdown after
   ``REPRO_POOL_IDLE_S`` seconds without a lease, bounding resident workers.
 - **explicit stop** -- ``repro pool stop`` (and ``atexit``) tears everything
-  down; a fork-inherited registry is pid-guarded so worker children never
-  shut down the parent's pools.
-
-``REPRO_POOL=cold`` (the default) bypasses this module entirely: the process
-backend keeps its historical build-per-dispatch behaviour, which is also the
-right mode for tests that assert cold-start pass counts.
+  down; a forked child starts with an empty registry, so workers never shut
+  down the parent's fleets.
 """
 
 from __future__ import annotations
@@ -33,14 +34,16 @@ import atexit
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import knobs
 from repro.core.knobs import repro_env_snapshot
+from repro.exec.cluster import ClusterCoordinator, fork_workers
 
 POOL_ENV = "REPRO_POOL"
 POOL_IDLE_ENV = "REPRO_POOL_IDLE_S"
+
+Lease = Tuple[ClusterCoordinator, Callable[[], None]]
 
 
 def pool_mode() -> str:
@@ -52,19 +55,37 @@ def _idle_seconds() -> float:
     return float(knobs.value(POOL_IDLE_ENV))
 
 
+def lease(jobs: int, limit: Optional[int] = None) -> Lease:
+    """A fleet of local workers for one dispatch scope: ``(fleet, release)``.
+
+    The caller must invoke ``release()`` exactly once when its scope ends and
+    must not close the fleet itself.  ``warm`` leases the shared fleet of
+    ``jobs`` workers (see :func:`checkout`); ``cold`` forks a private one,
+    sized down to ``limit`` when fewer tasks than workers exist.
+    """
+    if pool_mode() == "warm":
+        return checkout(jobs)
+    fleet = fork_workers(jobs if limit is None else max(1, min(jobs, limit)))
+    return fleet, fleet.close
+
+
 class _WarmPool:
-    """One persistent executor plus the bookkeeping that keeps it honest."""
+    """One persistent fleet plus the bookkeeping that keeps it honest."""
 
     def __init__(self, jobs: int) -> None:
         self.jobs = jobs
         self.env = repro_env_snapshot()
-        self.executor = ProcessPoolExecutor(max_workers=jobs)
+        self.fleet = fork_workers(jobs)
         self.leases = 0
         self.created_at = time.monotonic()
         self.last_released = time.monotonic()
         self.dispatches = 0
         self.restarts = 0
         self.reaper: Optional[threading.Timer] = None
+
+    def serves(self, snapshot: Dict[str, str]) -> bool:
+        """Whether this fleet may run work dispatched under ``snapshot``."""
+        return self.env == snapshot and self.fleet.worker_count == self.jobs
 
     def cancel_reaper(self) -> None:
         if self.reaper is not None:
@@ -74,36 +95,42 @@ class _WarmPool:
 
 _POOLS: Dict[int, _WarmPool] = {}
 _LOCK = threading.Lock()
-_OWNER_PID = os.getpid()
 
 
-def checkout(jobs: int) -> Tuple[ProcessPoolExecutor, Callable[[], None]]:
-    """Lease the warm pool for ``jobs`` workers: ``(executor, release)``.
+def _forget_pools_in_child() -> None:
+    """A forked child owns none of its parent's fleets (and may have been
+    forked while another thread held the lock)."""
+    global _LOCK
+    _LOCK = threading.Lock()
+    with _LOCK:
+        _POOLS.clear()
 
-    The caller must invoke ``release()`` exactly once when its dispatch scope
-    ends; the executor itself must *not* be shut down by the caller.  Leases
-    are re-entrant across threads (the executor is thread-safe), and the pool
-    is created -- or restarted, when the ``REPRO_*`` snapshot moved -- on
-    demand.
+
+os.register_at_fork(after_in_child=_forget_pools_in_child)
+
+
+def checkout(jobs: int) -> Lease:
+    """Lease the warm fleet for ``jobs`` workers: ``(fleet, release)``.
+
+    Leases are re-entrant across threads (the coordinator serializes rounds),
+    and the fleet is created -- or restarted, when the ``REPRO_*`` snapshot
+    moved or a worker died -- on demand.
     """
     snapshot = repro_env_snapshot()
     with _LOCK:
         pool = _POOLS.get(jobs)
-        if pool is not None and pool.env != snapshot:
-            if pool.leases == 0:
-                pool.cancel_reaper()
-                _shutdown_pool(pool, wait=False)
-                _POOLS.pop(jobs, None)
-                pool = None
-                restarted = True
-            else:
-                # Another lease is mid-flight under the old snapshot; serve
-                # this caller a private cold executor rather than restarting
-                # a pool that is actively executing.
-                private = ProcessPoolExecutor(max_workers=jobs)
-                return private, lambda: private.shutdown(wait=True)
-        else:
-            restarted = False
+        restarted = False
+        if pool is not None and not pool.serves(snapshot):
+            if pool.leases:
+                # Another lease is mid-flight on this fleet; serve this caller
+                # a private cold fleet rather than restarting a busy one.
+                private = fork_workers(jobs)
+                return private, private.close
+            pool.cancel_reaper()
+            _stop(pool, wait=True)
+            _POOLS.pop(jobs, None)
+            pool = None
+            restarted = True
         if pool is None:
             pool = _WarmPool(jobs)
             if restarted:
@@ -112,7 +139,6 @@ def checkout(jobs: int) -> Tuple[ProcessPoolExecutor, Callable[[], None]]:
         pool.cancel_reaper()
         pool.leases += 1
         pool.dispatches += 1
-        executor = pool.executor
 
     released = threading.Event()
 
@@ -128,7 +154,7 @@ def checkout(jobs: int) -> Tuple[ProcessPoolExecutor, Callable[[], None]]:
             if pool.leases == 0:
                 _schedule_reap_locked(pool)
 
-    return executor, release
+    return pool.fleet, release
 
 
 def _schedule_reap_locked(pool: _WarmPool) -> None:
@@ -147,31 +173,29 @@ def _reap(pool: _WarmPool) -> None:
         if _POOLS.get(pool.jobs) is not pool or pool.leases > 0:
             return
         _POOLS.pop(pool.jobs, None)
-    _shutdown_pool(pool, wait=False)
+    _stop(pool, wait=True)
 
 
-def _shutdown_pool(pool: _WarmPool, wait: bool) -> None:
+def _stop(pool: _WarmPool, wait: bool) -> None:
     try:
-        pool.executor.shutdown(wait=wait)
+        pool.fleet.close(wait=wait)
     except Exception:  # pragma: no cover - interpreter-teardown races
         pass
 
 
 def stop_pools(wait: bool = True) -> int:
-    """Shut down every warm pool this process owns; returns how many stopped."""
-    if os.getpid() != _OWNER_PID:
-        return 0  # fork-inherited registry: the parent owns these executors
+    """Shut down every warm fleet this process owns; returns how many stopped."""
     with _LOCK:
         pools = list(_POOLS.values())
         _POOLS.clear()
     for pool in pools:
         pool.cancel_reaper()
-        _shutdown_pool(pool, wait=wait)
+        _stop(pool, wait=wait)
     return len(pools)
 
 
 def pool_status() -> List[Dict[str, object]]:
-    """One record per live warm pool (the ``repro pool status`` payload)."""
+    """One record per live warm fleet (the ``repro pool status`` payload)."""
     now = time.monotonic()
     with _LOCK:
         return [

@@ -1,6 +1,6 @@
 """Content-addressed shared-memory transport for bulky task payloads.
 
-Task-shipping backends (:class:`~repro.exec.backends.ProcessBackend`,
+Task-shipping backends (:class:`~repro.exec.cluster.ProcessBackend`,
 :class:`~repro.exec.cluster.ClusterBackend`) historically pickled the whole
 shared context -- model weights, input tensors, Philox slabs -- into every
 chunk's dispatch.  This module is the zero-copy alternative: a payload is

@@ -4,8 +4,8 @@ Both orchestration layers (:class:`~repro.scenarios.runner.BatchRunner` and
 :class:`~repro.explore.dse.DesignSpaceExplorer`) report how much engine work an
 execution actually performed: per-pass wall-clock (:class:`PassTiming`) and the
 evaluation cache's hit/miss counters.  Under the in-process backends these are
-observed directly; under :class:`~repro.exec.backends.ProcessBackend` each
-worker measures its own share and ships a picklable snapshot back, which the
+observed directly; under the task-shipping backends (:mod:`repro.exec.cluster`)
+each worker measures its own share and ships a picklable snapshot back, which the
 parent folds together with :func:`merge_pass_timings` /
 :func:`merge_cache_stats` so the report looks the same regardless of backend.
 """

@@ -165,7 +165,7 @@ def time_scenario(
             cache = EvaluationCache()
             pass_count = 0
 
-            def count(stage: str, engine: object) -> None:
+            def count(stage: str, engine: object, elapsed_s: float) -> None:
                 nonlocal pass_count
                 if getattr(engine, "cache", None) is cache:
                     pass_count += 1
@@ -369,8 +369,8 @@ def bench_dispatch_comparison(
 
     Runs the scenario with ``backend=processes`` (and ``jobs``; 0 or ``None``
     means one worker per core) and sweeps ``(REPRO_POOL, REPRO_SHM)``
-    through :data:`DISPATCH_MODES`: the cold-pool baseline pays executor
-    spin-up on every run, ``warm`` reuses one persistent pool across the timed
+    through :data:`DISPATCH_MODES`: the cold-pool baseline forks its
+    workers on every run, ``warm`` reuses one persistent pool across the timed
     repeats (the warmup round absorbs the one-time spin-up), and ``warm_shm``
     additionally ships task arrays as shared-memory digests instead of
     pickles.  Every entry records ``speedup_vs_serial_median`` against the

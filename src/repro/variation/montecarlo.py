@@ -31,7 +31,6 @@ from repro.exec import (
     ShmHandle,
     as_array,
     as_object,
-    partition_indices,
     publish_array,
     publish_object,
     resolve_backend,
@@ -475,19 +474,14 @@ def run_monte_carlo(
         # content-addressed handles; workers resolve (and cache) them once
         # per host instead of unpickling per-chunk copies.
         shared = _shm_context(shared)
-    # Shard the trial axis into contiguous chunks, capped at _TRIAL_CHUNK_CAP
-    # trials so the stacked per-layer temporaries stay cache-resident.
-    # In-process backends keep the near-equal static partition; task-shipping
-    # pools get size-tiered chunks that their completion-driven schedulers
-    # pull as workers free up, so a straggler strands at most one small tail
-    # chunk.  Either way the partition is a pure function of (trials, jobs),
-    # and per-trial seeds (or, in philox mode, per-trial slab rows) make
-    # results chunking-invariant anyway.
-    if backend.ships_tasks:
-        chunks = steal_partition(request.trials, backend.jobs, cap=_TRIAL_CHUNK_CAP)
-    else:
-        parts = max(backend.jobs, math.ceil(request.trials / _TRIAL_CHUNK_CAP))
-        chunks = partition_indices(request.trials, parts)
+    # Shard the trial axis into contiguous size-tiered chunks, capped at
+    # _TRIAL_CHUNK_CAP trials so the stacked per-layer temporaries stay
+    # cache-resident.  Task-shipping backends pull them as workers free up, so
+    # a straggler strands at most one small tail chunk; one worker gets the
+    # coarsest capped chunks.  The partition is a pure function of (trials,
+    # jobs), and per-trial seeds (or, in philox mode, per-trial slab rows)
+    # make results chunking-invariant anyway.
+    chunks = steal_partition(request.trials, backend.jobs, cap=_TRIAL_CHUNK_CAP)
     if mode == "philox" and request.noise.supports_fused_sampling():
         # Counter-based fast path: generate the whole study's draws as one
         # (trials, loss + weight draws) Philox call in the parent, then ship
@@ -520,15 +514,14 @@ def run_monte_carlo(
                     request.seed, request.trials, draws, dtype=dtype.type
                 )
             tasks = [(chunk, slab[chunk[0] : chunk[-1] + 1]) for chunk in chunks]
-        with backend.session():
-            nested = _observed_dispatch(
-                lambda: backend.map_tasks(_run_philox_chunk, tasks, shared=shared)
-            )
+        run_chunk = _run_philox_chunk
     else:
-        with backend.session():
-            nested = _observed_dispatch(
-                lambda: backend.map_tasks(_run_trial_chunk, chunks, shared=shared)
-            )
+        run_chunk, tasks = _run_trial_chunk, chunks
+    # One round needs no session: the round leases (cold: forks) its own
+    # workers inside the observed dispatch, which charges their start-up.
+    nested = _observed_dispatch(
+        lambda: backend.map_tasks(run_chunk, tasks, shared=shared)
+    )
     results = [result for chunk_results in nested for result in chunk_results]
     return aggregate_trials(
         tuple(results),

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import signal
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
@@ -32,7 +34,6 @@ from repro.exec import (
     ThreadBackend,
     merge_cache_stats,
     merge_pass_timings,
-    partition_indices,
     resolve_backend,
 )
 from repro.explore import DesignPoint, DesignSpace, DesignSpaceExplorer, pareto_front
@@ -56,9 +57,22 @@ def _failing_task(shared, task):
 
 
 def _worker_pid(shared, task):
-    import os
-
     return os.getpid()
+
+
+def _die_once(shared, task):
+    """SIGKILL this worker the first time the flagged task runs.
+
+    The marker file makes the kill one-shot: the requeued attempt on the
+    surviving worker sees it and completes, so results stay a pure function
+    of the task encoding.
+    """
+    marker, value = task
+    if marker is not None and not os.path.exists(marker):
+        with open(marker, "w"):
+            pass
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value * value + (shared or 0)
 
 
 def _save_artifact(args):
@@ -103,10 +117,11 @@ class TestBackends:
     def test_empty_task_list(self, backend):
         assert resolve_backend(backend, jobs=2).map_tasks(_square_task, []) == []
 
-    @pytest.mark.parametrize("chunksize", [1, 3, 100])
-    def test_process_chunking_is_order_invariant(self, chunksize):
-        backend = ProcessBackend(jobs=2, chunksize=chunksize)
-        tasks = list(range(11))
+    @pytest.mark.parametrize("count", [1, 3, 100])
+    def test_process_chunking_is_order_invariant(self, count):
+        # One chunk, one task per chunk, and size-tiered chunks of 12 down to 1.
+        backend = ProcessBackend(jobs=2)
+        tasks = list(range(count))
         assert backend.map_tasks(_square_task, tasks) == [t * t for t in tasks]
 
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
@@ -114,6 +129,18 @@ class TestBackends:
         resolved = resolve_backend(backend, jobs=2)
         with pytest.raises(RuntimeError, match="task three exploded"):
             resolved.map_tasks(_failing_task, [1, 2, 3, 4])
+
+    def test_killed_process_worker_chunk_is_requeued(self, tmp_path):
+        """A local worker that dies mid-round loses nothing: the coordinator
+        requeues its chunk on the survivor (a process pool would raise
+        BrokenProcessPool here)."""
+        marker = str(tmp_path / "killed-once")
+        tasks = [(marker if value == 5 else None, value) for value in range(12)]
+        serial = SerialBackend().map_tasks(
+            _die_once, [(None, value) for _, value in tasks], shared=7
+        )
+        assert ProcessBackend(jobs=2).map_tasks(_die_once, tasks, shared=7) == serial
+        assert os.path.exists(marker), "the flagged task never ran"
 
     def test_process_backend_rejects_unpicklable_tasks(self):
         backend = ProcessBackend(jobs=2)
@@ -129,7 +156,7 @@ class TestBackends:
         """Multi-round strategies must not re-fork (and lose worker memos) per
         batch: inside one session, consecutive map_tasks calls land on the same
         worker processes."""
-        backend = ProcessBackend(jobs=2, chunksize=1)
+        backend = ProcessBackend(jobs=2)
         with backend.session():
             assert backend._pool is not None
             first = set(backend.map_tasks(_worker_pid, range(8)))
@@ -143,7 +170,7 @@ class TestBackends:
         assert set(backend.map_tasks(_worker_pid, range(8))).isdisjoint(first)
 
     def test_sessions_nest_and_share_the_outer_pool(self):
-        backend = ProcessBackend(jobs=2, chunksize=1)
+        backend = ProcessBackend(jobs=2)
         with backend.session():
             outer = set(backend.map_tasks(_worker_pid, range(8)))
             with backend.session():
@@ -265,32 +292,6 @@ class TestTelemetryMerging:
         assert flatten(merge_cache_stats([c, b, a])) == flatten(flat)
 
 
-class TestPartitionIndices:
-    def test_empty_task_list_has_no_chunks(self):
-        assert partition_indices(0, 4) == []
-
-    def test_more_workers_than_tasks_yields_one_chunk_per_task(self):
-        chunks = partition_indices(3, 8)
-        assert chunks == [[0], [1], [2]]
-
-    def test_single_task_single_chunk(self):
-        assert partition_indices(1, 1) == [[0]]
-        assert partition_indices(1, 16) == [[0]]
-
-    def test_chunks_are_contiguous_and_complete(self):
-        for count, parts in [(10, 3), (7, 7), (5, 2), (64, 5)]:
-            chunks = partition_indices(count, parts)
-            assert [i for chunk in chunks for i in chunk] == list(range(count))
-            sizes = [len(chunk) for chunk in chunks]
-            assert max(sizes) - min(sizes) <= 1
-
-    def test_invalid_arguments_are_loud(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            partition_indices(-1, 2)
-        with pytest.raises(ValueError, match="positive"):
-            partition_indices(4, 0)
-
-
 # -- scoped pass observation ------------------------------------------------------------
 
 
@@ -317,7 +318,9 @@ class TestScopedPassObservation:
 
     def test_runner_inside_observed_block_keeps_its_own_count(self):
         seen_by_outer = []
-        with observe_passes(lambda stage, engine: seen_by_outer.append(stage)):
+        with observe_passes(
+            lambda stage, engine, elapsed_s: seen_by_outer.append(stage)
+        ):
             report = BatchRunner(store=None).run(["fig7_tempo_validation"])
         assert report.engine_passes == 7
         # The outer observer still sees everything (it chose not to filter).
@@ -326,7 +329,7 @@ class TestScopedPassObservation:
     def test_stacked_registration_of_the_same_callback(self):
         events = []
 
-        def cb(stage, engine):
+        def cb(stage, engine, elapsed_s):
             events.append(stage)
 
         from repro.arch.templates import build_tempo

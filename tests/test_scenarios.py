@@ -267,7 +267,7 @@ class TestEnginePassObserver:
         from repro.dataflow.gemm import GEMMWorkload
 
         seen = []
-        with observe_passes(lambda name, engine: seen.append(name)):
+        with observe_passes(lambda name, engine, elapsed_s: seen.append(name)):
             EvaluationEngine(build_tempo(), cache=EvaluationCache(enabled=False)).run(
                 GEMMWorkload("g", m=8, k=8, n=8)
             )

@@ -204,6 +204,35 @@ class TestShmLeaks:
         assert _repro_shm_files() == []
 
 
+class TestForkedWorkers:
+    def test_cold_session_leaves_the_parents_resources_alone(self):
+        """Forked workers leave through os._exit: none of them may run the
+        parent's atexit hooks, which would unlink its shm segments or drain
+        the TCP workers of its cluster coordinators."""
+        array = np.random.default_rng(4).normal(size=(INLINE_MAX_BYTES // 8 + 256,))
+        coord = coordinator_for("127.0.0.1", 0)
+        try:
+            _thread_workers(coord, 1)
+            cluster = ClusterBackend(
+                jobs=1, host=coord.host, port=coord.port, wait_s=5.0
+            )
+            assert cluster.map_tasks(_slow_square, [1, 2]) == [1, 4]
+            with forced_env("REPRO_POOL", "cold"), forced_env("REPRO_SHM", "on"):
+                handle = publish_array(array)
+                backend = ProcessBackend(jobs=2)
+                with backend.session():
+                    results = backend.map_tasks(_sum_resolved, [0, 1], shared=handle)
+            assert results == pytest.approx([float(array.sum()), float(array.sum()) + 1])
+            assert os.path.exists(f"/dev/shm/{handle.segment}")
+            assert active_segments() == [handle.segment]
+            np.testing.assert_array_equal(resolve_array(handle), array)
+            # The coordinator's TCP worker was not drained by any child.
+            assert cluster.map_tasks(_slow_square, [3, 4]) == [9, 16]
+            assert coord.worker_count == 1
+        finally:
+            coord.close("shutdown")
+
+
 # -- warm pools ------------------------------------------------------------------------
 
 
@@ -245,17 +274,32 @@ class TestWarmPool:
     def test_checkout_under_active_lease_gets_private_executor(self):
         with forced_env("REPRO_POOL", "warm"):
             with forced_env("REPRO_DTYPE", "float64"):
-                executor, release = pool_mod.checkout(2)
+                fleet, release = pool_mod.checkout(2)
             with forced_env("REPRO_DTYPE", "float32"):
                 private, private_release = pool_mod.checkout(2)
             try:
-                assert private is not executor, (
+                assert private is not fleet, (
                     "an env mismatch with an active lease must not restart "
                     "the leased pool"
                 )
             finally:
                 private_release()
                 release()
+
+    def test_fleet_that_lost_a_worker_restarts(self):
+        with forced_env("REPRO_POOL", "warm"):
+            backend = ProcessBackend(jobs=2)
+            first = set(backend.map_tasks(_worker_pid, list(range(4))))
+            victim = min(first)
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 5.0
+            while pool_mod._POOLS[2].fleet.worker_count == 2:
+                assert time.monotonic() < deadline, "the dead worker was never dropped"
+                time.sleep(0.02)
+            second = set(backend.map_tasks(_worker_pid, list(range(4))))
+            status = pool_status()
+        assert second.isdisjoint(first), "a degraded fleet must be restarted"
+        assert status[0]["restarts"] == 1
 
     def test_idle_pool_reaps_itself(self):
         with forced_env("REPRO_POOL", "warm"), forced_env(

@@ -341,7 +341,7 @@ class TestEngineAccuracyPasses:
         from repro.core.engine import observe_passes
 
         seen = []
-        with observe_passes(lambda name, engine: seen.append(name)):
+        with observe_passes(lambda name, engine, elapsed_s: seen.append(name)):
             EvaluationEngine(build_tempo()).run_accuracy(
                 make_request(mc_model, mc_inputs, trials=2)
             )

@@ -21,7 +21,7 @@ import pytest
 
 from repro.cli import main
 from repro.dataflow.gemm import GEMMWorkload
-from repro.exec import partition_indices
+from repro.exec import steal_partition
 from oracles import im2col_loop, loop_monte_carlo
 from repro.onn.layers import (
     AvgPool2d,
@@ -467,17 +467,23 @@ class TestBatchedMonteCarlo:
         assert loop_report.accuracies == batched_report.accuracies
         assert loop_report.effective_bits_mean == batched_report.effective_bits_mean
 
-    def test_partition_indices_is_deterministic_and_complete(self):
-        chunks = partition_indices(10, 3)
-        assert [len(c) for c in chunks] == [4, 3, 3]
-        assert [i for chunk in chunks for i in chunk] == list(range(10))
-        assert partition_indices(10, 3) == chunks
-        assert partition_indices(2, 8) == [[0], [1]]
-        assert partition_indices(0, 4) == []
+    def test_trial_partition_is_deterministic_and_complete(self):
+        # run_monte_carlo's partition on every backend: serial gets the
+        # coarsest capped chunks, several workers get size-tiered ones.
+        assert steal_partition(256, 1, cap=64) == [
+            list(range(start, start + 64)) for start in range(0, 256, 64)
+        ]
+        assert steal_partition(24, 1, cap=64) == [list(range(24))]
+        chunks = steal_partition(100, 3, cap=64)
+        assert [len(c) for c in chunks][:3] == [9, 8, 7]
+        assert [i for chunk in chunks for i in chunk] == list(range(100))
+        assert steal_partition(100, 3, cap=64) == chunks
+        assert steal_partition(2, 8, cap=64) == [[0], [1]]
+        assert steal_partition(0, 4, cap=64) == []
         with pytest.raises(ValueError):
-            partition_indices(4, 0)
+            steal_partition(4, 0)
         with pytest.raises(ValueError):
-            partition_indices(-1, 2)
+            steal_partition(-1, 2)
 
 
 class TestFingerprintMemoization:
