@@ -3,8 +3,10 @@
 The staged :class:`~repro.core.engine.EvaluationEngine` splits a simulation into
 passes (route -> map -> memory -> link-budget/area -> latency/energy -> aggregate)
 and memoizes each pass on a canonical fingerprint of *exactly the inputs that pass
-reads* -- the architecture's symbolic structure, the resolved scaling parameters, the
-workload operand data, the :class:`~repro.core.config.SimulationConfig` fields.  A
+reads* -- the architecture's symbolic structure, the resolved scaling parameters,
+the :class:`~repro.core.config.SimulationConfig` fields, and of a workload either
+its shape (:func:`workload_shape`: the ``map`` and ``memory`` passes never read
+operand values) or its operand data (the data-aware energy stages).  A
 design-space sweep that varies one parameter therefore only re-runs the passes that
 parameter invalidates; everything else is a cache hit.
 
@@ -13,15 +15,19 @@ compare structurally; per-object identities (:func:`digest`) compress the heavy
 canonicalization into a SHA-1 string computed once and memoized on the object:
 
 - dataclasses/enums/dicts/sequences are recursively canonicalized with sorted keys;
-- numpy arrays hash their shape, dtype and raw bytes (value-exact, no tolerance),
-  read straight from the array's buffer with no copy when it is C- or
+- numeric numpy arrays hash their shape, dtype and raw bytes (value-exact, no
+  tolerance), read straight from the array's buffer with no copy when it is C- or
   F-contiguous.  An F-contiguous array (a transposed weight view) hashes its
   transpose's buffer and carries an ``"F"`` layout tag, so it never shares a key
   with the C-ordered array holding the same bytes; only strided arrays are
-  copied to C order first;
+  copied to C order first.  Object-dtype arrays render element by element (their
+  buffer holds pointers, not values);
 - :class:`~repro.dataflow.gemm.GEMMWorkload` operand tensors are hashed once and the
-  digest is memoized on the workload object (workloads are treated as immutable
-  once handed to an engine -- mutate a copy, not the original, between runs).
+  digest (:func:`workload_fingerprint`) is memoized on the workload object
+  (workloads are treated as immutable once handed to an engine -- mutate a copy,
+  not the original, between runs).  Only the keys that read operand values use
+  it: ``operand_values`` and ``device_power`` in the energy pass, and the DSE
+  ``design_point`` key.
 
 :class:`EvaluationCache` is the store shared by every pass (and by all design points
 of an exploration): a thread-safe dict keyed by ``(stage, fingerprint)`` with
@@ -70,6 +76,10 @@ def canonical_value(obj: Any, depth: int = 0) -> Any:
     if isinstance(obj, Enum):
         return ("enum", type(obj).__name__, obj.value)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.hasobject:
+            # The buffer holds PyObject pointers, not values: render each element.
+            items = tuple(canonical_value(item, depth + 1) for item in obj.ravel().tolist())
+            return ("ndarray", obj.shape, str(obj.dtype), items)
         if obj.flags.f_contiguous and not obj.flags.c_contiguous:
             # A transposed view (the extracted weight operands): hash its
             # transpose's C buffer in place.  The layout tag keeps it apart
@@ -150,6 +160,15 @@ def memoized_fingerprint(obj: Any, compute: Callable[[], Hashable]) -> Hashable:
 def config_fingerprint(config: Any) -> Hashable:
     """Memoized canonical digest of an (architecture or simulation) config dataclass."""
     return memoized_fingerprint(config, lambda: digest(type(config).__name__, config))
+
+
+def workload_shape(gemm: Any) -> Tuple[int, ...]:
+    """Shape signature of a GEMM workload: its dimensions and operand bitwidths.
+
+    Everything the ``map`` and ``memory`` passes read of a workload, so they key
+    on this rather than on :func:`workload_fingerprint` and never hash operands.
+    """
+    return (gemm.m, gemm.n, gemm.k, gemm.input_bits, gemm.weight_bits, gemm.output_bits)
 
 
 def workload_fingerprint(workload: Any) -> Hashable:

@@ -77,11 +77,13 @@ class EnergyAnalyzer:
     """Accumulates data-aware device and data-movement energy for one mapping.
 
     ``cache`` (an :class:`~repro.core.cache.EvaluationCache`) optionally memoizes
-    the data-aware sub-computations -- workload sparsity, normalized/subsampled
-    operand values and per-device response-model power averages -- keyed by the
-    workload operand digest and the device model, so design-space sweeps that
-    re-simulate the same tensors on many architecture variants compute each
-    average once.  Without a cache the behaviour is exactly the seed analyzer's.
+    the data-aware sub-computations -- normalized/subsampled operand values and
+    per-device response-model power averages -- keyed by the workload operand
+    digest and the device model, so design-space sweeps that re-simulate the same
+    tensors on many architecture variants compute each average once.  Workload
+    sparsity is not a cache stage: it is memoized on the workload itself (see
+    :attr:`~repro.dataflow.gemm.GEMMWorkload.sparsity`).  Without a cache the
+    behaviour is exactly the seed analyzer's.
     """
 
     def __init__(
@@ -93,14 +95,6 @@ class EnergyAnalyzer:
         self.cache = cache
 
     # -- cached data-aware sub-computations ----------------------------------------
-    def _workload_sparsity(self, workload) -> float:
-        if self.cache is None or not self.cache.enabled:
-            return workload.sparsity
-        from repro.core.cache import workload_fingerprint
-
-        key = workload_fingerprint(workload)
-        return self.cache.get_or_compute("sparsity", key, lambda: workload.sparsity)
-
     def _cached_operand_values(
         self, mapping: Mapping, operand: Optional[str]
     ) -> Optional[np.ndarray]:
@@ -191,7 +185,7 @@ class EnergyAnalyzer:
         active_cycles = mapping.compute_cycles
         cycle_ns = 1.0 / mapping.frequency_ghz
         workload = mapping.workload
-        sparsity = self._workload_sparsity(workload) if data_aware else 0.0
+        sparsity = workload.sparsity if data_aware else 0.0
 
         breakdown: Dict[str, float] = {}
 

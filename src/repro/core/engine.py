@@ -50,7 +50,7 @@ from repro.core.cache import (
     EvaluationCache,
     fingerprint,
     netlist_fingerprint,
-    workload_fingerprint,
+    workload_shape,
 )
 from repro.core.config import SimulationConfig
 from repro.core.energy import EnergyAnalyzer, EnergyReport
@@ -439,9 +439,9 @@ class MapPass(EnginePass):
 
 
 def _mapping_key(mapping: Mapping) -> tuple:
-    """Identity tuple of a mapping: workload digest plus its blocking factors."""
+    """Identity tuple of a mapping: workload shape plus its blocking factors."""
     return (
-        workload_fingerprint(mapping.workload),
+        workload_shape(mapping.workload),
         mapping.arch_name,
         mapping.m_parallel,
         mapping.n_parallel,
@@ -762,8 +762,8 @@ class LayerAnalysisPass(EnginePass):
         memory_static_power_mw: float,
     ) -> EnergyReport:
         # The per-instance accumulation is cheap arithmetic; the expensive
-        # data-aware sub-computations (operand sampling, response averages,
-        # sparsity) are memoized inside the analyzer itself.
+        # data-aware sub-computations (operand sampling, response averages)
+        # are memoized inside the analyzer itself.
         return self.engine.energy_analyzer.analyze(
             arch,
             mapping,

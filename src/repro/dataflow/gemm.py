@@ -102,7 +102,16 @@ class GEMMWorkload:
     # -- data-awareness -----------------------------------------------------------------
     @property
     def sparsity(self) -> float:
-        """Fraction of weight elements pruned to exactly zero."""
+        """Fraction of weight elements pruned to exactly zero.
+
+        Memoized on the workload like :meth:`normalized_weights`.
+        """
+        cached = getattr(self, "_repro_sparsity", None)
+        if cached is None:
+            cached = self._repro_sparsity = self._zero_fraction()
+        return cached
+
+    def _zero_fraction(self) -> float:
         if self.pruning_mask is not None:
             return float(1.0 - self.pruning_mask.mean())
         if self.weight_values is not None:

@@ -15,6 +15,7 @@ records:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -107,10 +108,11 @@ class DataflowMapper:
     """Maps GEMM workloads onto architectures following their dataflow specs.
 
     ``cache`` (an :class:`~repro.core.cache.EvaluationCache`) optionally memoizes
-    whole mappings on the *resolved* mapping inputs -- the workload digest, the
-    evaluated parallel dimensions, the forwards multiplier, the integration limit
-    and the reconfiguration model -- so two architecture configurations that
-    resolve to the same dataflow share one mapping record.
+    whole mappings on the *resolved* mapping inputs -- the workload's shape and
+    bitwidths, the evaluated parallel dimensions, the forwards multiplier, the
+    integration limit and the reconfiguration model -- so two architecture
+    configurations that resolve to the same dataflow, and two workloads of the
+    same shape, share one mapping record.
     """
 
     def __init__(
@@ -149,7 +151,7 @@ class DataflowMapper:
     def map(self, workload: GEMMWorkload, arch: Architecture) -> Mapping:
         """Map ``workload`` onto ``arch`` and return the mapping record."""
         if self.cache is not None and self.cache.enabled:
-            from repro.core.cache import workload_fingerprint
+            from repro.core.cache import workload_shape
             from repro.core.engine import structure_token
 
             # Integration limit and reconfig time scan device models only, so
@@ -161,8 +163,13 @@ class DataflowMapper:
                 lambda: (self._integration_limit(arch), arch.weight_reconfig_cycles()),
             )
             dims = arch.dataflow.parallel_dims(arch.params)
+            # Exempt from content addressing: the mapping reads only the GEMM's
+            # shape and bitwidths, never its operand values, so the key is the
+            # shape signature.  A hit built for another workload object is
+            # rebound to the caller's below, so data-aware energy downstream
+            # always reads the caller's own operands.
             key = (
-                workload_fingerprint(workload),
+                workload_shape(workload),
                 arch.name,
                 dims["M"],
                 dims["N"],
@@ -173,9 +180,12 @@ class DataflowMapper:
                 arch.dataflow.weight_reuse_requires_reconfig,
                 arch.frequency_ghz,
             )
-            return self.cache.get_or_compute(
+            mapping = self.cache.get_or_compute(
                 "map", key, lambda: self._map_impl(workload, arch, dims)
             )
+            if mapping.workload is not workload:
+                mapping = dataclasses.replace(mapping, workload=workload)
+            return mapping
         return self._map_impl(workload, arch)
 
     def _map_impl(

@@ -166,6 +166,23 @@ class TestCanonicalHashing:
         assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
         assert canonical_value(strided) == canonical_value(np.ascontiguousarray(strided))
 
+    def test_object_array_keys_on_element_values(self):
+        # An object array's buffer holds pointers: mutating a held list keeps
+        # the pointer, and equal floats may live at different addresses.
+        held = [1.0, 2.0]
+        boxed = np.empty(2, dtype=object)
+        boxed[0], boxed[1] = held, "x"
+        before = canonical_value(boxed)
+        held.append(3.0)
+        assert canonical_value(boxed) != before
+
+        first, second = np.empty(2, dtype=object), np.empty(2, dtype=object)
+        first[:] = [float("1.5"), float("2.5")]
+        second[:] = [float("1.5"), float("2.5")]
+        assert first[0] is not second[0]
+        assert canonical_value(first) == canonical_value(second)
+        assert canonical_value(first) == ("ndarray", (2,), "object", (1.5, 2.5))
+
     def test_dataclass_fields_hashed(self):
         c1 = ArchitectureConfig(core_height=4)
         c2 = ArchitectureConfig(core_height=4)
@@ -308,7 +325,15 @@ class TestSweepCaching:
             **kwargs,
         )
 
-    def test_single_field_sweep_reuses_invariant_passes(self):
+    def test_single_field_sweep_reuses_invariant_passes(self, monkeypatch):
+        zero_fraction = GEMMWorkload._zero_fraction
+        sparsity_calls = []
+
+        def counted(workload):
+            sparsity_calls.append(workload.name)
+            return zero_fraction(workload)
+
+        monkeypatch.setattr(GEMMWorkload, "_zero_fraction", counted)
         explorer = self.make_explorer()
         space = DesignSpace({"core_height": [2, 4, 8, 16]})
         result = explorer.explore(space)
@@ -320,7 +345,7 @@ class TestSweepCaching:
         assert stats["floorplan"].misses == 1
         assert stats["floorplan"].hits == 3
         # Workload sparsity is computed once for the whole sweep.
-        assert stats["sparsity"].misses == 1
+        assert sparsity_calls == ["w"]
         # Every point is a distinct design, so the point stage only misses.
         assert stats["design_point"].misses == 4
         assert stats["design_point"].hits == 0
@@ -420,3 +445,87 @@ class TestCachedAggregates:
         result = Simulator(tempo_arch).run_gemm(m=16, k=16, n=16)
         assert result.area_breakdown_mm2 is result.area_breakdown_mm2
         assert result.total_area_mm2 == sum(result.area_breakdown_mm2.values())
+
+
+def _with_operands(seed: int, sparsity: float = 0.0) -> GEMMWorkload:
+    """Same shape and bits as ``paper_like_workload``, different operand values."""
+    rng = np.random.default_rng(seed)
+    weights = rng.normal(0, 0.25, size=(16, 32))
+    weights[rng.random(weights.shape) < sparsity] = 0.0
+    return GEMMWorkload(
+        "w", m=64, k=16, n=32,
+        weight_values=weights,
+        input_values=rng.normal(0, 0.5, size=(64, 16)),
+    )
+
+
+class TestShapeKeyedPasses:
+    """``map`` and ``memory`` key on the GEMM shape, never on operand bytes."""
+
+    SHAPE_FIELDS = ("m", "n", "k", "input_bits", "weight_bits", "output_bits")
+
+    def test_map_key_covers_every_shape_field(self, tempo_arch):
+        from repro.dataflow.mapping import DataflowMapper
+
+        cache = EvaluationCache()
+        mapper = DataflowMapper(cache=cache)
+        base = GEMMWorkload("g", m=64, n=32, k=16, input_bits=8, weight_bits=8, output_bits=8)
+        mapper.map(base, tempo_arch)
+        for i, name in enumerate(self.SHAPE_FIELDS):
+            variant = dataclasses.replace(base, **{name: getattr(base, name) // 2})
+            mapping = mapper.map(variant, tempo_arch)
+            assert cache.stats["map"].misses == i + 2, name
+            assert cache.stats["map"].hits == 0, name
+            fresh = DataflowMapper().map(variant, tempo_arch)
+            assert mapping.bytes_per_cycle == fresh.bytes_per_cycle, name
+            assert mapping.traffic_bits == fresh.traffic_bits, name
+
+    def test_same_shape_workloads_share_mappings_not_operands(self, scatter_arch):
+        config = SimulationConfig(data_aware=True)
+        cache = EvaluationCache()
+        engine = EvaluationEngine(scatter_arch, config, cache=cache)
+        workloads = [_with_operands(1), _with_operands(2, sparsity=0.5)]
+        for i, workload in enumerate(workloads):
+            result = engine.run(workload)
+            assert cache.stats["map"].misses == 1
+            assert cache.stats["map"].hits == i
+            assert cache.stats["memory"].hits == i
+            (layer,) = result.layers
+            assert layer.mapping.workload is workload
+            alone = Simulator(scatter_arch, config).run(workload)
+            assert result.energy_breakdown_pj == alone.energy_breakdown_pj
+            assert result.total_time_ns == alone.total_time_ns
+        # The operands differ, so data-aware energy must too.
+        first = Simulator(scatter_arch, config).run(workloads[0])
+        assert first.energy_breakdown_pj != result.energy_breakdown_pj
+
+    def test_transformer_run_hashes_no_operand_bytes(self, monkeypatch):
+        import hashlib
+
+        from repro.arch.templates import build_lightening_transformer
+        from repro.onn import ONNConversionConfig, convert_to_onn, extract_workloads
+        from repro.onn.models import build_bert_base_image
+
+        model = build_bert_base_image(
+            image_size=32, num_layers=1, num_classes=10, rng=np.random.default_rng(0)
+        )
+        convert_to_onn(model, ONNConversionConfig(default_ptc="lightening_transformer"))
+        workloads = extract_workloads(model, np.random.default_rng(1).normal(size=(3, 32, 32)))
+        arch = build_lightening_transformer()
+
+        sha1 = hashlib.sha1
+        hashed_arrays = []
+
+        def spy(data=b"", **kwargs):
+            if isinstance(data, np.ndarray):
+                hashed_arrays.append(data.nbytes)
+            return sha1(data, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha1", spy)
+        cache = EvaluationCache()
+        result = EvaluationEngine(arch, SimulationConfig(data_aware=True), cache=cache).run(
+            workloads
+        )
+        assert len(result.layers) == len(workloads)
+        assert cache.stats["map"].hits > 0
+        assert hashed_arrays == []
