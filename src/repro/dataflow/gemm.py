@@ -112,10 +112,14 @@ class GEMMWorkload:
         return cached
 
     def _zero_fraction(self) -> float:
+        # Counted, not averaged over a boolean mask: no full-size temporary,
+        # and count / size is exactly what ``mean`` of a bool array returns.
         if self.pruning_mask is not None:
-            return float(1.0 - self.pruning_mask.mean())
+            mask = self.pruning_mask
+            return 1.0 - np.count_nonzero(mask) / mask.size
         if self.weight_values is not None:
-            return float(np.mean(self.weight_values == 0.0))
+            weights = self.weight_values
+            return (weights.size - np.count_nonzero(weights)) / weights.size
         return 0.0
 
     def effective_weights(self) -> Optional[np.ndarray]:
@@ -137,8 +141,11 @@ class GEMMWorkload:
             return None
         cached = getattr(self, "_repro_normalized_weights", None)
         if cached is None:
+            # Imported here: repro.onn imports this module.
+            from repro.onn.quantize import peak_abs
+
             weights = self.effective_weights()
-            peak = float(np.max(np.abs(weights)))
+            peak = peak_abs(weights)
             cached = np.zeros_like(weights) if peak == 0.0 else weights / peak
             cached.setflags(write=False)
             self._repro_normalized_weights = cached
@@ -150,7 +157,9 @@ class GEMMWorkload:
             return None
         cached = getattr(self, "_repro_normalized_inputs", None)
         if cached is None:
-            peak = float(np.max(np.abs(self.input_values)))
+            from repro.onn.quantize import peak_abs
+
+            peak = peak_abs(self.input_values)
             cached = (
                 np.zeros_like(self.input_values)
                 if peak == 0.0

@@ -350,7 +350,7 @@ class Linear(Module):
         weight = self.effective_weight()
         y = x @ weight.T
         if self.bias is not None:
-            y = y + self.bias
+            y += self.bias  # y is fresh from the matmul
         return y[0] if squeeze else y
 
     def effective_weight(self) -> np.ndarray:
@@ -792,7 +792,13 @@ class ReLU(_ElementwiseModule):
 class GELU(_ElementwiseModule):
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _as_float(x)
-        return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
+        # x * x * x, not x**3: numpy's generic pow path is ~6x slower here.
+        # The two differ in the last bit on some elements; the committed
+        # tables were checked byte-identical with this form.  The cube stays
+        # inline so its temporary is freed before tanh allocates.
+        return 0.5 * x * (
+            1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * (x * x * x)))
+        )
 
 
 class Flatten(Module):

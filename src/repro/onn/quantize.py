@@ -13,6 +13,20 @@ from typing import Optional, Tuple
 import numpy as np
 
 
+def peak_abs(values: np.ndarray) -> float:
+    """``max|v|`` over ``values`` without allocating the ``|v|`` temporary.
+
+    Taken as ``max(max(v), -min(v))``, which is bit-identical to
+    ``np.max(np.abs(v))`` on floats (``|v|`` is exactly ``v`` or ``-v``).  The
+    extrema are converted to Python floats *before* the negation, so integer
+    inputs cannot wrap (unsigned ``-min``) or overflow (``-INT_MIN``) the way
+    numpy integer negation does.  ``values`` must be non-empty.
+    """
+    values = np.asarray(values)
+    # abs() only turns the -0.0 of an all-zero array into 0.0; NaN propagates.
+    return abs(max(float(values.max()), -float(values.min())))
+
+
 def quantize_uniform(
     values: np.ndarray,
     bits: int,
@@ -22,7 +36,9 @@ def quantize_uniform(
 
     With ``symmetric=True`` the grid spans ``[-max|v|, +max|v|]`` (signed encoding,
     the natural fit for full-range PTCs); otherwise it spans ``[min(v), max(v)]``
-    (unsigned / intensity encoding).
+    (unsigned / intensity encoding).  The result is always a fresh array: the
+    first arithmetic step allocates it and the rounding and rescaling run in
+    place, bit-identical to ``np.round(v / scale) * scale``.
     """
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
@@ -30,20 +46,28 @@ def quantize_uniform(
     if values.size == 0:
         return values.copy()
     if symmetric:
-        peak = float(np.max(np.abs(values)))
+        peak = peak_abs(values)
         if peak == 0.0:
             return np.zeros_like(values)
         # Signed grid with 2^(bits-1) - 1 positive levels.
         levels = max(2 ** (bits - 1) - 1, 1)
         scale = peak / levels
-        return np.round(values / scale) * scale
+        out = values / scale
+        np.rint(out, out=out)
+        out *= scale
+        return out
     low = float(values.min())
     high = float(values.max())
     if high == low:
         return np.full_like(values, low)
     levels = 2**bits - 1
     scale = (high - low) / levels
-    return np.round((values - low) / scale) * scale + low
+    out = values - low
+    out /= scale
+    np.rint(out, out=out)
+    out *= scale
+    out += low
+    return out
 
 
 def quantize_uniform_batch(
@@ -140,10 +164,12 @@ def quantize_with_scale(values: np.ndarray, bits: int) -> Tuple[np.ndarray, floa
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return values.astype(int), 1.0
-    peak = float(np.max(np.abs(values)))
+    peak = peak_abs(values)
     levels = max(2 ** (bits - 1) - 1, 1)
     if peak == 0.0:
         return np.zeros(values.shape, dtype=int), 1.0
     scale = peak / levels
-    codes = np.clip(np.round(values / scale), -levels - 1, levels).astype(int)
-    return codes, scale
+    codes = values / scale
+    np.rint(codes, out=codes)
+    np.clip(codes, -levels - 1, levels, out=codes)
+    return codes.astype(int), scale

@@ -7,6 +7,14 @@ live only here, in the test suite, as equivalence oracles:
 - :func:`loop_monte_carlo` -- the one-trial-at-a-time Monte Carlo study
   (a full :func:`~repro.variation.accuracy.noisy_forward` per trial), with
   the signature of :func:`repro.variation.montecarlo.run_monte_carlo`.
+
+Next to them sit the plain numpy formulas that allocation-light kernels
+replaced, each kept verbatim so the rewrite can be checked bit for bit:
+
+- :func:`quantize_uniform_reference`, :func:`quantize_with_scale_reference`
+  -- ``np.round(v / scale) * scale`` with an ``np.abs`` peak;
+- :func:`gelu_reference` -- the tanh GELU with ``x**3``;
+- :func:`zero_fraction_reference` -- ``GEMMWorkload`` sparsity as a mean.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.snr import SNRReport
+from repro.dataflow.gemm import GEMMWorkload
 from repro.onn.layers import Conv2d
 from repro.variation.accuracy import (
     AccuracyReport,
@@ -109,3 +118,53 @@ def loop_monte_carlo(
     return aggregate_trials(
         tuple(results), seed=request.seed, effective_bits_nominal=float(nominal_bits)
     )
+
+
+def quantize_uniform_reference(
+    values: np.ndarray, bits: int, symmetric: bool = True
+) -> np.ndarray:
+    """``quantize_uniform`` as three full-size temporaries per step."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return values.copy()
+    if symmetric:
+        peak = float(np.max(np.abs(values)))
+        if peak == 0.0:
+            return np.zeros_like(values)
+        levels = max(2 ** (bits - 1) - 1, 1)
+        scale = peak / levels
+        return np.round(values / scale) * scale
+    low = float(values.min())
+    high = float(values.max())
+    if high == low:
+        return np.full_like(values, low)
+    levels = 2**bits - 1
+    scale = (high - low) / levels
+    return np.round((values - low) / scale) * scale + low
+
+
+def quantize_with_scale_reference(values: np.ndarray, bits: int) -> Tuple[np.ndarray, float]:
+    """``quantize_with_scale`` with an ``np.abs`` peak and out-of-place rounding."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return values.astype(int), 1.0
+    peak = float(np.max(np.abs(values)))
+    levels = max(2 ** (bits - 1) - 1, 1)
+    if peak == 0.0:
+        return np.zeros(values.shape, dtype=int), 1.0
+    scale = peak / levels
+    return np.clip(np.round(values / scale), -levels - 1, levels).astype(int), scale
+
+
+def gelu_reference(x: np.ndarray) -> np.ndarray:
+    """The tanh-approximation GELU with the cube written as ``x**3``."""
+    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
+
+
+def zero_fraction_reference(gemm: GEMMWorkload) -> float:
+    """``GEMMWorkload`` sparsity as the mean of a boolean mask."""
+    if gemm.pruning_mask is not None:
+        return float(1.0 - gemm.pruning_mask.mean())
+    if gemm.weight_values is not None:
+        return float(np.mean(gemm.weight_values == 0.0))
+    return 0.0

@@ -1,9 +1,12 @@
 """Tests for the GEMM workload record."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import zero_fraction_reference
 from repro.dataflow.gemm import GEMMWorkload
 
 
@@ -87,6 +90,53 @@ class TestDataAwareness:
     def test_normalized_inputs(self):
         gemm = GEMMWorkload("g", m=2, n=1, k=2, input_values=np.array([[1.0, -2.0], [0.5, 0.0]]))
         assert np.max(np.abs(gemm.normalized_inputs())) == pytest.approx(1.0)
+
+    def test_normalized_operands_bit_identical_to_abs_peak(self):
+        rng = np.random.default_rng(5)
+        weights = -np.abs(rng.normal(size=(6, 4)))
+        inputs = rng.normal(size=(3, 6))
+        gemm = GEMMWorkload("g", m=3, n=4, k=6, weight_values=weights, input_values=inputs)
+        assert gemm.normalized_weights().tobytes() == (
+            weights / np.max(np.abs(weights))
+        ).tobytes()
+        assert gemm.normalized_inputs().tobytes() == (inputs / np.max(np.abs(inputs))).tobytes()
+
+
+def _zero_fraction_weights():
+    weights = np.random.default_rng(6).normal(size=(9, 11))
+    weights[::2, ::3] = 0.0
+    weights[1::4, 1::2] = -0.0
+    weights[3, 5] = np.nan
+    return {
+        "mixed_zeros": weights,
+        "f_ordered": np.asfortranarray(weights),
+        "all_zero": np.zeros((9, 11)),
+        "no_zero": np.ones((9, 11)),
+    }
+
+
+class TestZeroFraction:
+    """Counting sparsity equals the old mean-of-a-mask formulas bit for bit."""
+
+    @staticmethod
+    def _bits(value):
+        return struct.pack("<d", value)
+
+    @pytest.mark.parametrize("case", sorted(_zero_fraction_weights()))
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_mean_formula(self, case, masked):
+        weights = _zero_fraction_weights()[case]
+        mask = None
+        if masked:
+            mask = np.random.default_rng(7).uniform(size=weights.shape) > 0.3
+        gemm = GEMMWorkload("g", m=1, n=11, k=9, weight_values=weights, pruning_mask=mask)
+        assert self._bits(gemm.sparsity) == self._bits(zero_fraction_reference(gemm))
+
+    @pytest.mark.parametrize("fill", [True, False])
+    def test_uniform_masks(self, fill):
+        gemm = GEMMWorkload("g", m=1, n=3, k=7, weight_values=np.ones((7, 3)),
+                            pruning_mask=np.full((7, 3), fill))
+        assert self._bits(gemm.sparsity) == self._bits(zero_fraction_reference(gemm))
 
 
 class TestTransforms:

@@ -13,12 +13,13 @@ from repro.onn import (
     quantization_error,
     quantize_uniform,
 )
+from oracles import gelu_reference, quantize_uniform_reference, quantize_with_scale_reference
 from repro.onn.convert import ptc_assignment_of
-from repro.onn.layers import Conv2d, Linear
+from repro.onn.layers import GELU, Conv2d, Linear
 from repro.onn.models import build_bert_base_image, build_mlp, build_vgg8_cifar10
 from repro.onn.models.transformer import TransformerEncoder
 from repro.onn.prune import sparsity
-from repro.onn.quantize import quantize_with_scale
+from repro.onn.quantize import peak_abs, quantize_with_scale
 from repro.onn.workload import max_layer_bytes, total_macs
 
 
@@ -69,6 +70,89 @@ class TestQuantization:
         quantized = quantize_uniform(values, bits)
         lsb = np.max(np.abs(values)) / (2 ** (bits - 1) - 1)
         assert np.max(np.abs(values - quantized)) <= lsb / 2 + 1e-12
+
+
+def _same_bits(a, b):
+    """Equal shape, dtype and bytes, so -0.0 against 0.0 counts as a difference."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _quantize_inputs():
+    base = np.random.default_rng(3).normal(size=(12, 7))
+    signed_zeros = base.copy()
+    signed_zeros[::3, ::2] = -0.0
+    return {
+        "normal": base,
+        "all_negative": -np.abs(base) - 0.1,
+        "all_zero": np.zeros((4, 5)),
+        "negative_zero": np.full((3, 3), -0.0),
+        "signed_zeros": signed_zeros,
+        "f_ordered": np.asfortranarray(base),
+        "transposed": base.T,
+        "strided": base[::2, 1::3],
+        "constant": np.full((2, 3), 0.5),
+        "ints": np.arange(-5, 7).reshape(3, 4),
+    }
+
+
+QUANTIZE_INPUTS = _quantize_inputs()
+
+
+class TestAllocationLightKernels:
+    """In-place quantization and the cheap GELU cube against the old formulas."""
+
+    @pytest.mark.parametrize("case", sorted(QUANTIZE_INPUTS))
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_quantize_uniform_bit_identical(self, case, symmetric, bits):
+        values = QUANTIZE_INPUTS[case]
+        assert _same_bits(
+            quantize_uniform(values, bits, symmetric=symmetric),
+            quantize_uniform_reference(values, bits, symmetric=symmetric),
+        )
+
+    @pytest.mark.parametrize("case", sorted(QUANTIZE_INPUTS))
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_quantize_with_scale_bit_identical(self, case, bits):
+        values = QUANTIZE_INPUTS[case]
+        codes, scale = quantize_with_scale(values, bits)
+        ref_codes, ref_scale = quantize_with_scale_reference(values, bits)
+        assert _same_bits(codes, ref_codes)
+        assert _same_bits(scale, ref_scale)
+
+    @pytest.mark.parametrize("case", sorted(QUANTIZE_INPUTS) + ["empty"])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_quantize_uniform_returns_a_fresh_array(self, case, symmetric):
+        values = QUANTIZE_INPUTS.get(case, np.array([]))
+        out = quantize_uniform(values, 4, symmetric=symmetric)
+        assert out is not values
+        assert not np.shares_memory(out, values)
+
+    @pytest.mark.parametrize("case", sorted(QUANTIZE_INPUTS))
+    def test_peak_abs_matches_max_of_abs(self, case):
+        values = np.asarray(QUANTIZE_INPUTS[case], dtype=float)
+        assert _same_bits(peak_abs(values), float(np.max(np.abs(values))))
+
+    def test_peak_abs_nan_propagates(self):
+        assert np.isnan(peak_abs(np.array([1.0, np.nan, -2.0])))
+
+    @pytest.mark.parametrize("values, expected", [
+        # -min() would wrap to 253 in uint8.
+        (np.array([3, 5], dtype=np.uint8), 5.0),
+        # -min() (and abs()) overflow at INT_MIN.
+        (np.array([-128, 1], dtype=np.int8), 128.0),
+        (np.array([np.iinfo(np.int64).min, 0]), 2.0**63),
+        (np.array([True, False]), 1.0),
+    ])
+    def test_peak_abs_non_float_dtypes(self, values, expected):
+        assert peak_abs(values) == expected
+
+    def test_gelu_matches_the_pow_cube(self):
+        x = np.random.default_rng(4).normal(scale=3.0, size=(197, 64))
+        np.testing.assert_allclose(
+            GELU().forward(x), gelu_reference(x), rtol=0.0, atol=1e-15
+        )
 
 
 class TestPruning:
@@ -329,3 +413,19 @@ class TestZeroCopyExtraction:
             tracemalloc.stop()
         # Copying the operands out would allocate every weight matrix again.
         assert peak < weight_bytes
+
+    def test_conversion_adds_no_temporary_beyond_the_new_weights(self):
+        import tracemalloc
+
+        model = _small_bert()
+        largest = max(layer.weight.nbytes for layer in _weighted_layers(model).values())
+        tracemalloc.start()
+        try:
+            convert_to_onn(model, ONNConversionConfig(weight_bits=8))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Conversion keeps the quantized weights it allocates (``current``).
+        # Quantizing a layer out of place through ``np.abs`` and per-step
+        # temporaries would put one more weight matrix on top of that.
+        assert peak - current < largest // 2
