@@ -1,6 +1,7 @@
 """Fig. 11: per-layer energy of VGG-8 (CIFAR-10) under heterogeneous mapping.
 
-Set ``REPRO_VGG_WIDTH`` (default 0.25) to scale the channel widths.
+The scenario's ``width_multiplier`` parameter (default 0.25; ``python -m repro
+run fig11_heterogeneous --param width_multiplier=W``) scales the channel widths.
 
 Thin shim over the ``fig11_heterogeneous`` scenario: the experiment itself (setup, table
 rendering, qualitative shape checks) lives in :mod:`repro.scenarios.catalog` and

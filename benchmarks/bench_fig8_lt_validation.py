@@ -1,7 +1,8 @@
 """Fig. 8: BERT-Base (single 224x224 ImageNet image) on Lightening-Transformer.
 
-Set ``REPRO_BERT_LAYERS`` (default 4) to scale the number of simulated encoder
-blocks; totals are extrapolated to 12 layers either way.
+The scenario's ``num_layers`` parameter (default 4; ``python -m repro run
+fig8_lt_validation --param num_layers=N``) scales the number of simulated
+encoder blocks; totals are extrapolated to 12 layers either way.
 
 Thin shim over the ``fig8_lt_validation`` scenario: the experiment itself (setup, table
 rendering, qualitative shape checks) lives in :mod:`repro.scenarios.catalog` and

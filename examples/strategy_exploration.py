@@ -40,7 +40,6 @@ def main() -> None:
         build_tempo,
         [workload],
         base_config=ArchitectureConfig(num_tiles=2, cores_per_tile=2),
-        max_workers=4,  # parallel point evaluation, deterministic ordering
     )
     space = DesignSpace(
         {

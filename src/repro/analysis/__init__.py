@@ -22,29 +22,19 @@ and reports :class:`~repro.analysis.findings.Finding` records -- the
 """
 
 from repro.analysis.base import Rule, all_rules, register_rule, rule_ids
-from repro.analysis.baseline import (
-    BASELINE_SCHEMA,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.findings import LINT_SCHEMA, Finding
 from repro.analysis.runner import lint_paths
 from repro.analysis.walker import ModuleInfo, collect_modules, parse_module
 
 __all__ = [
-    "BASELINE_SCHEMA",
     "Finding",
     "LINT_SCHEMA",
     "ModuleInfo",
     "Rule",
     "all_rules",
-    "apply_baseline",
     "collect_modules",
     "lint_paths",
-    "load_baseline",
     "parse_module",
     "register_rule",
     "rule_ids",
-    "write_baseline",
 ]

@@ -7,7 +7,8 @@ from typing import Any, Dict, Tuple
 
 #: Schema tag of the ``repro lint --format json`` payload; bumped on
 #: incompatible layout changes so CI consumers can assert what they parse.
-LINT_SCHEMA = "repro-lint/1"
+#: ``/2`` dropped the ``baselined`` and ``expired_baseline_entries`` fields.
+LINT_SCHEMA = "repro-lint/2"
 
 
 @dataclass(frozen=True)
@@ -17,8 +18,7 @@ class Finding:
     ``file`` is the module's *effective* path (repo-relative posix), which for
     test fixtures may be overridden by a ``# repro-lint-fixture:`` directive so
     path-scoped rules treat the fixture as if it lived at the declared
-    location.  Baseline matching deliberately ignores ``line`` -- line numbers
-    drift with unrelated edits, while (rule, file, message) stays stable.
+    location.
     """
 
     rule_id: str
@@ -29,9 +29,6 @@ class Finding:
 
     def sort_key(self) -> Tuple[str, int, str, str]:
         return (self.file, self.line, self.rule_id, self.message)
-
-    def baseline_key(self) -> Tuple[str, str, str]:
-        return (self.rule_id, self.file, self.message)
 
     def to_payload(self) -> Dict[str, Any]:
         return {

@@ -1,10 +1,11 @@
 """R005: module-level mutable state is only mutated under a named lock.
 
 Scope: the whole package.  The repo's concurrency story allows module-level
-caches and registries (they make memoization and worker reuse cheap), but the
-thread backend means any of them can be hit concurrently -- so every mutation
-site of a module-level dict/list/set/deque must be lexically inside a ``with
-<lock>:`` block over a module-level ``threading.Lock``/``RLock``.
+caches and registries (they make memoization and worker reuse cheap), but
+threads (coordinator readers, in-thread workers, concurrent runners) can hit
+any of them concurrently -- so every mutation site of a module-level
+dict/list/set/deque must be lexically inside a ``with <lock>:`` block over a
+module-level ``threading.Lock``/``RLock``.
 
 Deliberate outs: module import time is single-threaded (top-level statements
 are exempt); ``threading.local()`` state is per-thread by construction;

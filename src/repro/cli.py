@@ -6,7 +6,7 @@ paper's evaluation::
     python -m repro list                      # what can I run?
     python -m repro run fig7_tempo_validation # one scenario, table on stdout
     python -m repro batch --smoke             # fast subset, shared cache + store
-    python -m repro batch --all --jobs 4      # everything, thread-parallel
+    python -m repro batch --all               # everything, serial
     python -m repro batch --all --backend processes --jobs 4   # GIL-free workers
     python -m repro worker --connect HOST:7621 # join a cluster as a worker
     python -m repro report                    # what is in the result store?
@@ -463,14 +463,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     # Imported here: the analysis subsystem is pure stdlib-ast tooling and the
     # run/batch paths should not pay for it.
-    from repro.analysis import (
-        LINT_SCHEMA,
-        all_rules,
-        apply_baseline,
-        lint_paths,
-        load_baseline,
-        write_baseline,
-    )
+    from repro.analysis import LINT_SCHEMA, all_rules, lint_paths
     from repro.analysis.findings import Finding
     from repro.analysis.runner import PARSE_RULE_ID
     from repro.analysis.walker import default_lint_paths
@@ -494,61 +487,30 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for f in report.parse_failures
     ]
 
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if args.update_baseline:
-        if baseline_path is None:
-            print("error: --update-baseline requires --baseline FILE", file=sys.stderr)
-            return 2
-        write_baseline(baseline_path, findings)
-        print(f"baseline updated: {len(findings)} finding(s) -> {baseline_path}")
-        return 0
-
-    new, expired = findings, []
-    if baseline_path is not None:
-        try:
-            baseline = load_baseline(baseline_path)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        new, expired = apply_baseline(findings, baseline)
-
     if args.format == "json":
         payload = {
             "schema": LINT_SCHEMA,
             "rules": list(report.rules_run),
             "modules": len(report.modules),
             "counts": report.counts,
-            "findings": [f.to_payload() for f in new],
-            "baselined": len(findings) - len(new),
-            "expired_baseline_entries": [
-                {"rule": rule, "file": file, "message": message}
-                for rule, file, message in expired
-            ],
+            "findings": [f.to_payload() for f in findings],
             "parse_failures": [f.to_payload() for f in parse_findings],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for finding in parse_findings + new:
+        for finding in parse_findings + findings:
             print(finding.render())
-        for rule, file, message in expired:
-            print(f"{file}: {rule} baseline entry no longer matches: {message} "
-                  "[remove it from the baseline]")
-        baselined = len(findings) - len(new)
         summary = (
             f"{len(report.modules)} module(s), rules {', '.join(report.rules_run)}: "
-            f"{len(new)} finding(s)"
+            f"{len(findings)} finding(s)"
         )
-        if baselined:
-            summary += f", {baselined} baselined"
-        if expired:
-            summary += f", {len(expired)} expired baseline entr(y/ies)"
         if parse_findings:
             summary += f", {len(parse_findings)} unparseable file(s)"
         print(summary)
 
     if parse_findings:
         return 2
-    return 1 if new or expired else 0
+    return 1 if findings else 0
 
 
 # -- argument parsing ------------------------------------------------------------------
@@ -591,16 +553,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--smoke", action="store_true",
                          help="run the fast smoke-tagged subset")
     p_batch.add_argument("--jobs", type=_positive_int, default=None, metavar="N",
-                         help="number of workers (default: serial, or all cores "
-                              "when --backend names a parallel backend)")
+                         help="number of workers of a parallel --backend "
+                              "(default: all cores); it never picks a backend")
     p_batch.add_argument("--backend", choices=sorted(BACKENDS), default=None,
-                         help="execution backend for fresh scenarios: 'serial', "
-                              "'threads' (shared cache, GIL-bound), 'processes' "
-                              "(GIL-free worker pool) or 'cluster' (TCP workers "
-                              "started with `repro worker`; see README). All "
-                              "backends are byte-identical to a serial run. "
-                              "Default: serial, or threads when --jobs N is "
-                              "given alone")
+                         help="execution backend for fresh scenarios: 'serial' "
+                              "(the default), 'processes' (GIL-free forked "
+                              "workers) or 'cluster' (TCP workers started with "
+                              "`repro worker`; see README). All backends are "
+                              "byte-identical to a serial run"),
     p_batch.add_argument("--check", action="store_true",
                          help="run shape checks on every freshly computed scenario")
     add_store_args(p_batch)
@@ -719,12 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default: text)")
     p_lint.add_argument("--rule", action="append", default=[], metavar="RULE_ID",
                         help="run only this rule (repeatable; default: all)")
-    p_lint.add_argument("--baseline", metavar="FILE",
-                        help="JSON baseline of adopted findings: matches are "
-                             "subtracted, new findings and expired entries fail")
-    p_lint.add_argument("--update-baseline", action="store_true",
-                        help="rewrite --baseline FILE from the current findings "
-                             "and exit 0")
     p_lint.add_argument("--list-rules", action="store_true",
                         help="print the registered rules and exit")
     p_lint.set_defaults(func=_cmd_lint)

@@ -302,33 +302,3 @@ register(
     type="float",
     description="Seconds to wait for the cluster worker fleet to assemble.",
 )
-register(
-    "REPRO_BERT_LAYERS",
-    type="int",
-    affects_numerics=True,
-    description="Scenario override: encoder layer count of the BERT workload.",
-)
-register(
-    "REPRO_FIG10B_SEED",
-    type="int",
-    affects_numerics=True,
-    description="Scenario override: workload seed of the Fig. 10b experiment.",
-)
-register(
-    "REPRO_VGG_WIDTH",
-    type="float",
-    affects_numerics=True,
-    description="Scenario override: VGG-8 width multiplier.",
-)
-register(
-    "REPRO_ABLATION_SEED",
-    type="int",
-    affects_numerics=True,
-    description="Scenario override: workload seed of the ablation experiment.",
-)
-register(
-    "REPRO_PRECISION_BITS",
-    affects_numerics=True,
-    description="Scenario override: precision-bits diagonal of the "
-    "accuracy-vs-precision sweep.",
-)

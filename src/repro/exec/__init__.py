@@ -3,13 +3,13 @@
 ``repro.exec`` is the one place that knows how to fan work out: the batch
 scenario runner and the design-space explorer both consume
 :class:`ExecutionBackend` instead of hand-rolled executor code, so ``--backend
-{serial,threads,processes,cluster} --jobs N`` means the same thing everywhere.
-The two task-shipping backends share one worker loop: ``processes`` forks
-local workers that speak the :mod:`~repro.exec.cluster` protocol over
-socketpairs, ``cluster`` accepts the same workers over TCP, and one
-coordinator chunks, ships, requeues and collects for both (warm local fleets
-live in :mod:`~repro.exec.pool`, large payloads travel through
-:mod:`~repro.exec.shm`).  The :mod:`~repro.exec.telemetry` helpers keep the
+{serial,processes,cluster} --jobs N`` means the same thing everywhere.
+Serial is the only in-process backend; the two task-shipping backends share
+one worker loop: ``processes`` forks local workers that speak the
+:mod:`~repro.exec.cluster` protocol over socketpairs, ``cluster`` accepts the
+same workers over TCP, and one coordinator chunks, ships, requeues and
+collects for both (warm local fleets live in :mod:`~repro.exec.pool`, large
+payloads travel through :mod:`~repro.exec.shm`).  The :mod:`~repro.exec.telemetry` helpers keep the
 accounting (engine passes, per-pass wall-clock, cache hit/miss counters)
 mergeable across process and host boundaries, so reports look identical no
 matter which backend ran the work.
@@ -19,7 +19,6 @@ from repro.exec.backends import (
     BACKENDS,
     ExecutionBackend,
     SerialBackend,
-    ThreadBackend,
     applied_env_snapshot,
     available_cpus,
     default_jobs,
@@ -73,7 +72,6 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "ShmHandle",
-    "ThreadBackend",
     "WorkerTelemetry",
     "active_segments",
     "applied_env_snapshot",

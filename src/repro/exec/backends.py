@@ -1,14 +1,13 @@
-"""Execution backends: the shared interface, serial and thread-pool.
+"""Execution backends: the shared interface and the serial reference.
 
 One interface serves both orchestration layers -- design-point evaluation
 batches in :class:`~repro.explore.dse.DesignSpaceExplorer` and batch scenario
 runs in :class:`~repro.scenarios.runner.BatchRunner` -- instead of each
 hand-rolling its own executor plumbing:
 
-- :class:`SerialBackend` runs tasks inline (the reference ordering);
-- :class:`ThreadBackend` spreads tasks over a thread pool -- cheap to start and
-  able to share live objects (caches, engines), but every pure-Python engine
-  pass still contends for one GIL;
+- :class:`SerialBackend` runs tasks inline (the reference ordering) and is the
+  only in-process backend: the engine passes are pure Python, so a thread
+  pool would only contend for one GIL;
 - the task-shipping backends live in :mod:`repro.exec.cluster` and share one
   dispatch path: :class:`~repro.exec.cluster.ProcessBackend` forks local
   workers, :class:`~repro.exec.cluster.ClusterBackend` serves TCP-connected
@@ -30,8 +29,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Type, Union
 
 from repro.core.knobs import REPRO_ENV_PREFIX, repro_env_snapshot
@@ -168,49 +165,21 @@ class ExecutionBackend:
     #: ``isinstance`` checks.
     ships_tasks = False
 
-    def __init__(self) -> None:
-        #: What the open session keeps alive: a thread pool, or the process
-        #: backend's worker fleet (None outside a session and for serial).
-        self._pool: Any = None
-        self._session_depth = 0
-        self._session_lock = threading.Lock()
-
     @property
     def jobs(self) -> int:
         return 1
 
-    def _acquire_session_pool(self) -> Any:
-        """Hook: the pool an opening session binds (default: None, run inline)."""
-        return None
-
-    def _release_session_pool(self, pool: Any) -> None:
-        """Hook: hand the session's pool back when the outermost session ends."""
-
     @contextlib.contextmanager
     def session(self):
-        """Scope within which pools -- and per-worker state -- persist.
+        """Scope within which per-worker state persists across rounds.
 
         Callers issuing several ``map_tasks`` rounds (e.g. feedback-driven
-        search strategies) wrap them in one session so thread pools and worker
-        processes are created once: worker processes then keep their memoized
-        state (per-worker caches, architecture builds) across rounds instead of
-        paying startup and re-pickling per batch.  Sessions nest; the
-        outermost one owns the pool.  Without a session every ``map_tasks``
-        call builds and tears down its own pool (or, under ``REPRO_POOL=warm``
-        on the process backend, leases the shared warm fleet per call).
+        search strategies) wrap them in one session; a backend whose workers
+        live elsewhere keeps them (and their memoized state) alive for the
+        scope.  Sessions nest.  An inline backend has nothing to keep, so the
+        default session is a no-op.
         """
-        with self._session_lock:
-            self._session_depth += 1
-            if self._session_depth == 1:
-                self._pool = self._acquire_session_pool()
-        try:
-            yield self
-        finally:
-            with self._session_lock:
-                self._session_depth -= 1
-                if self._session_depth == 0 and self._pool is not None:
-                    pool, self._pool = self._pool, None
-                    self._release_session_pool(pool)
+        yield self
 
     def map_tasks(
         self, fn: TaskFn, tasks: Sequence[Any], shared: Any = None
@@ -237,46 +206,10 @@ class SerialBackend(ExecutionBackend):
         return [fn(shared, task) for task in tasks]
 
 
-class ThreadBackend(ExecutionBackend):
-    """Thread-pool execution: shared memory, shared caches, shared GIL."""
-
-    name = "threads"
-
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        super().__init__()
-        self._jobs = _validate_jobs(jobs) or default_jobs()
-
-    @property
-    def jobs(self) -> int:
-        return self._jobs
-
-    def _acquire_session_pool(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(max_workers=self._jobs)
-
-    def _release_session_pool(self, pool: ThreadPoolExecutor) -> None:
-        pool.shutdown(wait=True)
-
-    def map_tasks(
-        self, fn: TaskFn, tasks: Sequence[Any], shared: Any = None
-    ) -> List[Any]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        if self._pool is not None:
-            # Executor.map preserves task order regardless of completion order.
-            return list(self._pool.map(lambda task: fn(shared, task), tasks))
-        workers = min(self._jobs, len(tasks))
-        if workers == 1:
-            return [fn(shared, task) for task in tasks]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda task: fn(shared, task), tasks))
-
-
 #: Backends constructible by name (the CLI's ``--backend`` values);
 #: :mod:`repro.exec.cluster` registers ``processes`` and ``cluster``.
 BACKENDS: Dict[str, Type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
-    ThreadBackend.name: ThreadBackend,
 }
 
 BackendLike = Union[str, ExecutionBackend, None]
@@ -287,16 +220,13 @@ def resolve_backend(
 ) -> ExecutionBackend:
     """Accept a backend instance, a registered name, or None.
 
-    ``None`` keeps the historical default: serial unless ``jobs`` asks for
-    parallelism, in which case a thread pool (the pre-backend behaviour of both
-    the batch runner and the explorer).
+    ``None`` is the serial backend for every ``jobs``: ``jobs`` sizes a
+    parallel backend and never picks one.
     """
     _validate_jobs(jobs)
     if isinstance(backend, ExecutionBackend):
         return backend
     if backend is None:
-        if jobs is not None and jobs > 1:
-            return ThreadBackend(jobs)
         return SerialBackend()
     if isinstance(backend, str):
         if backend not in BACKENDS:

@@ -5,10 +5,10 @@ module.  :class:`ClusterBackend` serves workers that connect over TCP from
 this host or any other; :class:`ProcessBackend` forks local workers that
 speak the same protocol over ``socket.socketpair()``.  Either way one
 :class:`ClusterCoordinator` chunks each ``map_tasks`` round, ships the
-picklable task encodings, caches contexts by digest on the workers, returns
-worker stage totals and requeues the chunks of a dead worker -- so DSE design
-grids, Monte Carlo trial chunks and whole batch scenarios shard the same way
-on one machine or many, with zero changes to the consumers.  Determinism is
+picklable task encodings with each round's context, returns worker stage
+totals and requeues the chunks of a dead worker -- so DSE design grids, Monte
+Carlo trial chunks and whole batch scenarios shard the same way on one
+machine or many, with zero changes to the consumers.  Determinism is
 preserved by construction: tasks are dispatched in contiguous chunks whose
 results are reassembled in submission order, and the per-trial
 SeedSequence/Philox contracts derive every trial's randomness from ``(seed,
@@ -41,10 +41,11 @@ Protocol (version-checked at handshake)
 Frames are ``8-byte big-endian length + pickle``.  The worker opens with
 ``("hello", info)``; a coordinator speaking a different protocol replies
 ``("reject", reason)`` and closes, otherwise ``("welcome", options)``.  Each
-``map_tasks`` round ships its pickled ``(fn, shared)`` payload once per worker
-(``"context"``), then ``("task", round, chunk_id, tasks, want_stages)``
-messages; workers answer ``("result", round, chunk_id, results, stage_totals)``
--- ``stage_totals`` carries the worker-side
+``map_tasks`` round ships its pickled ``(fn, shared)`` payload once to each
+worker that takes one of its chunks (``("context", round, blob)``, which
+supersedes every earlier context), then ``("task", round, chunk_id, tasks,
+want_stages)`` messages; workers answer ``("result", round, chunk_id,
+results, stage_totals)`` -- ``stage_totals`` carries the worker-side
 :class:`~repro.variation.stages.StageAccumulator` snapshot when the
 coordinator asked for it, so stage attribution survives the host boundary --
 or ``("error", ...)`` with the remote traceback.  A worker resolving a
@@ -73,7 +74,6 @@ from __future__ import annotations
 
 import atexit
 import contextlib
-import hashlib
 import itertools
 import os
 import pickle
@@ -85,7 +85,7 @@ import sys
 import threading
 import time
 import traceback
-from collections import Counter, OrderedDict, deque
+from collections import Counter, deque
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import knobs
@@ -101,13 +101,11 @@ from repro.exec.backends import (
 #: Protocol identifier exchanged at handshake; workers and coordinators with
 #: different values refuse each other instead of mis-parsing frames.
 #: ``/2`` added worker-side stage totals in result frames and the
-#: ``fetch``/``blob`` shared-memory fallback transfer.
-PROTOCOL = "repro-cluster/3"
-
-#: Entries in the per-connection context cache (coordinator mirror and worker
-#: store use the same capacity and LRU policy, so they never disagree about
-#: which digests the worker still holds).
-CONTEXT_CACHE_SIZE = 32
+#: ``fetch``/``blob`` shared-memory fallback transfer; ``/3`` cached contexts
+#: by digest on the workers; ``/4`` dropped that cache (large payloads are
+#: already content-addressed by :mod:`repro.exec.shm`) and ships each round's
+#: context frame as ``("context", round, blob)``.
+PROTOCOL = "repro-cluster/4"
 
 #: Environment knobs the backend resolves its defaults from, so
 #: ``--backend cluster`` / ``--param backend=cluster`` need no code changes.
@@ -234,12 +232,6 @@ class _WorkerConn:
         self.current: Optional[int] = None
         #: Round ids whose (fn, shared) context payload was already shipped.
         self.contexts_sent: set = set()
-        #: LRU mirror of the worker's content-addressed context store: the
-        #: digests whose unpickled (fn, shared) the worker still caches.  The
-        #: coordinator updates it exactly when it sends a context (full or
-        #: ref) and the worker updates its store exactly when it receives one,
-        #: so over the ordered TCP stream the two views never diverge.
-        self.context_cache: "OrderedDict[str, None]" = OrderedDict()
 
     def send(self, obj: Any = None, raw_parts: Optional[Sequence[Any]] = None) -> None:
         if raw_parts is not None:
@@ -270,16 +262,10 @@ class _Round:
         self, round_id: int, payload: bytes, chunks: List[List[Any]], max_attempts: int
     ) -> None:
         self.round_id = round_id
-        #: ``pickle.dumps(("context", round_id, digest, pickle.dumps((fn,
-        #: shared))))`` -- the expensive shared payload is pickled once and the
-        #: whole context frame reused byte-for-byte for every worker.
+        #: ``pickle.dumps(("context", round_id, pickle.dumps((fn, shared))))``
+        #: -- the expensive shared payload is pickled once and the whole
+        #: context frame reused byte-for-byte for every worker.
         self.payload = payload
-        #: sha1 of the pickled (fn, shared) blob -- the content address under
-        #: which workers cache the unpickled context across rounds.
-        self.context_digest = ""
-        #: Tiny ``("context_ref", round_id, digest)`` frame sent instead of
-        #: :attr:`payload` to workers that already hold the digest.
-        self.payload_ref = b""
         self.chunks = chunks
         self.pending: Deque[int] = deque(range(len(chunks)))
         self.inflight: Dict[int, _WorkerConn] = {}
@@ -611,17 +597,12 @@ class ClusterCoordinator:
                 else pickle.dumps((fn, shared), protocol=pickle.HIGHEST_PROTOCOL)
             )
             with self._cond:
-                rnd = _Round(next(self._round_ids), b"", chunks, self.max_attempts)
+                round_id = next(self._round_ids)
+                payload = pickle.dumps(
+                    ("context", round_id, context), protocol=pickle.HIGHEST_PROTOCOL
+                )
+                rnd = _Round(round_id, payload, chunks, self.max_attempts)
                 rnd.want_stages = stages_active()
-                rnd.context_digest = hashlib.sha1(context).hexdigest()
-                rnd.payload = pickle.dumps(
-                    ("context", rnd.round_id, rnd.context_digest, context),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-                rnd.payload_ref = pickle.dumps(
-                    ("context_ref", rnd.round_id, rnd.context_digest),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
                 self._round = rnd
             no_worker_since: Optional[float] = None
             try:
@@ -661,11 +642,8 @@ class ClusterCoordinator:
             finally:
                 with self._cond:
                     self._round = None
-                # No explicit "forget" frame: rounds are serialised by
-                # ``_map_lock``, so the next context a worker receives
-                # supersedes this one and the worker drops stale contexts
-                # itself.  Skipping the frame saves one send + worker wakeup
-                # per round, which is measurable on chatty localhost rounds.
+                # Rounds are serialised by ``_map_lock``, so the next context
+                # a worker receives supersedes this one: no frame retires it.
                 for worker in list(rnd.context_workers):
                     worker.contexts_sent.discard(rnd.round_id)
             # Re-emit the workers' stage totals where the observers live: the
@@ -679,17 +657,7 @@ class ClusterCoordinator:
         try:
             parts: List[Tuple[Any, Optional[bytes]]] = []
             if rnd.round_id not in worker.contexts_sent:
-                cache = worker.context_cache
-                if rnd.context_digest in cache:
-                    # The worker still holds this exact (fn, shared): ship a
-                    # ~60-byte ref instead of the full pickled context.
-                    cache.move_to_end(rnd.context_digest)
-                    parts.append((None, rnd.payload_ref))
-                else:
-                    cache[rnd.context_digest] = None
-                    if len(cache) > CONTEXT_CACHE_SIZE:
-                        cache.popitem(last=False)
-                    parts.append((None, rnd.payload))
+                parts.append((None, rnd.payload))
                 worker.contexts_sent.add(rnd.round_id)
             parts.append(
                 (("task", rnd.round_id, cid, rnd.chunks[cid], rnd.want_stages), None)
@@ -863,21 +831,43 @@ class ProcessBackend(_CoordinatedBackend):
     def __init__(self, jobs: Optional[int] = None) -> None:
         super().__init__()
         self._jobs = _validate_jobs(jobs) or default_jobs()
+        #: The fleet the open session leased, and how to hand it back (both
+        #: None outside a session).
+        self._pool: Optional[ClusterCoordinator] = None
         self._release: Optional[Callable[[], None]] = None
+        self._session_depth = 0
+        self._session_lock = threading.Lock()
 
     @property
     def jobs(self) -> int:
         return self._jobs
 
-    def _acquire_session_pool(self) -> ClusterCoordinator:
+    @contextlib.contextmanager
+    def session(self):
+        """Lease one worker fleet for every round issued inside the scope.
+
+        The workers then keep their memoized state (per-worker caches,
+        architecture builds) across rounds instead of paying startup and
+        re-pickling per batch.  Sessions nest; the outermost one owns the
+        lease.  Without a session every ``map_tasks`` call leases its own
+        fleet (forked and reaped under ``REPRO_POOL=cold``, the shared warm
+        fleet under ``warm``).
+        """
         from repro.exec import pool
 
-        fleet, self._release = pool.lease(self._jobs)
-        return fleet
-
-    def _release_session_pool(self, pool: ClusterCoordinator) -> None:
-        release, self._release = self._release, None
-        release()
+        with self._session_lock:
+            if self._session_depth == 0:
+                self._pool, self._release = pool.lease(self._jobs)
+            self._session_depth += 1
+        try:
+            yield self
+        finally:
+            with self._session_lock:
+                self._session_depth -= 1
+                if self._session_depth == 0 and self._pool is not None:
+                    release, self._release = self._release, None
+                    self._pool = None
+                    release()
 
     @contextlib.contextmanager
     def _fleet(self, count: int) -> Iterator[ClusterCoordinator]:
@@ -1055,25 +1045,6 @@ def _serve_session(sock: socket.socket, quiet: bool) -> str:
     from repro.variation.stages import StageAccumulator, observe_stages
 
     contexts: Dict[int, Tuple[TaskFn, Any]] = {}
-    #: Content-addressed store of unpickled (fn, shared) contexts, so rounds
-    #: that re-ship a context this worker already decoded (sweep repeats,
-    #: benchmark loops) cost a ~60-byte ref frame instead of an unpickle.
-    #: Contexts are read-only by contract (the same object may serve many
-    #: rounds), and the LRU policy mirrors the coordinator's per-connection
-    #: bookkeeping exactly -- see ``_WorkerConn.context_cache``.
-    context_store: "OrderedDict[str, Tuple[TaskFn, Any]]" = OrderedDict()
-
-    def store_context(round_id: int, digest: str, value: Tuple[TaskFn, Any]) -> None:
-        context_store[digest] = value
-        context_store.move_to_end(digest)
-        while len(context_store) > CONTEXT_CACHE_SIZE:
-            context_store.popitem(last=False)
-        # Rounds are serialised on the coordinator, so a fresh context
-        # supersedes everything stored before it; dropping stale round ids
-        # here replaces the old per-round "forget" frame.
-        for stale_id in [rid for rid in contexts if rid != round_id]:
-            del contexts[stale_id]
-        contexts[round_id] = value
     #: Frames that arrived while a blob fetch was waiting for its reply; the
     #: main loop drains them before reading the socket again.
     deferred: Deque[Any] = deque()
@@ -1084,7 +1055,7 @@ def _serve_session(sock: socket.socket, quiet: bool) -> str:
         Runs inside task execution (the recv loop's own thread), so reading
         the socket here is safe -- only the heartbeat thread sends
         concurrently, and it never reads.  Non-blob frames that interleave
-        (e.g. an early ``forget``) are deferred, not dropped.
+        are deferred, not dropped.
         """
         with send_lock:
             send_frame(sock, ("fetch", digest))
@@ -1101,18 +1072,10 @@ def _serve_session(sock: socket.socket, quiet: bool) -> str:
             frame = deferred.popleft() if deferred else recv_frame(sock)
             kind = frame[0]
             if kind == "context":
-                _, round_id, digest, blob = frame
-                cached = context_store.get(digest)
-                store_context(
-                    round_id, digest, cached if cached is not None else pickle.loads(blob)
-                )
-            elif kind == "context_ref":
-                _, round_id, digest = frame
-                # Present by construction: the coordinator only sends a ref
-                # for digests its LRU mirror says this worker still holds.
-                store_context(round_id, digest, context_store[digest])
-            elif kind == "forget":
-                contexts.pop(frame[1], None)
+                _, round_id, blob = frame
+                # Rounds are serialised on the coordinator, so a fresh
+                # context supersedes every earlier one.
+                contexts = {round_id: pickle.loads(blob)}
             elif kind == "task":
                 _, round_id, chunk_id, chunk, want_stages = frame
                 try:

@@ -16,8 +16,8 @@ provides that loop on top of the staged :class:`~repro.core.engine.EvaluationEng
    :class:`~repro.explore.search.RandomSearch` or feedback-driven
    :class:`~repro.explore.search.CoordinateDescent`; *how* each strategy batch
    runs is delegated to a pluggable execution backend (:mod:`repro.exec`):
-   inline, thread pool, or a GIL-free process pool -- all with deterministic
-   result ordering, so every backend records identical values;
+   inline, or GIL-free forked or TCP-connected workers -- all with
+   deterministic result ordering, so every backend records identical values;
 4. :func:`pareto_front` extracts the non-dominated points over any subset of the
    (minimize-all) objectives with an incremental sweep instead of the seed's
    all-pairs scan.
@@ -321,9 +321,10 @@ class _DesignTaskOutcome:
 #: Per-process explorer instances, keyed by :attr:`_DesignTaskContext.key`;
 #: each holds its own per-worker :class:`EvaluationCache` whose hit/miss
 #: deltas travel back to the parent with every task outcome.  Lock-guarded:
-#: the thread backend calls :func:`_worker_explorer` concurrently, and an
-#: unguarded check-then-insert would let two threads build rival explorers
-#: for one key (splitting the shared cache and dropping telemetry deltas).
+#: workers served on threads of one process (``run_worker`` in a thread) call
+#: :func:`_worker_explorer` concurrently, and an unguarded check-then-insert
+#: would let two threads build rival explorers for one key (splitting the
+#: shared cache and dropping telemetry deltas).
 _WORKER_EXPLORERS: Dict[str, "DesignSpaceExplorer"] = {}
 _WORKER_EXPLORERS_LOCK = threading.Lock()
 
@@ -380,8 +381,8 @@ class DesignSpaceExplorer:
 
     ``backend`` selects how strategy batches execute (:mod:`repro.exec`): an
     :class:`~repro.exec.ExecutionBackend` instance, a name (``serial`` /
-    ``threads`` / ``processes``) or None.  ``max_workers`` > 1 without an
-    explicit backend keeps the historical thread-pool behaviour.  Every backend
+    ``processes`` / ``cluster``) or None (serial).  ``max_workers`` sizes a
+    parallel backend's worker fleet and never picks a backend.  Every backend
     collects results in task order, so point ordering -- and therefore every
     recorded value -- is identical to a serial run.  The process backend ships
     (config, overrides, workload) encodings to per-worker explorers and merges

@@ -21,7 +21,7 @@ from typing import Mapping, Union
 #: with caching off) reuse one parse.  The lock matters beyond speed:
 #: ``ast.parse`` is not thread-safe on CPython <= 3.11 (the AST constructor's
 #: recursion-depth counter is per-interpreter, not per-thread), so concurrent
-#: template builds on a thread backend intermittently died with ``SystemError:
+#: template builds on several threads intermittently died with ``SystemError:
 #: AST constructor recursion depth mismatch`` until parsing was serialized.
 _PARSE_LOCK = threading.Lock()
 _PARSE_MEMO: dict = {}

@@ -69,7 +69,7 @@ def pinned_modes(dtype: Optional[str] = None):
 
     ``None`` leaves the mode reading the environment as usual.  The override
     is thread-local and restores the previous pin on exit, so nested pins and
-    concurrent thread-backend workers stay independent.  Invalid mode names
+    concurrent threads stay independent.  Invalid mode names
     fail loudly here, at pin time, not deep inside a forward.
     """
     if dtype is not None and dtype not in _DTYPE_MODES:
@@ -158,7 +158,7 @@ class Workspace:
 
     A workspace is intentionally not thread-safe: each worker activates its own
     via :func:`scratch_workspace` (thread-local), which is what makes reuse
-    safe under the thread backend.
+    safe when several threads run forwards at once.
     """
 
     def __init__(self) -> None:

@@ -296,7 +296,6 @@ def _check_fig8(result: ScenarioResult) -> None:
         sim_overrides={"include_memory": True},
         workloads=("bert_base_image_patches",),
         params={"num_layers": 4},
-        env_params={"num_layers": "REPRO_BERT_LAYERS"},
         columns=("component", "value", "share"),
         tags=("validation", "onn"),
     ),
@@ -577,7 +576,6 @@ def _check_fig10b(result: ScenarioResult) -> None:
         workloads=("scatter_conv_layer",),
         columns=("mode", "PS (uJ)", "MZM (uJ)", "total (uJ)", "paper PS (uJ)"),
         params={"workload_seed": 7},
-        env_params={"workload_seed": "REPRO_FIG10B_SEED"},
         tags=("validation",),
     ),
     verify=_check_fig10b,
@@ -651,7 +649,6 @@ def _check_fig11(result: ScenarioResult) -> None:
         templates=("scatter", "mzi_mesh"),
         workloads=("vgg8_cifar10",),
         params={"width_multiplier": 0.25},
-        env_params={"width_multiplier": "REPRO_VGG_WIDTH"},
         columns=("layer", "sub-arch", "MACs", "total (uJ)", "PS (uJ)", "DAC (uJ)",
                  "ADC (uJ)", "DM (uJ)"),
         tags=("onn", "heterogeneous"),
@@ -761,7 +758,6 @@ def _check_dse_ablation(result: ScenarioResult) -> None:
         objectives=("energy_uj", "latency_ns", "area_mm2"),
         columns=("design point", "energy (uJ)", "latency (ns)", "area (mm2)", "pareto"),
         params={"workload_seed": 5},
-        env_params={"workload_seed": "REPRO_ABLATION_SEED"},
         tags=("dse",),
     ),
     verify=_check_dse_ablation,
@@ -1015,7 +1011,7 @@ def _check_variation_robustness(result: ScenarioResult) -> None:
             "and Monte Carlo-samples the classifier's fidelity to the "
             "noise-free quantized baseline.  Per-trial seeds derive from "
             "(seed, trial index), so the rendered table is byte-identical on "
-            "the serial, thread and process backends; `jobs=0` means one "
+            "the serial, process and cluster backends; `jobs=0` means one "
             "worker per core."
         ),
         tags=("smoke", "variation", "montecarlo"),
@@ -1103,7 +1099,6 @@ def _check_accuracy_vs_precision(result: ScenarioResult) -> None:
             "backend": "serial",
             "jobs": 0,
         },
-        env_params={"precision_bits": "REPRO_PRECISION_BITS"},
         description=(
             "The three bitwidth axes are swept together (b, b, b).  Operands "
             "quantize to min(DAC/ADC bits, SNR-derived effective bits), so the "

@@ -10,9 +10,9 @@ The :class:`BatchRunner` is the engine room behind ``python -m repro batch``:
   *zero* engine passes; under the process backend the parent prefetches stored
   artifacts so workers are never even spawned for them (warm start);
 - the execution backend (:mod:`repro.exec`) decides how fresh scenarios run:
-  inline (``serial``), on a thread pool (``threads``), or on a process pool
-  (``processes``) that sidesteps the GIL.  Results keep request order and are
-  byte-identical across backends.
+  inline (``serial``), on forked local workers (``processes``) that sidestep
+  the GIL, or on TCP-connected workers (``cluster``).  Results keep request
+  order and are byte-identical across backends.
 
 Pass accounting is per-runner: each runner counts only the passes of engines
 bound to *its* evaluation cache (via :func:`repro.core.engine.observe_passes`),
@@ -211,35 +211,30 @@ class BatchRunner:
         registry: ScenarioRegistry = REGISTRY,
         store: Optional[ResultStore] = None,
         cache: Optional[EvaluationCache] = None,
-        max_workers: Optional[int] = None,
         force: bool = False,
         backend: object = None,
         jobs: Optional[int] = None,
     ) -> None:
         """``backend`` is an :class:`~repro.exec.ExecutionBackend`, a name
-        (``serial``/``threads``/``processes``) or None; ``jobs`` sizes the
-        worker pool.  ``max_workers`` is the legacy alias for ``jobs`` (kept
-        for the pre-backend thread-pool API)."""
-        if jobs is None:
-            jobs = max_workers
+        (``serial``/``processes``/``cluster``) or None (serial); ``jobs``
+        sizes a parallel backend's worker fleet."""
         self.backend: ExecutionBackend = resolve_backend(backend, jobs)
         if self.backend.ships_tasks:
             if registry is not REGISTRY:
                 raise ValueError(
                     f"the {self.backend.name} backend runs scenarios from the "
                     "module-global registry (workers re-import it); custom "
-                    "registries need the serial or thread backend"
+                    "registries need the serial backend"
                 )
             if cache is not None:
                 raise ValueError(
                     f"the {self.backend.name} backend cannot share an in-memory "
                     "evaluation cache across workers (each worker keeps its "
-                    "own); pass cache= only with the serial or thread backend"
+                    "own); pass cache= only with the serial backend"
                 )
         self.registry = registry
         self.store = store
         self.cache = cache if cache is not None else EvaluationCache()
-        self.max_workers = jobs
         self.force = force
 
     def _run_one(self, name: str) -> BatchItem:
@@ -258,7 +253,7 @@ class BatchRunner:
                 elapsed_s=time.perf_counter() - start,
             )
 
-    # -- in-process execution (serial / threads) ---------------------------------------
+    # -- in-process execution (serial) -------------------------------------------------
     def _run_inprocess(
         self, names: List[str]
     ) -> Tuple[List[BatchItem], WorkerTelemetry]:

@@ -69,7 +69,7 @@ def large_grid_workloads(seed: int = 11) -> list:
 
     Sized so one full evaluation does real per-point work (operand-dependent
     energy over ~1.5 MB of tensors), which is what makes the 192-point grid
-    GIL-bound under threads and worth shipping to worker processes.
+    a real load for the process backend, not just dispatch overhead.
     """
     rng = np.random.default_rng(seed)
 

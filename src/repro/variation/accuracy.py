@@ -8,7 +8,7 @@ caps the nominal converter resolution at the link's SNR-derived effective
 bits), weights are perturbed per weighted layer, and activations pick up
 crosstalk after every analog matmul.  The shared model object is never mutated
 -- perturbed weights live on shallow per-layer clones -- so concurrent trials
-on the thread backend are safe.
+on several threads are safe.
 
 The accuracy metric is *fidelity to the ideal hardware*: agreement of the noisy
 argmax with the argmax of the noise-free (but still quantized) forward pass.

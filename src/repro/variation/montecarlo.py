@@ -397,7 +397,7 @@ def _observed_dispatch(dispatch: Callable[[], Any]) -> Any:
     """Run a backend dispatch, attributing unexplained wall-clock to ``dispatch``.
 
     With stage observers registered, the compute stages (rng/forward/quantize/
-    metrics) reach the parent either inline (serial/threads) or as shipped
+    metrics) reach the parent either inline (serial) or as shipped
     worker totals (processes/cluster); whatever part of the dispatch wall-clock
     those stages do *not* explain is the execution layer's own overhead --
     pool spin-up, pickling, IPC, scheduling gaps -- and is emitted as the

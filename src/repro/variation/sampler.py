@@ -74,7 +74,7 @@ def trial_seed_sequence(base_seed: int, trial: int) -> np.random.SeedSequence:
 #: and hashing a SeedSequence into a bit-generator state costs more than
 #: restoring it, so studies that revisit the same trial seeds (e.g. a noise
 #: sweep at fixed scenario seed) skip the re-derivation.  Insertion-ordered and
-#: lock-protected so the thread backend can hammer it concurrently: the bound
+#: lock-protected so several threads can hammer it concurrently: the bound
 #: is exact (never exceeded, even under races) and eviction is deterministic
 #: FIFO -- the oldest insertion goes first, regardless of thread interleaving.
 _STATE_CACHE: "OrderedDict[Tuple[int, int], dict]" = OrderedDict()

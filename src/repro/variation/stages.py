@@ -10,7 +10,7 @@ short-circuits to (near) zero overhead, so production runs pay nothing.
 
 Stages are coarse by design -- chunk-level and layer-level blocks, not
 per-element timers -- and observers run on whichever thread executed the block
-(the thread backend times concurrently), so observers must be thread-safe;
+(concurrent studies time concurrently), so observers must be thread-safe;
 :class:`StageAccumulator` is the lock-protected default collector.  Timings
 from process-backend workers stay in the worker (the bench harness times
 scenarios on the in-process serial backend, where attribution is complete).
@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterator, List
 STAGE_NAMES = ("rng", "forward", "quantize", "metrics", "dispatch")
 
 #: Registered stage observers.  Mutated only under the lock: concurrent
-#: ``observe_stages`` scopes (e.g. thread-backend benchmarks) would otherwise
+#: ``observe_stages`` scopes (e.g. studies on several threads) would otherwise
 #: race ``append``/``remove`` and could drop or double-register a callback.
 _OBSERVERS: List[Callable[[str, float], None]] = []
 _OBSERVERS_LOCK = threading.Lock()

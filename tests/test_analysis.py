@@ -1,20 +1,11 @@
-"""The ``repro lint`` static-analysis subsystem: rules, baseline, CLI, self-lint."""
+"""The ``repro lint`` static-analysis subsystem: rules, CLI, self-lint."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    BASELINE_SCHEMA,
-    LINT_SCHEMA,
-    apply_baseline,
-    lint_paths,
-    load_baseline,
-    parse_module,
-    rule_ids,
-    write_baseline,
-)
+from repro.analysis import LINT_SCHEMA, lint_paths, parse_module, rule_ids
 from repro.analysis.walker import default_lint_paths
 from repro.cli import main
 
@@ -194,45 +185,6 @@ def test_parse_failure_is_reported_not_fatal(tmp_path):
     assert "syntax error" in report.parse_failures[0].message
 
 
-# -- baseline --------------------------------------------------------------------------
-
-
-def test_baseline_round_trip_add_then_expire(tmp_path):
-    findings = findings_for("r005_bad.py", rules=["R005"])
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, findings)
-
-    payload = json.loads(baseline_path.read_text())
-    assert payload["schema"] == BASELINE_SCHEMA
-
-    baseline = load_baseline(baseline_path)
-    new, expired = apply_baseline(findings, baseline)
-    assert new == []
-    assert expired == []
-
-    # Every finding sharing one baseline key fixed: the entry expires; the
-    # rest still absorb (entries match on (rule, file, message), not line).
-    fixed_key = findings[0].baseline_key()
-    remaining = [f for f in findings if f.baseline_key() != fixed_key]
-    new, expired = apply_baseline(remaining, baseline)
-    assert new == []
-    assert expired == [fixed_key]
-
-    # A brand-new finding is never absorbed.
-    fresh = findings_for("r001_bad.py", rules=["R001"])
-    new, _ = apply_baseline(list(findings) + fresh, baseline)
-    assert sorted(f.baseline_key() for f in new) == sorted(
-        f.baseline_key() for f in fresh
-    )
-
-
-def test_baseline_rejects_wrong_schema(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text(json.dumps({"schema": "nope/9", "entries": []}))
-    with pytest.raises(ValueError, match="expected schema"):
-        load_baseline(bad)
-
-
 # -- CLI -------------------------------------------------------------------------------
 
 
@@ -241,36 +193,15 @@ def test_cli_lint_json_schema(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     assert payload["schema"] == LINT_SCHEMA
+    assert set(payload) == {
+        "schema", "rules", "modules", "counts", "findings", "parse_failures"
+    }
     assert payload["counts"] == {"R005": 3}
     assert payload["rules"] == ["R001", "R002", "R003", "R004", "R005"]
     assert all(
         set(f) == {"rule", "file", "line", "message", "suggestion"}
         for f in payload["findings"]
     )
-
-
-def test_cli_lint_baseline_gates_and_updates(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    target = str(FIXTURES / "r005_bad.py")
-
-    code = main(["lint", target, "--baseline", str(baseline), "--update-baseline"])
-    capsys.readouterr()
-    assert code == 0
-
-    assert main(["lint", target, "--baseline", str(baseline)]) == 0
-    capsys.readouterr()
-
-    # Without the baseline the same findings fail the run.
-    assert main(["lint", target]) == 1
-    capsys.readouterr()
-
-    # A baseline entry that no longer matches anything also fails the run.
-    code = main(
-        ["lint", str(FIXTURES / "r005_good.py"), "--baseline", str(baseline)]
-    )
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "no longer matches" in out
 
 
 def test_cli_lint_rule_filter(capsys):
@@ -294,7 +225,7 @@ def test_cli_lint_list_rules(capsys):
 # -- the repo lints itself -------------------------------------------------------------
 
 
-def test_repo_lints_clean_with_empty_baseline():
+def test_repo_lints_clean():
     report = lint_paths(default_lint_paths())
     assert report.parse_failures == []
     assert report.findings == []

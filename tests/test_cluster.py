@@ -156,15 +156,22 @@ class TestClusterProtocol:
             backend.map_tasks(lambda shared, task: task, [1, 2])
 
     def test_handshake_rejects_protocol_mismatch(self, coordinator):
-        sock = socket.create_connection((coordinator.host, coordinator.port), timeout=5)
-        try:
-            send_frame(sock, ("hello", {"protocol": "repro-cluster/999", "pid": 1}))
-            reply = recv_frame(sock)
-        finally:
-            sock.close()
-        assert reply[0] == "reject"
-        assert "protocol mismatch" in reply[1]
-        assert PROTOCOL in reply[1]
+        assert PROTOCOL == "repro-cluster/4"
+        # /3 workers expect the retired context cache; a future version is
+        # just as foreign.
+        for version in ("repro-cluster/3", "repro-cluster/999"):
+            sock = socket.create_connection(
+                (coordinator.host, coordinator.port), timeout=5
+            )
+            try:
+                send_frame(sock, ("hello", {"protocol": version, "pid": 1}))
+                reply = recv_frame(sock)
+            finally:
+                sock.close()
+            assert reply[0] == "reject"
+            assert "protocol mismatch" in reply[1]
+            assert PROTOCOL in reply[1]
+            assert version in reply[1]
 
     def test_wait_for_workers_timeout_names_the_cli(self, coordinator):
         with pytest.raises(RuntimeError, match="repro worker --connect"):

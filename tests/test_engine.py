@@ -416,11 +416,15 @@ class TestDeterminism:
 
     def test_serial_parallel_bit_identical(self):
         serial = self.make_explorer(cache=True).explore(self.SPACE)
-        parallel = self.make_explorer(cache=True, max_workers=4).explore(self.SPACE)
+        parallel = self.make_explorer(
+            cache=True, backend="processes", max_workers=2
+        ).explore(self.SPACE)
         assert serial.points == parallel.points
 
     def test_parallel_with_shared_cold_cache_matches(self):
-        parallel = self.make_explorer(cache=True).explore(self.SPACE, max_workers=8)
+        parallel = self.make_explorer(cache=True).explore(
+            self.SPACE, backend="processes", max_workers=2
+        )
         reference = self.make_explorer(cache=False).explore(self.SPACE)
         assert parallel.points == reference.points
 

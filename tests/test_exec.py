@@ -2,7 +2,7 @@
 
 The satellite guarantees of the backend subsystem:
 
-- every backend returns results in task order, so serial, thread and process
+- every backend returns results in task order, so serial and process
   executions are byte-identical;
 - concurrent writers (threads *and* processes) never publish a torn artifact
   into one :class:`~repro.scenarios.store.ResultStore`;
@@ -31,7 +31,6 @@ from repro.exec import (
     PassTiming,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     merge_cache_stats,
     merge_pass_timings,
     resolve_backend,
@@ -105,7 +104,7 @@ def _assert_store_artifacts_complete(store: ResultStore) -> None:
 
 
 class TestBackends:
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_map_tasks_preserves_task_order(self, backend):
         resolved = resolve_backend(backend, jobs=3)
         tasks = list(range(17))
@@ -113,7 +112,7 @@ class TestBackends:
             t * t + 1 for t in tasks
         ]
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_empty_task_list(self, backend):
         assert resolve_backend(backend, jobs=2).map_tasks(_square_task, []) == []
 
@@ -124,7 +123,7 @@ class TestBackends:
         tasks = list(range(count))
         assert backend.map_tasks(_square_task, tasks) == [t * t for t in tasks]
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_task_errors_propagate(self, backend):
         resolved = resolve_backend(backend, jobs=2)
         with pytest.raises(RuntimeError, match="task three exploded"):
@@ -169,6 +168,20 @@ class TestBackends:
         assert backend._pool is None
         assert set(backend.map_tasks(_worker_pid, range(8))).isdisjoint(first)
 
+    def test_session_rounds_each_run_on_their_own_context(self):
+        """Contexts A, B, A on one leased fleet: every round ships its own
+        context, so a worker answering from an earlier round's context
+        would return the wrong offsets."""
+        backend = ProcessBackend(jobs=2)
+        tasks = list(range(9))
+        offsets = (10, 20, 10)
+        with backend.session():
+            rounds = [
+                backend.map_tasks(_square_task, tasks, shared=offset)
+                for offset in offsets
+            ]
+        assert rounds == [[t * t + offset for t in tasks] for offset in offsets]
+
     def test_sessions_nest_and_share_the_outer_pool(self):
         backend = ProcessBackend(jobs=2)
         with backend.session():
@@ -209,32 +222,37 @@ class TestResolveBackend:
         assert isinstance(resolve_backend(None), SerialBackend)
         assert isinstance(resolve_backend(None, jobs=1), SerialBackend)
 
-    def test_none_with_jobs_is_threads(self):
-        backend = resolve_backend(None, jobs=4)
-        assert isinstance(backend, ThreadBackend)
-        assert backend.jobs == 4
+    def test_none_with_jobs_is_serial(self):
+        # jobs sizes a parallel backend; it never picks one.
+        assert isinstance(resolve_backend(None, jobs=4), SerialBackend)
 
     def test_names_construct_their_backend(self):
-        assert set(BACKENDS) == {"serial", "threads", "processes", "cluster"}
+        assert set(BACKENDS) == {"serial", "processes", "cluster"}
         assert isinstance(resolve_backend("serial", jobs=8), SerialBackend)
-        assert resolve_backend("threads", jobs=3).jobs == 3
         assert resolve_backend("processes", jobs=2).jobs == 2
         # Constructing the cluster backend must not open any socket yet: the
         # coordinator starts lazily on the first map_tasks call.
         assert resolve_backend("cluster", jobs=2).jobs == 2
 
     def test_instance_passthrough(self):
-        backend = ThreadBackend(2)
+        backend = ProcessBackend(2)
         assert resolve_backend(backend) is backend
 
     def test_unknown_name_suggests(self):
         with pytest.raises(KeyError, match=r"procces.*did you mean 'processes'"):
             resolve_backend("procces")
 
+    def test_threads_is_not_a_backend(self):
+        with pytest.raises(
+            KeyError, match=r"unknown execution backend 'threads'.*known: "
+            r"cluster, processes, serial"
+        ):
+            resolve_backend("threads")
+
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_bad_jobs_rejected(self, jobs):
         with pytest.raises(ValueError, match="positive integer"):
-            resolve_backend("threads", jobs=jobs)
+            resolve_backend("processes", jobs=jobs)
 
     def test_bad_type_rejected(self):
         with pytest.raises(TypeError, match="backend must be"):
@@ -365,7 +383,7 @@ class TestScopedPassObservation:
 class TestConcurrentScalingRules:
     def test_concurrent_rule_construction_never_races(self):
         """Regression: ast.parse is not thread-safe on CPython <= 3.11, so
-        concurrent template builds (thread-backend sweeps with caching off)
+        concurrent template builds (threaded sweeps with caching off)
         intermittently raised ``SystemError: AST constructor recursion depth
         mismatch`` until ScalingRule serialized parsing behind a shared memo."""
         from repro.netlist.scaling import ScalingRule
@@ -469,7 +487,7 @@ class TestBackendEquivalence:
     def serial_report(self):
         return BatchRunner(store=None).run(PASS_SCENARIOS)
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["processes"])
     def test_batch_tables_and_pass_counts_match_serial(self, serial_report, backend):
         report = BatchRunner(store=None, backend=backend, jobs=2).run(PASS_SCENARIOS)
         assert report.ok
@@ -497,12 +515,12 @@ class TestBackendEquivalence:
         )
 
     def test_process_batch_captures_errors_per_item(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BERT_LAYERS", "not-a-number")
+        monkeypatch.setenv("REPRO_MC_TRIALS", "not-a-number")
         report = BatchRunner(store=None, backend="processes", jobs=2).run(
-            ["fig8_lt_validation", "fig6_layout"]
+            ["variation_robustness", "fig6_layout"]
         )
         assert not report.ok
-        assert "ValueError" in report.item("fig8_lt_validation").error
+        assert "ValueError" in report.item("variation_robustness").error
         assert report.item("fig6_layout").ok
 
     def test_process_batch_requires_the_global_registry(self):
@@ -536,13 +554,12 @@ class TestBackendEquivalence:
             return explorer.explore(space)
 
         serial = explore("serial")
-        for backend in ("threads", "processes"):
-            result = explore(backend)
-            assert result.points == serial.points
-            assert result.backend == backend
-            passes = sum(t.count for t in result.pass_timings.values())
-            assert passes == sum(t.count for t in serial.pass_timings.values())
-            assert result.cache_stats  # worker hit/miss telemetry merged back
+        result = explore("processes")
+        assert result.points == serial.points
+        assert result.backend == "processes"
+        passes = sum(t.count for t in result.pass_timings.values())
+        assert passes == sum(t.count for t in serial.pass_timings.values())
+        assert result.cache_stats  # worker hit/miss telemetry merged back
 
     def test_explorer_process_backend_rejects_closure_builder(self):
         from repro.arch.templates import build_tempo

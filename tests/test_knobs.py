@@ -37,6 +37,20 @@ def test_every_mode_knob_is_declared():
         assert name in names
 
 
+def test_one_knob_per_concern():
+    # Scenario parameters are set with --param; the one env override left is
+    # the trial count CI's smoke bench cannot pass per scenario.
+    assert len(knob_names()) == 12
+    from repro.scenarios import REGISTRY
+
+    overrides = {
+        scenario.spec.name: dict(scenario.spec.env_params)
+        for scenario in REGISTRY
+        if scenario.spec.env_params
+    }
+    assert overrides == {"variation_robustness": {"trials": "REPRO_MC_TRIALS"}}
+
+
 def test_numeric_knobs_cover_the_result_affecting_surface():
     numeric = set(numeric_knob_names())
     assert {"REPRO_DTYPE", "REPRO_RNG", "REPRO_MC_TRIALS"} <= numeric

@@ -239,7 +239,9 @@ class TestBatchRunner:
 
     def test_parallel_batch_matches_serial(self, tmp_path):
         serial = BatchRunner(store=None).run(FAST_SCENARIOS)
-        parallel = BatchRunner(store=None, max_workers=4).run(FAST_SCENARIOS)
+        parallel = BatchRunner(store=None, backend="processes", jobs=2).run(
+            FAST_SCENARIOS
+        )
         assert serial.ok and parallel.ok
         for a, b in zip(serial.items, parallel.items):
             assert a.name == b.name

@@ -325,9 +325,12 @@ class TestWarmPool:
         names = ("table1_taxonomy", "fig6_layout")
         store = ResultStore(tmp_path / "store")
         with forced_env("REPRO_POOL", "warm"):
-            first = BatchRunner(store=store, max_workers=2).run(names)
-            second = BatchRunner(store=store, max_workers=2).run(names)
+            first = BatchRunner(store=store, backend="processes", jobs=2).run(names)
+            second = BatchRunner(store=store, backend="processes", jobs=2).run(names)
+            status = pool_status()
         assert first.ok and second.ok
+        # The first batch ran on the warm fleet, the second dispatched nothing.
+        assert len(status) == 1 and status[0]["dispatches"] == 1
         assert second.all_from_store
         assert second.engine_passes == 0, (
             "warm pools must preserve the store warm start"

@@ -235,9 +235,8 @@ class TestMonteCarlo:
                 make_request(mc_model, mc_inputs, backend=backend, jobs=jobs),
                 link=link,
             )
-            for backend, jobs in (("serial", None), ("threads", 4), ("processes", 2))
+            for backend, jobs in (("serial", None), ("processes", 2))
         }
-        assert reports["threads"] == reports["serial"]
         assert reports["processes"] == reports["serial"]
         assert reports["serial"].accuracies  # per-trial values round-trip
 
@@ -390,7 +389,6 @@ class TestAccuracyObjective:
             return explorer.explore(space, backend=backend, max_workers=2)
 
         serial = sweep("serial")
-        assert sweep("threads").points == serial.points
         assert sweep("processes").points == serial.points
 
     def test_rejects_non_request_accuracy(self, mc_model, mc_inputs):
@@ -406,13 +404,9 @@ class TestVariationScenarios:
     def test_robustness_table_is_byte_identical_across_backends(self):
         """Acceptance: same seed -> same Monte Carlo table on every backend."""
         serial = run_scenario("variation_robustness")
-        threads = run_scenario(
-            "variation_robustness", params={"backend": "threads", "jobs": "4"}
-        )
         processes = run_scenario(
             "variation_robustness", params={"backend": "processes", "jobs": "2"}
         )
-        assert threads.table == serial.table
         assert processes.table == serial.table
 
     def test_pareto_scenario_runs_through_repro_batch(self, tmp_path):
