@@ -33,10 +33,26 @@ under ``REPRO_SHM=off``, and platforms without shared memory all fall back to
 carrying the bytes inline in the handle -- resolution is identical either way,
 so consumers never branch on the transport.
 
+Object payloads are zero-copy too.  :func:`publish_object` pickles with
+protocol 5 and a ``buffer_callback``, so every contiguous array in the object
+graph leaves the pickle stream as an out-of-band buffer.  The payload is then
+framed as::
+
+    <u64 part count n> <n x u64 part lengths> [pad] stream [pad] buffer 1 ...
+
+with every part starting on a :data:`FRAME_ALIGN`-byte boundary.  The digest
+hashes the whole framed payload, so the content address still covers the
+stream and every buffer.  :func:`resolve_object` unpickles from read-only
+memoryviews of the parts: the arrays it returns are read-only views of the
+segment, not copies.  Strided arrays have no single buffer and stay in-band.
+Inline handles and fetched (cross-host) bytes carry the same framed payload
+and decode through the same path.
+
 Publishing is idempotent per digest and the publisher owns segment lifetime:
-:func:`unlink_all` (registered ``atexit``) closes and unlinks everything this
-process created.  Forked children inherit the registry but not ownership --
-a pid guard keeps a child's cleanup from destroying the parent's segments.
+:func:`unlink_all` (registered ``atexit``) closes and unlinks every segment
+this process created.  Each published entry records the pid that created it,
+so a forked child unlinks what it published itself and never what it
+inherited from its parent.
 """
 
 from __future__ import annotations
@@ -45,9 +61,11 @@ import atexit
 import hashlib
 import os
 import pickle
+import struct
+import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +74,11 @@ from repro.core import knobs
 #: Payloads at or below this many bytes ship inline in the handle: a pickle of
 #: this size costs less than a segment create + attach round-trip.
 INLINE_MAX_BYTES = 1 << 16
+
+#: Every part of a framed object payload starts on this byte boundary, so an
+#: array unpickled from a segment is as aligned as a fresh allocation.
+FRAME_ALIGN = 64
+_FRAME_WORD = struct.Struct("<Q")
 
 
 def shm_enabled() -> bool:
@@ -89,12 +112,14 @@ class ShmHandle:
 
 @dataclass
 class _Registry:
-    """Process-local shm state; ``owner_pid`` guards fork-inherited copies."""
+    """Process-local shm state, inherited as a whole by forked children."""
 
-    owner_pid: int = field(default_factory=os.getpid)
-    #: digest -> (SharedMemory, handle, read-only view) for segments this
-    #: process created (or inherited mappings of, after a fork).
-    published: Dict[str, Tuple[Any, ShmHandle, np.ndarray]] = field(default_factory=dict)
+    #: digest -> (SharedMemory, handle, read-only view, creator pid) for
+    #: segments this process created (or inherited mappings of, after a fork:
+    #: the creator pid then names the parent, which keeps the unlink).
+    published: Dict[str, Tuple[Any, ShmHandle, np.ndarray, int]] = field(
+        default_factory=dict
+    )
     #: digest -> (SharedMemory, read-only view) for same-host attachments.
     attached: Dict[str, Tuple[Any, np.ndarray]] = field(default_factory=dict)
     #: digest -> raw bytes pulled through the fetch hook (cross-host workers).
@@ -125,10 +150,13 @@ def _close_quietly(segment: Any) -> None:
         pass
 
 
-def _digest_of(data: bytes, shape: Tuple[int, ...], dtype: str, kind: str) -> str:
+def _digest_of(
+    pieces: Sequence[Any], shape: Tuple[int, ...], dtype: str, kind: str
+) -> str:
     hasher = hashlib.sha1()
     hasher.update(f"{kind}|{dtype}|{shape}|".encode("utf-8"))
-    hasher.update(data)
+    for piece in pieces:
+        hasher.update(piece)
     return hasher.hexdigest()
 
 
@@ -136,7 +164,42 @@ def _segment_name(digest: str) -> str:
     # The publisher pid namespaces the name so two concurrent processes
     # publishing the same content never race on one segment; the digest tail
     # makes leaks attributable (`ls /dev/shm/repro-*`).
-    return f"repro-{_REGISTRY.owner_pid}-{digest[:16]}"
+    return f"repro-{os.getpid()}-{digest[:16]}"
+
+
+def _aligned(offset: int) -> int:
+    return -(-offset // FRAME_ALIGN) * FRAME_ALIGN
+
+
+def _frame(parts: Sequence[Any]) -> List[Any]:
+    """The pieces of one framed payload: length header, then each part aligned.
+
+    ``parts`` are 1-D byte buffers; the pieces concatenate to the payload
+    without copying a part.
+    """
+    header = struct.pack(f"<{len(parts) + 1}Q", len(parts), *map(len, parts))
+    pieces: List[Any] = [header]
+    offset = len(header)
+    for part in parts:
+        start = _aligned(offset)
+        if start > offset:
+            pieces.append(bytes(start - offset))
+        pieces.append(part)
+        offset = start + len(part)
+    return pieces
+
+
+def _unframe(payload: memoryview) -> List[memoryview]:
+    """The parts of a framed payload, as views into it."""
+    (count,) = _FRAME_WORD.unpack_from(payload)
+    lengths = struct.unpack_from(f"<{count}Q", payload, _FRAME_WORD.size)
+    parts = []
+    offset = _FRAME_WORD.size * (count + 1)
+    for length in lengths:
+        offset = _aligned(offset)
+        parts.append(payload[offset : offset + length])
+        offset += length
+    return parts
 
 
 def _view(buffer, shape: Tuple[int, ...], dtype: str, nbytes: int) -> np.ndarray:
@@ -146,17 +209,38 @@ def _view(buffer, shape: Tuple[int, ...], dtype: str, nbytes: int) -> np.ndarray
     return array
 
 
+#: Whether this process was forked while its parent's ``resource_tracker``
+#: ran, and so reports to that same tracker.
+_TRACKER_INHERITED = False
+
+
+def _note_fork() -> None:
+    global _TRACKER_INHERITED
+    tracker = sys.modules.get("multiprocessing.resource_tracker")
+    _TRACKER_INHERITED = (
+        tracker is not None
+        and getattr(tracker._resource_tracker, "_fd", None) is not None  # noqa: SLF001
+    )
+
+
+os.register_at_fork(after_in_child=_note_fork)
+
+
 def _attach_untracked(name: str):
     """Open an existing segment without adopting its lifetime.
 
     Attaching registers the segment with this process's ``resource_tracker``
     (Python < 3.13 has no opt-out), which would unlink it when *this* process
     exits even though the publisher still serves it to other workers -- so the
-    registration is reverted immediately after the attach.
+    registration is reverted immediately after the attach.  A child forked
+    while the tracker ran shares it with its parent, whose own registration
+    of the segment the revert would erase, so such a child keeps it.
     """
     from multiprocessing import resource_tracker, shared_memory
 
     segment = shared_memory.SharedMemory(name=name)
+    if _TRACKER_INHERITED:
+        return segment
     try:
         resource_tracker.unregister(segment._name, "shared_memory")  # noqa: SLF001
     except Exception:  # pragma: no cover - tracker variations across versions
@@ -175,36 +259,45 @@ def publish_array(array: np.ndarray) -> ShmHandle:
     to an inline handle (same digest, same resolution path).
     """
     array = np.ascontiguousarray(array)
-    data = array.tobytes()
-    return _publish(data, tuple(array.shape), str(array.dtype), "array")
+    data = array.reshape(-1).view(np.uint8)
+    return _publish([data], tuple(array.shape), str(array.dtype), "array")
 
 
 def publish_object(obj: Any) -> ShmHandle:
-    """Pickle ``obj`` and publish the bytes (``kind="object"``).
+    """Pickle ``obj`` out-of-band and publish the framed payload (``kind="object"``).
 
-    The digest addresses the pickle bytes, so workers that already resolved an
-    identical payload reuse their cached *unpickled* object -- repeated studies
-    on a warm pool skip both the transfer and the unpickle.
+    Contiguous arrays in ``obj`` travel as protocol-5 out-of-band buffers, so
+    resolving the handle maps them instead of copying them.  The digest
+    addresses the whole framed payload, so workers that already resolved an
+    identical payload reuse their cached *unpickled* object -- repeated
+    studies on a warm pool skip both the transfer and the unpickle.
     """
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    return _publish(data, (len(data),), "uint8", "object")
+    buffers: List[pickle.PickleBuffer] = []
+    stream = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    pieces = _frame([stream, *(buffer.raw() for buffer in buffers)])
+    size = sum(map(len, pieces))
+    return _publish(pieces, (size,), "uint8", "object")
 
 
-def _publish(data: bytes, shape: Tuple[int, ...], dtype: str, kind: str) -> ShmHandle:
-    digest = _digest_of(data, shape, dtype, kind)
+def _publish(
+    pieces: Sequence[Any], shape: Tuple[int, ...], dtype: str, kind: str
+) -> ShmHandle:
+    """Publish the payload that ``pieces`` (1-D byte buffers) concatenate to."""
+    digest = _digest_of(pieces, shape, dtype, kind)
     with _REGISTRY.lock:
         entry = _REGISTRY.published.get(digest)
         if entry is not None:
             return entry[1]
-    if len(data) <= INLINE_MAX_BYTES or not shm_enabled():
+    size = sum(map(len, pieces))
+    if size <= INLINE_MAX_BYTES or not shm_enabled():
         return ShmHandle(
-            digest=digest, kind=kind, shape=shape, dtype=dtype, inline=data
+            digest=digest, kind=kind, shape=shape, dtype=dtype, inline=b"".join(pieces)
         )
     try:
         from multiprocessing import shared_memory
 
         segment = shared_memory.SharedMemory(
-            create=True, size=len(data), name=_segment_name(digest)
+            create=True, size=size, name=_segment_name(digest)
         )
     except FileExistsError:
         # Same digest re-published after the registry was cleared mid-process:
@@ -212,13 +305,16 @@ def _publish(data: bytes, shape: Tuple[int, ...], dtype: str, kind: str) -> ShmH
         segment = _attach_untracked(_segment_name(digest))
     except (OSError, ImportError, ValueError):  # pragma: no cover - no shm
         return ShmHandle(
-            digest=digest, kind=kind, shape=shape, dtype=dtype, inline=data
+            digest=digest, kind=kind, shape=shape, dtype=dtype, inline=b"".join(pieces)
         )
-    segment.buf[: len(data)] = data
+    offset = 0
+    for piece in pieces:
+        segment.buf[offset : offset + len(piece)] = piece
+        offset += len(piece)
     handle = ShmHandle(
         digest=digest, kind=kind, shape=shape, dtype=dtype, segment=segment.name
     )
-    view = _view(segment.buf, shape, dtype, len(data))
+    view = _view(segment.buf, shape, dtype, size)
     with _REGISTRY.lock:
         raced = _REGISTRY.published.get(digest)
         if raced is not None:
@@ -229,7 +325,7 @@ def _publish(data: bytes, shape: Tuple[int, ...], dtype: str, kind: str) -> ShmH
             except (FileNotFoundError, OSError):
                 pass
             return raced[1]
-        _REGISTRY.published[digest] = (segment, handle, view)
+        _REGISTRY.published[digest] = (segment, handle, view, os.getpid())
     return handle
 
 
@@ -290,12 +386,16 @@ def resolve_array(handle: ShmHandle) -> np.ndarray:
 
 
 def resolve_object(handle: ShmHandle) -> Any:
-    """Unpickle an object payload once per process and return the cached object."""
+    """Unpickle an object payload once per process and return the cached object.
+
+    The object's out-of-band arrays are read-only views of the payload (the
+    segment, the inline bytes or the fetched bytes), never copies.
+    """
     with _REGISTRY.lock:
         if handle.digest in _REGISTRY.objects:
             return _REGISTRY.objects[handle.digest]
-    data = resolve_array(handle)
-    obj = pickle.loads(data.tobytes())
+    stream, *buffers = _unframe(memoryview(resolve_array(handle)))
+    obj = pickle.loads(stream, buffers=buffers)
     with _REGISTRY.lock:
         return _REGISTRY.objects.setdefault(handle.digest, obj)
 
@@ -339,9 +439,9 @@ def active_segments() -> List[str]:
 def unlink_all() -> None:
     """Close every mapping and unlink the segments this process *created*.
 
-    Safe after a fork: a child inherits the registry but not ownership, so it
-    only closes its mappings -- unlinking is the creator's job (the pid guard
-    is what keeps a worker's exit from destroying the parent's segments).
+    Safe after a fork: a child inherits the registry, but each entry records
+    its creator pid, so the child only closes the mappings it inherited and
+    unlinks just the segments it published itself.
     """
     with _REGISTRY.lock:
         published = list(_REGISTRY.published.values())
@@ -350,10 +450,10 @@ def unlink_all() -> None:
         _REGISTRY.attached.clear()
         _REGISTRY.fetched.clear()
         _REGISTRY.objects.clear()
-    owner = _REGISTRY.owner_pid == os.getpid()
-    for segment, _handle, _data in published:
+    pid = os.getpid()
+    for segment, _handle, _data, creator in published:
         _close_quietly(segment)
-        if owner:
+        if creator == pid:
             try:
                 segment.unlink()
             except (FileNotFoundError, OSError):

@@ -289,8 +289,9 @@ class _DesignTaskContext:
 
     Carries specs and data (builder *reference*, config dataclasses, workload
     records) -- never live engines or caches.  ``key`` is a parent-computed
-    content address the workers memoize their per-process explorer on, so one
-    worker evaluates a whole chunk against a single architecture/engine setup.
+    content address the workers memoize their per-process explorer on, so
+    every group a worker evaluates, in this round and later ones, shares one
+    architecture/engine setup and one evaluation cache.
     """
 
     key: str
@@ -299,7 +300,8 @@ class _DesignTaskContext:
     sim_config: SimulationConfig
     #: Either the workload tuple itself or a :class:`ShmHandle` naming a
     #: shared-memory segment holding its pickle (zero-copy fan-out: N workers
-    #: attach one segment instead of receiving N pickled operand copies).
+    #: attach one segment instead of receiving N pickled operand copies, and
+    #: the operand arrays they unpickle are read-only views of it).
     workloads: Union[Tuple[object, ...], ShmHandle]
     cache_enabled: bool
     cache_max_entries: Optional[int]
@@ -312,9 +314,13 @@ class _DesignTaskContext:
 
 @dataclass
 class _DesignTaskOutcome:
-    """Picklable per-point return: the design point plus the worker's telemetry."""
+    """Picklable per-group return: the group's points in order, plus telemetry.
 
-    point: "DesignPoint"
+    ``telemetry`` covers the whole group: its engine passes and the growth of
+    the worker cache's hit/miss counters while the group ran.
+    """
+
+    points: List["DesignPoint"]
     telemetry: WorkerTelemetry
 
 
@@ -348,13 +354,15 @@ def _worker_explorer(shared: _DesignTaskContext) -> "DesignSpaceExplorer":
 
 
 def _evaluate_design_task(
-    shared: _DesignTaskContext, overrides: Mapping[str, object]
+    shared: _DesignTaskContext, group: Sequence[Mapping[str, object]]
 ) -> _DesignTaskOutcome:
-    """Evaluate one design point inside a worker process.
+    """Evaluate one contiguous group of design points inside a worker process.
 
-    Tasks within one worker run sequentially, so plain counters suffice; cache
-    stats are returned as per-task deltas so the parent's merge never
-    double-counts the worker cache shared across a chunk.
+    The whole group runs under one ``REPRO_*`` env pin and one pass observer,
+    and reports one cache-stat delta, so the per-point cost is that of
+    :meth:`DesignSpaceExplorer.evaluate`.  Tasks within one worker run
+    sequentially, so plain counters suffice; the stats are a delta so the
+    parent's merge never double-counts the worker cache shared across groups.
     """
     explorer = _worker_explorer(shared)
     cache = explorer.cache
@@ -363,9 +371,26 @@ def _evaluate_design_task(
     with applied_env_snapshot(shared.env), observe_passes(
         scoped_pass_observer(cache, telemetry)
     ):
-        point = explorer.evaluate(dict(overrides))
+        points = [explorer.evaluate(dict(overrides)) for overrides in group]
     telemetry.cache_stats = cache_stats_delta(cache, stats_before)
-    return _DesignTaskOutcome(point=point, telemetry=telemetry)
+    return _DesignTaskOutcome(points=points, telemetry=telemetry)
+
+
+def _contiguous_groups(batch: Sequence[object], count: int) -> List[Sequence[object]]:
+    """``batch`` cut into ``min(count, len(batch))`` contiguous groups, in order.
+
+    Group sizes differ by at most one (the leading groups take the
+    remainder), so no worker gets more than one extra point.
+    """
+    count = min(count, len(batch))
+    size, extra = divmod(len(batch), count)
+    groups: List[Sequence[object]] = []
+    start = 0
+    for index in range(count):
+        stop = start + size + (index < extra)
+        groups.append(batch[start:stop])
+        start = stop
+    return groups
 
 
 class DesignSpaceExplorer:
@@ -384,12 +409,15 @@ class DesignSpaceExplorer:
     ``processes`` / ``cluster``) or None (serial).  ``max_workers`` sizes a
     parallel backend's worker fleet and never picks a backend.  Every backend
     collects results in task order, so point ordering -- and therefore every
-    recorded value -- is identical to a serial run.  The process backend ships
-    (config, overrides, workload) encodings to per-worker explorers and merges
-    their pass counts and cache hit/miss telemetry back into the
-    :class:`ExplorationResult`; it requires a picklable, module-level
-    ``builder`` (every template builder in :mod:`repro.arch.templates`
-    qualifies).
+    recorded value -- is identical to a serial run.  A task-shipping backend
+    gets each strategy batch cut into ``min(jobs, len(batch))`` contiguous
+    groups, one task per group: a worker then evaluates its own slice of the
+    grid's leading axes against its per-worker explorer and cache, and
+    returns the group's points with one telemetry record (pass counts and
+    cache hit/miss deltas) that is merged into the
+    :class:`ExplorationResult`.  Such backends require a picklable,
+    module-level ``builder`` (every template builder in
+    :mod:`repro.arch.templates` qualifies).
     """
 
     def __init__(
@@ -528,8 +556,8 @@ class DesignSpaceExplorer:
             self.cache.max_entries,
             self.accuracy.fingerprint() if self.accuracy is not None else None,
         )
-        # Monte Carlo trials run inline inside each worker: a design point is
-        # already one process-pool task, so a nested trial pool would only
+        # Monte Carlo trials run inline inside each worker: a group of design
+        # points is already one worker task, so a nested trial pool would only
         # oversubscribe (results are backend-invariant either way).
         accuracy = (
             dataclasses.replace(self.accuracy, backend=None, jobs=None)
@@ -615,9 +643,13 @@ class DesignSpaceExplorer:
                         break
                 if use_processes:
                     outcomes = exec_backend.map_tasks(
-                        _evaluate_design_task, batch, shared=context
+                        _evaluate_design_task,
+                        _contiguous_groups(batch, exec_backend.jobs),
+                        shared=context,
                     )
-                    batch_points = [outcome.point for outcome in outcomes]
+                    batch_points = [
+                        point for outcome in outcomes for point in outcome.points
+                    ]
                     for outcome in outcomes:
                         outcome.telemetry.merge_into(telemetry)
                 else:

@@ -26,6 +26,7 @@ import pytest
 from repro.cli import main
 from repro.core.cache import EvaluationCache
 from repro.core.engine import observe_passes
+from repro.core.knobs import forced_env
 from repro.exec import (
     BACKENDS,
     PassTiming,
@@ -72,6 +73,43 @@ def _die_once(shared, task):
             pass
         os.kill(os.getpid(), signal.SIGKILL)
     return value * value + (shared or 0)
+
+
+#: Marker path that arms :func:`_build_tempo_or_die`; forked workers inherit
+#: it, the serial reference runs with it unset.
+_KILL_MARKER = None
+
+
+def _build_tempo_or_die(config=None, name="tempo"):
+    """``build_tempo`` that SIGKILLs its worker once, on the first 8-high core."""
+    from repro.arch.templates import build_tempo
+
+    marker = _KILL_MARKER
+    if marker is not None and config.core_height == 8 and not os.path.exists(marker):
+        with open(marker, "w"):
+            pass
+        os.kill(os.getpid(), signal.SIGKILL)
+    return build_tempo(config=config, name=name)
+
+
+class _RoundRecorder:
+    """Mixin recording the task count of every ``map_tasks`` round."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rounds = []
+
+    def map_tasks(self, fn, tasks, shared=None):
+        self.rounds.append(len(tasks))
+        return super().map_tasks(fn, tasks, shared)
+
+
+class _RecordingSerial(_RoundRecorder, SerialBackend):
+    pass
+
+
+class _RecordingProcesses(_RoundRecorder, ProcessBackend):
+    pass
 
 
 def _save_artifact(args):
@@ -572,6 +610,118 @@ class TestBackendEquivalence:
         )
         with pytest.raises(ValueError, match="module-level"):
             explorer.explore(DesignSpace({"core_height": [2]}))
+
+
+# -- grouped design-point dispatch -------------------------------------------------------
+
+
+class TestGroupedDispatch:
+    """A task-shipping backend gets one contiguous group of points per worker."""
+
+    # 9 points: no worker count above one divides it.
+    SPACE = {"core_height": [2, 4, 8], "num_wavelengths": [1, 2, 4]}
+
+    @staticmethod
+    def _explorer(backend=None, jobs=None, builder=None):
+        from repro.arch import ArchitectureConfig
+        from repro.arch.templates import build_tempo
+        from repro.dataflow.gemm import GEMMWorkload
+
+        # A shape no other test explores, so no worker memo from elsewhere in
+        # the session can warm the per-worker caches this class counts.
+        workload = GEMMWorkload("grouped", m=48, k=24, n=40)
+        base = ArchitectureConfig(
+            num_tiles=1, cores_per_tile=1, core_height=2, core_width=2
+        )
+        return DesignSpaceExplorer(
+            builder or build_tempo, [workload], base_config=base,
+            backend=backend, max_workers=jobs,
+        )
+
+    def test_contiguous_groups_cover_the_batch_in_order(self):
+        from repro.explore.dse import _contiguous_groups
+
+        batch = list(range(9))
+        assert _contiguous_groups(batch, 2) == [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
+        assert _contiguous_groups(batch, 5) == [[0, 1], [2, 3], [4, 5], [6, 7], [8]]
+        assert _contiguous_groups(batch[:3], 5) == [[0], [1], [2]]
+        assert _contiguous_groups(batch, 1) == [batch]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 5])
+    def test_uneven_groups_match_serial(self, jobs):
+        space = DesignSpace(self.SPACE)
+        serial = self._explorer().explore(space)
+        seen = []
+        procs = self._explorer("processes", jobs).explore(
+            space, progress=lambda point, done, total: seen.append((point, done))
+        )
+        assert procs.points == serial.points
+        assert seen == [(point, index + 1) for index, point in enumerate(serial.points)]
+        assert procs.as_rows() == serial.as_rows()
+
+    def test_batches_smaller_than_jobs_match_serial(self):
+        from repro.explore.search import CoordinateDescent
+
+        space = DesignSpace(self.SPACE)
+        serial_backend, procs_backend = _RecordingSerial(), _RecordingProcesses(5)
+        serial = self._explorer(serial_backend).explore(
+            space, strategy=CoordinateDescent(objective="energy_uj")
+        )
+        procs = self._explorer(procs_backend).explore(
+            space, strategy=CoordinateDescent(objective="energy_uj")
+        )
+        assert procs.points == serial.points
+        assert procs.evaluations == serial.evaluations
+        assert len(serial_backend.rounds) > 1
+        assert max(serial_backend.rounds) < 5
+        # Every round ships one task per group: min(jobs, len(batch)).
+        assert procs_backend.rounds == [min(5, n) for n in serial_backend.rounds]
+
+    def test_round_ships_one_task_per_worker(self):
+        backend = _RecordingProcesses(2)
+        self._explorer(backend).explore(DesignSpace(self.SPACE))
+        assert backend.rounds == [2]
+
+    def test_merged_cache_stats_equal_the_per_group_sums(self):
+        from repro.exec import cache_stats_snapshot
+        from repro.explore.dse import _contiguous_groups
+
+        space = DesignSpace(self.SPACE)
+        with forced_env("REPRO_POOL", "cold"):
+            procs = self._explorer("processes", 2).explore(space)
+        # Each group of a one-round grid lands on its own fresh worker, so the
+        # merged stats are the sum of the groups evaluated on fresh caches.
+        expected = {}
+        for group in _contiguous_groups(list(space.grid()), 2):
+            explorer = self._explorer()
+            for overrides in group:
+                explorer.evaluate(overrides)
+            for stage, counts in cache_stats_snapshot(explorer.cache).items():
+                total = expected.setdefault(stage, [0, 0, 0])
+                for slot, count in enumerate(counts):
+                    total[slot] += count
+        merged = {
+            stage: [stats.hits, stats.misses, stats.evictions]
+            for stage, stats in procs.cache_stats.items()
+            if stats.hits or stats.misses or stats.evictions
+        }
+        expected = {stage: counts for stage, counts in expected.items() if any(counts)}
+        assert merged == expected
+
+    def test_worker_killed_mid_group_requeues_the_whole_group(self, tmp_path):
+        global _KILL_MARKER
+        space = DesignSpace(self.SPACE)
+        serial = self._explorer(builder=_build_tempo_or_die).explore(space)
+        _KILL_MARKER = str(tmp_path / "killed-once")
+        try:
+            with forced_env("REPRO_POOL", "cold"):
+                procs = self._explorer(
+                    "processes", 2, builder=_build_tempo_or_die
+                ).explore(space)
+        finally:
+            marker, _KILL_MARKER = _KILL_MARKER, None
+        assert os.path.exists(marker), "no worker reached the 8-high core"
+        assert procs.points == serial.points
 
 
 # -- NaN objectives ---------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import glob
 import os
+import pickle
 import signal
 import threading
 import time
@@ -38,13 +39,15 @@ from repro.exec import (
     resolve_array,
     resolve_object,
     run_worker,
+    set_fetch_hook,
     spawn_local_workers,
     steal_partition,
     stop_pools,
     unlink_all,
 )
 from repro.exec import pool as pool_mod
-from repro.exec.shm import INLINE_MAX_BYTES
+from repro.exec import shm as shm_mod
+from repro.exec.shm import FRAME_ALIGN, INLINE_MAX_BYTES, published_bytes
 from repro.variation import AccuracyRequest, run_monte_carlo, standard_noise
 from repro.onn.models import build_mlp
 
@@ -69,6 +72,17 @@ def _slow_square(shared, task):
 def _sum_resolved(shared, task):
     array = as_array(shared)
     return float(array.sum()) + task
+
+
+def _object_view_facts(shared, task):
+    """What a worker sees of a resolved object payload's arrays."""
+    weights = as_object(shared)["weights"]
+    segment = resolve_array(shared)
+    return (
+        bool(weights.flags.writeable),
+        bool(np.shares_memory(weights, segment)),
+        float(weights.sum()) + task,
+    )
 
 
 def _sum_resolved_or_die(shared, task):
@@ -166,6 +180,140 @@ class TestShmTransport:
         np.testing.assert_array_equal(as_array(handle), array)
 
 
+class TestZeroCopyObjects:
+    """Object payloads: protocol-5 out-of-band buffers framed into the segment."""
+
+    @staticmethod
+    def _large(seed=5):
+        return np.random.default_rng(seed).normal(size=(96, INLINE_MAX_BYTES // 64))
+
+    def test_resolved_arrays_are_read_only_views_of_the_segment(self):
+        weights = self._large()
+        with forced_env("REPRO_SHM", "on"):
+            handle = publish_object({"weights": weights, "label": "w"})
+        assert handle.inline is None
+        resolved = resolve_object(handle)
+        np.testing.assert_array_equal(resolved["weights"], weights)
+        assert resolved["label"] == "w"
+        assert not resolved["weights"].flags.writeable
+        assert np.shares_memory(resolved["weights"], resolve_array(handle))
+
+    def test_out_of_band_arrays_are_aligned(self):
+        with forced_env("REPRO_SHM", "on"):
+            handle = publish_object([np.arange(3.0), self._large()])
+        for array in resolve_object(handle):
+            assert array.ctypes.data % FRAME_ALIGN == 0
+
+    def test_workers_map_instead_of_copy(self):
+        """Both worker tiers: forked after the publish (inherited registry)
+        and forked before it (a warm fleet attaching the named segment)."""
+        weights = self._large(6)
+        expected = [(False, True, float(weights.sum()) + task) for task in (0, 1)]
+        with forced_env("REPRO_SHM", "on"), forced_env("REPRO_POOL", "warm"):
+            backend = ProcessBackend(jobs=2)
+            backend.map_tasks(_worker_pid, [0, 1])
+            handle = publish_object({"weights": weights})
+            attached = backend.map_tasks(_object_view_facts, [0, 1], shared=handle)
+            stop_pools()
+        with forced_env("REPRO_SHM", "on"), forced_env("REPRO_POOL", "cold"):
+            inherited = ProcessBackend(jobs=2).map_tasks(
+                _object_view_facts, [0, 1], shared=handle
+            )
+        assert attached == inherited == expected
+
+    def test_one_flipped_buffer_byte_changes_the_digest(self):
+        first, second = self._large(7), self._large(8)
+        flipped = second.copy()
+        flipped.reshape(-1).view(np.uint8)[12345] ^= 0x01
+        with forced_env("REPRO_SHM", "on"):
+            original = publish_object({"a": first, "b": second})
+            changed = publish_object({"a": first, "b": flipped})
+        assert original.digest != changed.digest
+        assert original.segment != changed.segment
+        np.testing.assert_array_equal(resolve_object(changed)["b"], flipped)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda big: np.asfortranarray(big),
+            lambda big: big[:, ::3],
+            lambda big: {"rows": [list(range(4000)), "x" * 70000], "n": None},
+            lambda big: (np.arange(12.0).reshape(3, 4), "small"),
+            lambda big: [big, np.asfortranarray(big[:8]), big[::2, 1::5], np.zeros(0)],
+        ],
+        ids=["f-order", "strided", "array-free", "inline", "mixed"],
+    )
+    def test_round_trips(self, build):
+        payload = build(self._large(9))
+        with forced_env("REPRO_SHM", "on"):
+            handle = publish_object(payload)
+        _assert_same(resolve_object(handle), payload)
+
+    def test_small_objects_ship_inline(self):
+        payload = {"weights": np.arange(64.0).reshape(8, 8)}
+        with forced_env("REPRO_SHM", "on"):
+            handle = publish_object(payload)
+        assert handle.inline is not None and active_segments() == []
+        resolved = resolve_object(handle)
+        _assert_same(resolved, payload)
+        assert not resolved["weights"].flags.writeable
+
+    def test_fetch_hook_bytes_decode_through_the_same_framing(self):
+        payload = {"weights": np.asfortranarray(self._large(10)), "label": "far"}
+        with forced_env("REPRO_SHM", "on"):
+            handle = publish_object(payload)
+        blob = published_bytes(handle.digest)
+        # The publisher is gone: the segment is unlinked and nothing is cached.
+        unlink_all()
+        set_fetch_hook(lambda digest: blob if digest == handle.digest else None)
+        try:
+            resolved = resolve_object(handle)
+        finally:
+            set_fetch_hook(None)
+        _assert_same(resolved, payload)
+        assert not resolved["weights"].flags.writeable
+
+    def test_monte_carlo_with_a_segment_sized_model_matches_serial(self):
+        model = build_mlp((32, 192, 96, 6), rng=np.random.default_rng(3))
+        assert len(pickle.dumps(model)) > INLINE_MAX_BYTES
+        inputs = np.random.default_rng(9).normal(size=(32, 32))
+
+        def report(backend):
+            return run_monte_carlo(
+                AccuracyRequest(
+                    model, inputs, noise=standard_noise(), trials=8, seed=7,
+                    backend=backend, jobs=2,
+                )
+            )
+
+        serial = report("serial")
+        with forced_env("REPRO_SHM", "on"):
+            processes = report("processes")
+            assert any(
+                handle.kind == "object" and handle.segment is not None
+                for _segment, handle, _view, _pid in shm_mod._REGISTRY.published.values()
+            ), "the model never reached a real segment"
+        assert processes == serial
+
+
+def _assert_same(actual, expected):
+    """Structural equality that also compares arrays element for element."""
+    if isinstance(expected, np.ndarray):
+        assert isinstance(actual, np.ndarray)
+        assert actual.dtype == expected.dtype and actual.shape == expected.shape
+        np.testing.assert_array_equal(actual, expected)
+    elif isinstance(expected, dict):
+        assert actual.keys() == expected.keys()
+        for key in expected:
+            _assert_same(actual[key], expected[key])
+    elif isinstance(expected, (list, tuple)):
+        assert type(actual) is type(expected) and len(actual) == len(expected)
+        for got, want in zip(actual, expected):
+            _assert_same(got, want)
+    else:
+        assert actual == expected
+
+
 class TestShmLeaks:
     def test_cluster_worker_sigkill_leaks_no_segments(self, tmp_path):
         """SIGKILLing a worker that attached a segment must leak nothing.
@@ -202,6 +350,47 @@ class TestShmLeaks:
                     process.wait(timeout=15)
         unlink_all()
         assert _repro_shm_files() == []
+
+
+    def test_forked_child_unlinks_what_it_published(self):
+        """A child inherits the parent's registry, not its identity: what the
+        child publishes is the child's to unlink, and it is named after the
+        child's pid."""
+        read_end, write_end = os.pipe()
+        with forced_env("REPRO_SHM", "on"):
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - runs in the child
+                code = 1
+                try:
+                    os.close(read_end)
+                    handle = publish_array(np.arange(2e5))
+                    os.write(write_end, handle.segment.encode())
+                    unlink_all()
+                    code = 0
+                finally:
+                    os._exit(code)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            segment = pipe.read().decode()
+        _, status = os.waitpid(pid, 0)
+        leaked = os.path.exists(f"/dev/shm/{segment}")
+        if leaked:
+            os.unlink(f"/dev/shm/{segment}")
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert segment.startswith(f"repro-{pid}-")
+        assert not leaked, f"the child left {segment} in /dev/shm"
+
+    def test_forked_child_keeps_what_it_inherited(self):
+        array = np.random.default_rng(11).normal(size=(INLINE_MAX_BYTES // 8 + 64,))
+        with forced_env("REPRO_SHM", "on"):
+            handle = publish_array(array)
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - runs in the child
+                unlink_all()
+                os._exit(0)
+        os.waitpid(pid, 0)
+        assert os.path.exists(f"/dev/shm/{handle.segment}")
+        np.testing.assert_array_equal(resolve_array(handle), array)
 
 
 class TestForkedWorkers:
