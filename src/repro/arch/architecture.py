@@ -10,7 +10,8 @@ and link-budget numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from functools import cached_property
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.arch.dataflow_spec import Dataflow, DataflowSpec
 from repro.arch.instance import Activity, ArchInstance, Role
@@ -157,10 +158,18 @@ class Architecture:
     def instances_by_role(self, role: Role) -> List[ArchInstance]:
         return [inst for inst in self.instances if inst.role is role]
 
+    def resolve(self) -> "ResolvedArchitecture":
+        """A fresh table of this architecture's scaling rules at its parameters.
+
+        Never stored on the architecture: an evaluation run keeps its own table
+        (see :class:`~repro.core.engine.EvaluationContext`) and drops it with
+        the run.
+        """
+        return ResolvedArchitecture(self)
+
     def device_counts(self) -> Dict[str, int]:
         """Physical instance count per ArchInstance group for the current parameters."""
-        params = self.params
-        return {inst.name: inst.instance_count(params) for inst in self.instances}
+        return dict(self.resolve().counts)
 
     def total_device_count(self) -> int:
         return sum(self.device_counts().values())
@@ -171,12 +180,12 @@ class Architecture:
 
         Composite node groups use the sum of their node-netlist device footprints.
         """
-        params = self.params
+        counts = self.resolve().counts
         breakdown: Dict[str, float] = {}
         for inst in self.instances:
             if not inst.count_in_area:
                 continue
-            count = inst.instance_count(params)
+            count = counts[inst.name]
             if inst.is_composite:
                 unit_area = self.node_footprint_sum_um2()
             else:
@@ -196,20 +205,16 @@ class Architecture:
     # -- link budget -------------------------------------------------------------------
     def loss_multipliers(self) -> Dict[str, float]:
         """Per-link-netlist-instance loss multiplicities evaluated at current params."""
-        params = self.params
-        by_name = {inst.name: inst for inst in self.instances}
-        multipliers: Dict[str, float] = {}
-        for netlist_inst in self.link_netlist.instances.values():
-            arch_inst = by_name.get(netlist_inst.name)
-            if arch_inst is not None:
-                multipliers[netlist_inst.name] = arch_inst.loss_multiplicity(params)
-        return multipliers
+        return dict(self.resolve().loss_multipliers)
 
-    def circuit_dag(self) -> CircuitDAG:
-        """Weighted DAG of the link netlist with parametric loss multiplicities."""
-        return CircuitDAG(
-            self.link_netlist, self.library, loss_multipliers=self.loss_multipliers()
-        )
+    def circuit_dag(self, loss_multipliers: Optional[Mapping[str, float]] = None) -> CircuitDAG:
+        """Weighted DAG of the link netlist with parametric loss multiplicities.
+
+        ``loss_multipliers`` defaults to a fresh evaluation of the loss rules.
+        """
+        if loss_multipliers is None:
+            loss_multipliers = self.resolve().loss_multipliers
+        return CircuitDAG(self.link_netlist, self.library, loss_multipliers=loss_multipliers)
 
     def critical_path(self) -> CriticalPath:
         return self.circuit_dag().critical_path()
@@ -245,13 +250,6 @@ class Architecture:
         cycles = reconfig_ns * self.config.frequency_ghz
         return int(cycles) if cycles > 1.0 else 0
 
-    # -- energy helpers ----------------------------------------------------------------
-    def energy_instances(self) -> List[ArchInstance]:
-        return [inst for inst in self.instances if inst.count_in_energy]
-
-    def area_instances(self) -> List[ArchInstance]:
-        return [inst for inst in self.instances if inst.count_in_area]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cfg = self.config
         return (
@@ -259,6 +257,60 @@ class Architecture:
             f"H={cfg.core_height}, W={cfg.core_width}, lambda={cfg.num_wavelengths}, "
             f"f={cfg.frequency_ghz}GHz)"
         )
+
+
+class ResolvedArchitecture:
+    """One architecture's scaling rules, each evaluated once at its parameters.
+
+    The table an evaluation run reads instead of re-evaluating rules: instance
+    counts, link-path loss multiplicities and the dataflow's per-cycle
+    parallel extents, each computed on first read from one ``arch.params``
+    snapshot.  ``energy_plans`` holds the energy analyzer's plans for the same
+    run (one per mapping overlay; see :class:`~repro.core.energy.EnergyAnalyzer`).
+    A table belongs to one run and is never stored on the architecture, so a
+    rebound configuration can never read another's numbers.
+    """
+
+    def __init__(self, arch: Architecture) -> None:
+        self.arch = arch
+        self.params: Dict[str, float] = arch.params
+        self.energy_plans: Dict[tuple, object] = {}
+
+    @cached_property
+    def counts(self) -> Dict[str, int]:
+        """Physical instance count per ArchInstance group."""
+        params = self.params
+        return {inst.name: inst.instance_count(params) for inst in self.arch.instances}
+
+    @cached_property
+    def loss_multipliers(self) -> Dict[str, float]:
+        """Loss multiplicity per link-netlist instance that names an ArchInstance."""
+        params = self.params
+        by_name = {inst.name: inst for inst in self.arch.instances}
+        multipliers: Dict[str, float] = {}
+        for netlist_inst in self.arch.link_netlist.instances.values():
+            arch_inst = by_name.get(netlist_inst.name)
+            if arch_inst is not None:
+                multipliers[netlist_inst.name] = arch_inst.loss_multiplicity(params)
+        return multipliers
+
+    @cached_property
+    def parallel_dims(self) -> Mapping[str, int]:
+        """Per-cycle M/N/K extents of the dataflow."""
+        return self.arch.dataflow.parallel_dims(self.params)
+
+    def overlaid(self, overlay: Mapping[str, float]) -> Tuple[Dict[str, float], frozenset]:
+        """Parameters with ``overlay`` applied, and the names whose values it changes.
+
+        A rule that reads none of the changed names evaluates to its base value.
+        """
+        params = self.params
+        changed = frozenset(name for name, value in overlay.items() if params.get(name) != value)
+        if not changed:
+            return params, changed
+        overlaid = dict(params)
+        overlaid.update(overlay)
+        return overlaid, changed
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.arch.architecture import Architecture
+from repro.arch.architecture import Architecture, ResolvedArchitecture
 from repro.core.config import SimulationConfig
 from repro.core.memory_analyzer import MemoryReport
 from repro.core.report import component_label
@@ -76,26 +76,31 @@ class AreaAnalyzer:
         planned = floorplanner.area_um2(arch.node_netlist, arch.library)
         return planned, naive
 
-    # Backwards-compatible alias for the pre-engine private name.
-    _node_areas = node_areas
-
     def analyze(
         self,
         arch: Architecture,
         memory_report: Optional[MemoryReport] = None,
         layout_aware: Optional[bool] = None,
         node_areas: Optional[tuple] = None,
+        resolved: Optional[ResolvedArchitecture] = None,
     ) -> AreaReport:
+        """Area breakdown of ``arch``.
+
+        ``resolved`` is the evaluation run's rule table for ``arch`` (instance
+        counts are read from it); without one a fresh table is built.
+        """
         layout_aware = (
             self.config.use_layout_aware_area if layout_aware is None else layout_aware
         )
         if node_areas is None:
             node_areas = self.node_areas(arch, layout_aware)
         node_area, node_naive = node_areas
-        params = arch.params
+        counts = (resolved if resolved is not None else arch.resolve()).counts
         breakdown: Dict[str, float] = {}
-        for inst in arch.area_instances():
-            count = inst.instance_count(params)
+        for inst in arch.instances:
+            if not inst.count_in_area:
+                continue
+            count = counts[inst.name]
             if count == 0:
                 continue
             if inst.is_composite:

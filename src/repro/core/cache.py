@@ -158,8 +158,13 @@ def memoized_fingerprint(obj: Any, compute: Callable[[], Hashable]) -> Hashable:
 
 
 def config_fingerprint(config: Any) -> Hashable:
-    """Memoized canonical digest of an (architecture or simulation) config dataclass."""
-    return memoized_fingerprint(config, lambda: digest(type(config).__name__, config))
+    """Canonical digest of an (architecture or simulation) config dataclass.
+
+    Not memoized on the object: configs are mutable, and a stashed digest
+    would outlive an in-place edit.  Callers that key many lookups on one
+    config snapshot it and digest the snapshot once.
+    """
+    return digest(type(config).__name__, config)
 
 
 def workload_shape(gemm: Any) -> Tuple[int, ...]:

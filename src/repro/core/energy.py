@@ -23,11 +23,11 @@ Figs. 5 and 10(b).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.architecture import Architecture
+from repro.arch.architecture import Architecture, ResolvedArchitecture
 from repro.arch.instance import Activity, ArchInstance, Role
 from repro.core.config import SimulationConfig
 from repro.core.link_budget import LinkBudgetReport
@@ -73,6 +73,23 @@ class EnergyReport:
         return f"EnergyReport(total={self.total_pj:.1f} pJ over {self.total_time_ns:.1f} ns)"
 
 
+class _PlanRow(NamedTuple):
+    """One device group's mapping-independent energy terms (see ``EnergyAnalyzer.plan``)."""
+
+    label: str
+    activity: Activity
+    inst: ArchInstance
+    device: object
+    count: int
+    duty: float
+    #: STATIC ``count * power * duty``, PER_CYCLE ``count * (power * cycle_ns +
+    #: e_op)``, PER_RECONFIG the write energy; None while the power is
+    #: data-dependent (looked up per mapping).
+    prefix: Optional[float]
+    by_utilization: bool  # PER_CYCLE activity scaled by spatial utilization
+    by_keep: bool  # scaled by the unpruned fraction ``1 - sparsity``
+
+
 class EnergyAnalyzer:
     """Accumulates data-aware device and data-movement energy for one mapping.
 
@@ -84,6 +101,16 @@ class EnergyAnalyzer:
     sparsity is not a cache stage: it is memoized on the workload itself (see
     :attr:`~repro.dataflow.gemm.GEMMWorkload.sparsity`).  Without a cache the
     behaviour is exactly the seed analyzer's.
+
+    Instance counts and duty cycles come from the run's
+    :class:`~repro.arch.architecture.ResolvedArchitecture` table, never from
+    re-evaluated rules.  :meth:`plan` turns the table into one row per
+    energy-consuming group for a mapping overlay (``T_ACC``), cycle time and
+    mode -- its label, device and mapping-independent prefix -- and memoizes
+    the rows on the table, so each mapping of the run only multiplies its own
+    scalars (compute time, active cycles, utilization, keep fraction,
+    reconfiguration events) onto the prefixes, in the same left-to-right float
+    order as the per-instance loop the plan replaced.
     """
 
     def __init__(
@@ -137,16 +164,8 @@ class EnergyAnalyzer:
             flat = rng.choice(flat, size=limit, replace=False)
         return flat
 
-    def _device_power_mw(
-        self,
-        arch: Architecture,
-        inst: ArchInstance,
-        mapping: Mapping,
-        data_aware: bool,
-    ) -> float:
-        device = arch.library.get(inst.device)
-        if not (data_aware and inst.data_dependent):
-            return device.nominal_power_mw()
+    def _data_power_mw(self, device, inst: ArchInstance, mapping: Mapping) -> float:
+        """Response-model power of a data-dependent device on the mapping's operands."""
         if self.cache is not None and self.cache.enabled:
             from repro.core.cache import device_fingerprint, workload_fingerprint
 
@@ -167,6 +186,82 @@ class EnergyAnalyzer:
             return device.nominal_power_mw()
         return device.response.average_power_mw(values)
 
+    # -- the energy plan ------------------------------------------------------------
+    def plan(
+        self,
+        resolved: ResolvedArchitecture,
+        overlay: Dict[str, float],
+        cycle_ns: float,
+        data_aware: bool,
+        has_link_budget: bool,
+    ) -> Tuple[_PlanRow, ...]:
+        """The mapping-independent part of :meth:`analyze`, one row per device group.
+
+        Memoized on ``resolved`` (one evaluation run) per overlay, cycle time,
+        data-aware mode, link-budget presence and idle gating, so each rule is
+        evaluated once per overlay and every mapping only multiplies its own
+        scalars onto the rows' prefixes.
+        """
+        key = (
+            tuple(sorted(overlay.items())),
+            cycle_ns,
+            data_aware,
+            has_link_budget,
+            self.config.include_idle_gating,
+        )
+        cached = resolved.energy_plans.get(key)
+        if cached is not None:
+            return cached
+        arch = resolved.arch
+        params, changed = resolved.overlaid(overlay)
+        rows = []
+        for inst in arch.instances:
+            if not inst.count_in_energy or inst.activity is Activity.PASSIVE:
+                continue
+            if inst.role is Role.LIGHT_SOURCE and has_link_budget:
+                continue  # accounted via the link budget
+            if changed.isdisjoint(inst.count.variables):
+                count = resolved.counts[inst.name]
+            else:
+                count = inst.instance_count(params)
+            if count == 0:
+                continue
+            device = arch.library.get(inst.device)
+            data_power = data_aware and inst.data_dependent
+            by_utilization = False
+            # The products below keep analyze()'s left-to-right float order:
+            # a mapping multiplies its scalars onto the prefix, never into it.
+            if inst.activity is Activity.STATIC:
+                duty = inst.duty_factor(params)
+                prefix = None if data_power else count * device.nominal_power_mw() * duty
+                by_keep = data_aware and inst.operand == "B"
+            elif inst.activity is Activity.PER_CYCLE:
+                duty = inst.duty_factor(params)
+                prefix = None if data_power else count * (
+                    device.nominal_power_mw() * cycle_ns + device.energy_per_op_pj
+                )
+                by_utilization = self.config.include_idle_gating
+                by_keep = data_aware and inst.role is Role.WEIGHT_ENCODER
+            else:  # PER_RECONFIG
+                duty = 1.0
+                prefix = float(device.spec.extra.get("write_energy_pj", device.energy_per_op_pj))
+                by_keep = data_aware
+            rows.append(
+                _PlanRow(
+                    label=component_label(inst),
+                    activity=inst.activity,
+                    inst=inst,
+                    device=device,
+                    count=count,
+                    duty=duty,
+                    prefix=prefix,
+                    by_utilization=by_utilization,
+                    by_keep=by_keep,
+                )
+            )
+        plan = resolved.energy_plans[key] = tuple(rows)
+        return plan
+
     # -- main entry point -------------------------------------------------------------
     def analyze(
         self,
@@ -176,16 +271,26 @@ class EnergyAnalyzer:
         memory_energy_pj: float = 0.0,
         memory_static_power_mw: float = 0.0,
         data_aware: Optional[bool] = None,
+        resolved: Optional[ResolvedArchitecture] = None,
     ) -> EnergyReport:
+        """Energy breakdown of one mapping.
+
+        ``resolved`` is the evaluation run's rule table for ``arch`` (its
+        energy plans are memoized on it); without one a fresh table is built.
+        """
         data_aware = self.config.data_aware if data_aware is None else data_aware
-        params = dict(arch.params)
-        params.update(mapping.params_overlay())
-        total_time_ns = mapping.total_time_ns
+        if resolved is None:
+            resolved = arch.resolve()
+        cycle_ns = 1.0 / mapping.frequency_ghz
+        rows = self.plan(
+            resolved, mapping.params_overlay(), cycle_ns, data_aware, link_budget is not None
+        )
         compute_time_ns = mapping.compute_time_ns
         active_cycles = mapping.compute_cycles
-        cycle_ns = 1.0 / mapping.frequency_ghz
-        workload = mapping.workload
-        sparsity = workload.sparsity if data_aware else 0.0
+        events = mapping.reconfig_events * mapping.forwards
+        utilization = mapping.utilization
+        sparsity = mapping.workload.sparsity if data_aware else 0.0
+        keep = max(0.0, 1.0 - sparsity)
 
         breakdown: Dict[str, float] = {}
 
@@ -198,46 +303,30 @@ class EnergyAnalyzer:
         if link_budget is not None:
             add("Laser", link_budget.total_laser_electrical_power_mw * compute_time_ns)
 
-        for inst in arch.energy_instances():
-            if inst.role is Role.LIGHT_SOURCE and link_budget is not None:
-                continue  # already accounted via the link budget
-            if inst.activity is Activity.PASSIVE:
-                continue
-            count = inst.instance_count(params)
-            if count == 0:
-                continue
-            device = arch.library.get(inst.device)
-            label = component_label(inst)
-            duty = inst.duty_factor(params)
+        for row in rows:
+            if row.activity is Activity.STATIC:
+                prefix = row.prefix
+                if prefix is None:
+                    power = self._data_power_mw(row.device, row.inst, mapping)
+                    prefix = row.count * power * row.duty
+                gating = keep if row.by_keep else 1.0
+                add(row.label, prefix * gating * compute_time_ns)
 
-            if inst.activity is Activity.STATIC:
-                gating = 1.0
-                if data_aware and inst.operand == "B":
-                    gating = max(0.0, 1.0 - sparsity)
-                power = self._device_power_mw(arch, inst, mapping, data_aware)
-                add(label, count * power * duty * gating * compute_time_ns)
+            elif row.activity is Activity.PER_CYCLE:
+                activity_scale = row.duty
+                if row.by_utilization:
+                    activity_scale *= utilization
+                if row.by_keep:
+                    activity_scale *= keep
+                prefix = row.prefix
+                if prefix is None:
+                    power = self._data_power_mw(row.device, row.inst, mapping)
+                    prefix = row.count * (power * cycle_ns + row.device.energy_per_op_pj)
+                add(row.label, prefix * active_cycles * activity_scale)
 
-            elif inst.activity is Activity.PER_CYCLE:
-                activity_scale = duty
-                if self.config.include_idle_gating:
-                    activity_scale *= mapping.utilization
-                if data_aware and inst.role is Role.WEIGHT_ENCODER:
-                    activity_scale *= max(0.0, 1.0 - sparsity)
-                power = self._device_power_mw(arch, inst, mapping, data_aware)
-                energy_per_cycle = power * cycle_ns + device.energy_per_op_pj
-                add(label, count * energy_per_cycle * active_cycles * activity_scale)
-
-            elif inst.activity is Activity.PER_RECONFIG:
-                events = mapping.reconfig_events * mapping.forwards
-                if events == 0:
-                    continue
-                write_energy = float(
-                    device.spec.extra.get("write_energy_pj", device.energy_per_op_pj)
-                )
-                scale = 1.0
-                if data_aware:
-                    scale = max(0.0, 1.0 - sparsity)
-                add(label, count * events * write_energy * scale)
+            elif events:  # PER_RECONFIG: only when the stationary operand is rewritten
+                scale = keep if row.by_keep else 1.0
+                add(row.label, row.count * events * row.prefix * scale)
 
         # Data movement: dynamic access energy plus buffer leakage over the active
         # compute phases (stall cycles are charged to latency, not energy).
@@ -246,6 +335,6 @@ class EnergyAnalyzer:
 
         return EnergyReport(
             breakdown_pj=breakdown,
-            total_time_ns=total_time_ns,
+            total_time_ns=mapping.total_time_ns,
             data_aware=data_aware,
         )

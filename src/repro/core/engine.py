@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import itertools
 import threading
 import time
@@ -44,10 +45,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.arch.architecture import Architecture, ArchitectureConfig, HeterogeneousArchitecture
+from repro.arch.architecture import (
+    Architecture,
+    ArchitectureConfig,
+    HeterogeneousArchitecture,
+    ResolvedArchitecture,
+)
 from repro.core.area import AreaAnalyzer, AreaReport
 from repro.core.cache import (
     EvaluationCache,
+    canonical_value,
     fingerprint,
     netlist_fingerprint,
     workload_shape,
@@ -238,13 +245,12 @@ def rebind_architecture(
     immutable after construction).  Validation is skipped -- the structure was
     already validated when ``arch`` was built.
     """
-    for f in dataclasses.fields(config):
-        if f.name in REBINDABLE_FIELDS:
-            continue
-        if getattr(config, f.name) != getattr(arch.config, f.name):
+    for field_name in structural_fields(type(config), REBINDABLE_FIELDS):
+        before, after = getattr(arch.config, field_name), getattr(config, field_name)
+        if after != before:
             raise ValueError(
-                f"cannot rebind {arch.name!r}: field {f.name!r} differs "
-                f"({getattr(arch.config, f.name)!r} -> {getattr(config, f.name)!r}) "
+                f"cannot rebind {arch.name!r}: field {field_name!r} differs "
+                f"({before!r} -> {after!r}) "
                 "and is baked into the built structure"
             )
     clone = Architecture.__new__(Architecture)
@@ -262,6 +268,18 @@ def rebind_architecture(
     # (e.g. the optics profile) hits across every rebound configuration.
     clone._repro_structure_token = structure_token(arch)
     return clone
+
+
+@functools.lru_cache(maxsize=None)
+def structural_fields(config_type: type, rebindable_fields: frozenset) -> Tuple[str, ...]:
+    """Names of ``config_type``'s dataclass fields outside ``rebindable_fields``.
+
+    Computed once per (config class, rebindable set) instead of walking
+    ``dataclasses.fields`` at every design point.
+    """
+    return tuple(
+        f.name for f in dataclasses.fields(config_type) if f.name not in rebindable_fields
+    )
 
 
 _STRUCTURE_TOKENS = itertools.count()
@@ -324,12 +342,13 @@ def resolve_architecture(
     resolved_name = name if name is not None else config.name
     if cache is None or not cache.enabled:
         return builder(config=config, name=resolved_name)
+    # The canonical form of fingerprint("build", builder_key, structural),
+    # built field by field instead of re-walking the nested tuple.
     structural = tuple(
-        (f.name, getattr(config, f.name))
-        for f in dataclasses.fields(config)
-        if f.name not in rebindable_fields
+        (name, canonical_value(getattr(config, name)))
+        for name in structural_fields(type(config), rebindable_fields)
     )
-    struct_key = fingerprint("build", builder_key(builder), structural)
+    struct_key = ("build", builder_key(builder), structural)
     # The name is deliberately outside the structural key: a hit with a
     # different name/config is detected below and rebound, never returned as-is.
     base = cache.get_or_compute(  # repro-lint: ignore[R002]
@@ -351,6 +370,14 @@ class EvaluationContext:
     out of a custom pipeline simply leaves its fields at their defaults, so
     downstream passes can degrade gracefully (e.g. running without the memory
     pass produces no data-movement energy, like ``include_memory=False``).
+
+    ``resolved`` holds one :class:`~repro.arch.architecture.ResolvedArchitecture`
+    per distinct architecture of the run, opened by the first pass that needs
+    it (the map pass, see :meth:`resolve`): every scaling rule is evaluated at
+    most once per run -- once per ``T_ACC`` overlay for the duty cycles -- and
+    the map, link-budget, area and energy passes all read that one table.
+    The energy analyzer memoizes its per-overlay plans on the same table, so
+    they live exactly as long as the run.
     """
 
     system: HeterogeneousArchitecture
@@ -361,6 +388,7 @@ class EvaluationContext:
     default_subarch: Optional[str] = None
     # route ->
     routed: List[Tuple[GEMMWorkload, Architecture]] = field(default_factory=list)
+    resolved: Dict[str, ResolvedArchitecture] = field(default_factory=dict)
     # map ->
     mappings: List[Tuple[GEMMWorkload, Architecture, Mapping]] = field(default_factory=list)
     # memory ->
@@ -377,6 +405,13 @@ class EvaluationContext:
     accuracy_report: Optional[object] = None
     # aggregate ->
     result: Optional[SimulationResult] = None
+
+    def resolve(self, arch: Architecture) -> ResolvedArchitecture:
+        """This run's rule table for ``arch``, created on first request."""
+        table = self.resolved.get(arch.name)
+        if table is None or table.arch is not arch:
+            table = self.resolved[arch.name] = arch.resolve()
+        return table
 
     def distinct_archs(self) -> List[Architecture]:
         """The unique sub-architectures referenced by the mapped workloads."""
@@ -434,7 +469,8 @@ class MapPass(EnginePass):
     def run(self, ctx: EvaluationContext) -> None:
         mapper = self.engine.mapper
         ctx.mappings = [
-            (gemm, arch, mapper.map(gemm, arch)) for gemm, arch in ctx.routed
+            (gemm, arch, mapper.map(gemm, arch, ctx.resolve(arch).parallel_dims))
+            for gemm, arch in ctx.routed
         ]
 
 
@@ -510,7 +546,9 @@ class LinkBudgetPass(EnginePass):
     def run(self, ctx: EvaluationContext) -> None:
         for arch in ctx.distinct_archs():
             if arch.name not in ctx.link_budgets:
-                ctx.link_budgets[arch.name] = self.engine.link_budget_for(arch)
+                ctx.link_budgets[arch.name] = self.engine.link_budget_for(
+                    arch, ctx.resolve(arch)
+                )
 
 
 def _chain_order(netlist: Netlist) -> Optional[List[str]]:
@@ -558,7 +596,7 @@ class ReceiverPrecisionPass(EnginePass):
                 continue
             link = ctx.link_budgets.get(arch.name)
             if link is None:
-                link = self.engine.link_budget_for(arch)
+                link = self.engine.link_budget_for(arch, ctx.resolve(arch))
                 ctx.link_budgets[arch.name] = link
             ctx.snr_reports[arch.name] = self._snr(arch, link, static_loss_db)
 
@@ -678,16 +716,22 @@ class AreaPass(EnginePass):
     def run(self, ctx: EvaluationContext) -> None:
         for arch in ctx.distinct_archs():
             if arch.name not in ctx.area_reports:
-                ctx.area_reports[arch.name] = self._analyze(arch, ctx.memory_report)
+                ctx.area_reports[arch.name] = self._analyze(
+                    arch, ctx.memory_report, ctx.resolve(arch)
+                )
 
-    def _analyze(self, arch: Architecture, memory_report: Optional[MemoryReport]) -> AreaReport:
+    def _analyze(
+        self,
+        arch: Architecture,
+        memory_report: Optional[MemoryReport],
+        resolved: ResolvedArchitecture,
+    ) -> AreaReport:
         engine = self.engine
-        if not engine.cache.enabled:
-            return engine.area_analyzer.analyze(arch, memory_report=memory_report)
-        # The breakdown itself is cheap arithmetic over the (parameter-dependent)
-        # instance counts; only the node floorplan is worth memoizing.
+        # The breakdown itself is cheap arithmetic over the run's instance
+        # counts; only the node floorplan is worth memoizing across runs.
+        node_areas = self._node_areas(arch) if engine.cache.enabled else None
         return engine.area_analyzer.analyze(
-            arch, memory_report=memory_report, node_areas=self._node_areas(arch)
+            arch, memory_report=memory_report, node_areas=node_areas, resolved=resolved
         )
 
     def _node_areas(self, arch: Architecture) -> Optional[Tuple[float, float]]:
@@ -739,9 +783,13 @@ class LayerAnalysisPass(EnginePass):
                 )
             else:
                 layer_memory_pj = 0.0
-            energy = self._energy(
-                arch, mapping, ctx.link_budgets.get(arch.name), layer_memory_pj,
-                ctx.memory_leakage_mw,
+            energy = engine.energy_analyzer.analyze(
+                arch,
+                mapping,
+                link_budget=ctx.link_budgets.get(arch.name),
+                memory_energy_pj=layer_memory_pj,
+                memory_static_power_mw=ctx.memory_leakage_mw,
+                resolved=ctx.resolve(arch),
             )
             ctx.layers.append(
                 LayerResult(
@@ -752,25 +800,6 @@ class LayerAnalysisPass(EnginePass):
                     energy=energy,
                 )
             )
-
-    def _energy(
-        self,
-        arch: Architecture,
-        mapping: Mapping,
-        link_budget: Optional[LinkBudgetReport],
-        memory_energy_pj: float,
-        memory_static_power_mw: float,
-    ) -> EnergyReport:
-        # The per-instance accumulation is cheap arithmetic; the expensive
-        # data-aware sub-computations (operand sampling, response averages)
-        # are memoized inside the analyzer itself.
-        return self.engine.energy_analyzer.analyze(
-            arch,
-            mapping,
-            link_budget=link_budget,
-            memory_energy_pj=memory_energy_pj,
-            memory_static_power_mw=memory_static_power_mw,
-        )
 
 
 class AggregatePass(EnginePass):
@@ -916,25 +945,38 @@ class EvaluationEngine:
         )
 
     # -- memoized per-architecture analyses (shared by several passes) ------------------
-    def link_budget_for(self, arch: Architecture) -> LinkBudgetReport:
-        """The architecture's link budget, with critical path and optics memoized."""
+    def link_budget_for(
+        self, arch: Architecture, resolved: Optional[ResolvedArchitecture] = None
+    ) -> LinkBudgetReport:
+        """The architecture's link budget, with critical path and optics memoized.
+
+        ``resolved`` is the run's rule table for ``arch`` (a fresh one when
+        omitted).
+        """
         analyzer = self.link_budget_analyzer
         cache = self.cache
+        if resolved is None:
+            resolved = arch.resolve()
         if not cache.enabled:
-            return analyzer.analyze(arch)
+            return analyzer.analyze(arch, resolved=resolved)
         optics = cache.get_or_compute(
             "optics_profile",
             structure_token(arch),
             lambda: analyzer.optics_profile(arch),
         )
         return analyzer.analyze(
-            arch, critical_path=self._critical_path_for(arch), optics=optics
+            arch,
+            critical_path=self._critical_path_for(arch, resolved),
+            optics=optics,
+            resolved=resolved,
         )
 
-    def _critical_path_for(self, arch: Architecture) -> CriticalPath:
+    def _critical_path_for(
+        self, arch: Architecture, resolved: Optional[ResolvedArchitecture] = None
+    ) -> CriticalPath:
         cache = self.cache
         netlist = arch.link_netlist
-        multipliers = arch.loss_multipliers()
+        multipliers = (resolved if resolved is not None else arch.resolve()).loss_multipliers
         loss_items = tuple(
             (
                 name,
@@ -960,7 +1002,7 @@ class EvaluationEngine:
                         instances=tuple(chain),
                         insertion_loss_db=float(edge_sum + total),
                     )
-            return arch.critical_path()
+            return arch.circuit_dag(multipliers).critical_path()
 
         # The key is the exact projection critical_path() is a function of
         # (netlist topology + per-instance losses), not the arch object itself.

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.arch.architecture import Architecture
+from repro.arch.architecture import Architecture, ResolvedArchitecture
 from repro.arch.instance import Role
 from repro.devices.photonic import (
     Laser,
@@ -123,12 +123,13 @@ class LinkBudgetAnalyzer:
             wpe if wpe is not None else self.default_wall_plug_efficiency,
         )
 
-    def num_channels(self, arch: Architecture) -> int:
+    def num_channels(
+        self, arch: Architecture, resolved: Optional[ResolvedArchitecture] = None
+    ) -> int:
         """Laser/comb carrier count: max(physical sources, wavelength channels)."""
-        params = arch.params
+        counts = (resolved if resolved is not None else arch.resolve()).counts
         num_sources = sum(
-            inst.instance_count(params)
-            for inst in arch.instances_by_role(Role.LIGHT_SOURCE)
+            counts[inst.name] for inst in arch.instances_by_role(Role.LIGHT_SOURCE)
         )
         # A single comb source still emits one carrier per wavelength channel.
         return max(num_sources, arch.config.num_wavelengths)
@@ -139,20 +140,25 @@ class LinkBudgetAnalyzer:
         arch: Architecture,
         critical_path: Optional[CriticalPath] = None,
         optics: Optional[Tuple[float, float, float]] = None,
+        resolved: Optional[ResolvedArchitecture] = None,
     ) -> LinkBudgetReport:
         """Derive the link budget.
 
         ``critical_path`` and ``optics`` (the :meth:`optics_profile` triple) may
         be supplied pre-computed -- e.g. memoized by the evaluation engine -- to
         skip the longest-path search and the device-parameter discovery scans.
+        ``resolved`` is the evaluation run's rule table for ``arch`` (loss
+        multiplicities and source counts); without one a fresh table is built.
         """
+        if resolved is None:
+            resolved = arch.resolve()
         if critical_path is None:
-            critical_path = arch.critical_path()
+            critical_path = arch.circuit_dag(resolved.loss_multipliers).critical_path()
         if optics is None:
             optics = self.optics_profile(arch)
         insertion_loss = critical_path.insertion_loss_db
         sensitivity, extinction, wpe = optics
-        num_channels = self.num_channels(arch)
+        num_channels = self.num_channels(arch, resolved)
         optical_mw, electrical_mw = required_laser_power_mw(
             insertion_loss_db=insertion_loss,
             pd_sensitivity_dbm=sensitivity,

@@ -148,8 +148,20 @@ class DataflowMapper:
         return n_iters * k_iters
 
     # -- main entry point ------------------------------------------------------------------
-    def map(self, workload: GEMMWorkload, arch: Architecture) -> Mapping:
-        """Map ``workload`` onto ``arch`` and return the mapping record."""
+    def map(
+        self,
+        workload: GEMMWorkload,
+        arch: Architecture,
+        dims: Optional[Dict[str, int]] = None,
+    ) -> Mapping:
+        """Map ``workload`` onto ``arch`` and return the mapping record.
+
+        ``dims`` are the architecture's resolved parallel extents (an
+        evaluation run reads them from its rule table); evaluated from the
+        dataflow rules when omitted.
+        """
+        if dims is None:
+            dims = arch.resolve().parallel_dims
         if self.cache is not None and self.cache.enabled:
             from repro.core.cache import workload_shape
             from repro.core.engine import structure_token
@@ -162,7 +174,6 @@ class DataflowMapper:
                 (token, self.max_integration_cycles),
                 lambda: (self._integration_limit(arch), arch.weight_reconfig_cycles()),
             )
-            dims = arch.dataflow.parallel_dims(arch.params)
             # Exempt from content addressing: the mapping reads only the GEMM's
             # shape and bitwidths, never its operand values, so the key is the
             # shape signature.  A hit built for another workload object is
@@ -186,16 +197,11 @@ class DataflowMapper:
             if mapping.workload is not workload:
                 mapping = dataclasses.replace(mapping, workload=workload)
             return mapping
-        return self._map_impl(workload, arch)
+        return self._map_impl(workload, arch, dims)
 
     def _map_impl(
-        self,
-        workload: GEMMWorkload,
-        arch: Architecture,
-        dims: Optional[Dict[str, int]] = None,
+        self, workload: GEMMWorkload, arch: Architecture, dims: Dict[str, int]
     ) -> Mapping:
-        if dims is None:
-            dims = arch.dataflow.parallel_dims(arch.params)
         m_par, n_par, k_par = dims["M"], dims["N"], dims["K"]
 
         m_iters = math.ceil(workload.m / m_par)

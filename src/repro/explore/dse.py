@@ -25,6 +25,7 @@ provides that loop on top of the staged :class:`~repro.core.engine.EvaluationEng
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -47,6 +48,7 @@ from repro.arch.architecture import Architecture, ArchitectureConfig
 from repro.core.cache import (
     CacheStats,
     EvaluationCache,
+    canonical_value,
     config_fingerprint,
     digest,
     fingerprint,
@@ -418,6 +420,12 @@ class DesignSpaceExplorer:
     :class:`ExplorationResult`.  Such backends require a picklable,
     module-level ``builder`` (every template builder in
     :mod:`repro.arch.templates` qualifies).
+
+    ``base_config`` and ``sim_config`` are snapshotted at construction: every
+    design point is evaluated against the snapshots and keyed on their
+    digests, so editing the caller's config objects afterwards changes
+    neither (build a new explorer to explore another base).  The
+    ``base_config``/``sim_config`` attributes return copies of the snapshots.
     """
 
     def __init__(
@@ -445,8 +453,8 @@ class DesignSpaceExplorer:
             raise ValueError("max_workers must be positive when given")
         self.builder = builder
         self.workloads = workloads
-        self.base_config = base_config or ArchitectureConfig()
-        self.sim_config = sim_config or SimulationConfig()
+        self._base_config = copy.deepcopy(base_config or ArchitectureConfig())
+        self._sim_config = copy.deepcopy(sim_config or SimulationConfig())
         if isinstance(cache, EvaluationCache):
             if cache_max_entries is not None:
                 raise ValueError("pass cache_max_entries or a pre-built cache, not both")
@@ -464,16 +472,43 @@ class DesignSpaceExplorer:
         self.max_workers = max_workers
         self._backend_spec = backend
         self._workloads_key = None
+        self._point_key_prefix: Optional[tuple] = None
         self._engine: Optional[EvaluationEngine] = None
-        self._builder_key = builder_key(builder)
+
+    @property
+    def base_config(self) -> ArchitectureConfig:
+        """A copy of the base architecture config snapshotted at construction."""
+        return copy.deepcopy(self._base_config)
+
+    @property
+    def sim_config(self) -> SimulationConfig:
+        """A copy of the simulation config snapshotted at construction."""
+        return copy.deepcopy(self._sim_config)
 
     def _config_for(self, overrides: Mapping[str, object]) -> ArchitectureConfig:
-        return dataclasses.replace(self.base_config, **overrides)
+        return dataclasses.replace(self._base_config, **overrides)
 
     def _workload_set_key(self) -> tuple:
         if self._workloads_key is None:
             self._workloads_key = tuple(workload_fingerprint(w) for w in self.workloads)
         return self._workloads_key
+
+    def _design_point_prefix(self) -> tuple:
+        """The canonical, sweep-constant part of every design-point key.
+
+        Computed once per explorer from the construction-time config snapshots,
+        so it always describes the configs the points are evaluated against.
+        """
+        if self._point_key_prefix is None:
+            self._point_key_prefix = fingerprint(
+                "design_point",
+                builder_key(self.builder),
+                config_fingerprint(self._base_config),
+                self._workload_set_key(),
+                config_fingerprint(self._sim_config),
+                self.accuracy.fingerprint() if self.accuracy is not None else None,
+            )
+        return self._point_key_prefix
 
     # -- single-point evaluation -----------------------------------------------------
     def evaluate(self, overrides: Mapping[str, object]) -> DesignPoint:
@@ -484,16 +519,11 @@ class DesignSpaceExplorer:
         """
         if not self.cache.enabled:
             return self._evaluate_config(self._config_for(overrides), overrides)
-        # Key on (base config, overrides) directly: on a hit the ArchitectureConfig
-        # is never even constructed.
-        key = fingerprint(
-            "design_point",
-            self._builder_key,
-            config_fingerprint(self.base_config),
-            tuple(sorted(overrides.items())),
-            self._workload_set_key(),
-            config_fingerprint(self.sim_config),
-            self.accuracy.fingerprint() if self.accuracy is not None else None,
+        # Key on the sweep-constant prefix plus the canonical override pairs:
+        # on a hit the ArchitectureConfig is never even constructed.
+        key = (
+            self._design_point_prefix(),
+            tuple((name, canonical_value(value)) for name, value in sorted(overrides.items())),
         )
         return self.cache.get_or_compute(
             "design_point",
@@ -511,7 +541,7 @@ class DesignSpaceExplorer:
         if engine is None:
             # One engine serves every design point (analyzers are stateless and
             # the cache is thread-safe); a benign race may build two, one wins.
-            engine = EvaluationEngine(arch, self.sim_config, cache=self.cache)
+            engine = EvaluationEngine(arch, self._sim_config, cache=self.cache)
             self._engine = engine
         result = engine.run_for(arch, self.workloads)
         link = next(iter(result.link_budgets.values()))
@@ -549,8 +579,8 @@ class DesignSpaceExplorer:
             "dse-exec-context",
             getattr(self.builder, "__module__", "?"),
             getattr(self.builder, "__qualname__", repr(self.builder)),
-            config_fingerprint(self.base_config),
-            config_fingerprint(self.sim_config),
+            config_fingerprint(self._base_config),
+            config_fingerprint(self._sim_config),
             self._workload_set_key(),
             self.cache.enabled,
             self.cache.max_entries,
@@ -572,8 +602,8 @@ class DesignSpaceExplorer:
         return _DesignTaskContext(
             key=key,
             builder=self.builder,
-            base_config=self.base_config,
-            sim_config=self.sim_config,
+            base_config=self._base_config,
+            sim_config=self._sim_config,
             workloads=workloads,
             cache_enabled=self.cache.enabled,
             cache_max_entries=self.cache.max_entries,

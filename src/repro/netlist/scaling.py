@@ -4,56 +4,34 @@ The paper expresses hardware sharing as "customizable symbolic expressions in ci
 description files", e.g. the TeMPO input encoders are scaled by ``R*H`` while the
 dot-product nodes are scaled by ``R*C*H*W`` and an MZI mesh's unitary nodes by
 ``R*C*H*(H-1)/2``.  :class:`ScalingRule` evaluates such expressions against the
-architecture parameters (``R``, ``C``, ``H``, ``W``, ``LAMBDA`` for wavelengths, ...)
-using a restricted arithmetic evaluator -- no arbitrary code execution.
+architecture parameters (``R``, ``C``, ``H``, ``W``, ``LAMBDA`` for wavelengths, ...).
+
+Each distinct expression is parsed, validated against a small arithmetic grammar
+(numbers, parameter names, ``+ - * / // % **``, unary ``+``/``-`` and the
+functions ``min``/``max``/``ceil``/``floor``/``abs``/``log2``/``sqrt``) and then
+*compiled*: the validated tree is lowered once into a Python function of the
+parameter mapping, in which every name reads ``float(p[name])``, every constant
+is a float and every call returns ``float(func(...))``.  That is the arithmetic
+of a tree walk over the same expression, in the same evaluation order, so
+results are identical to the last bit.  The function runs with empty
+``__builtins__`` and sees only the allowed functions -- no arbitrary code
+execution.  Compiled functions are shared through a bounded parse memo; rule
+results are not memoized (a call costs about as much as a memo lookup would).
+Rules pickle as their expression text and recompile on load.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-import operator
 import threading
-from typing import Mapping, Union
+from typing import Callable, Mapping, Tuple, Union
 
-#: Shared parse-tree memo: scaling expressions come from a small fixed template
-#: vocabulary, so repeated architecture builds (every design point of a sweep
-#: with caching off) reuse one parse.  The lock matters beyond speed:
-#: ``ast.parse`` is not thread-safe on CPython <= 3.11 (the AST constructor's
-#: recursion-depth counter is per-interpreter, not per-thread), so concurrent
-#: template builds on several threads intermittently died with ``SystemError:
-#: AST constructor recursion depth mismatch`` until parsing was serialized.
-_PARSE_LOCK = threading.Lock()
-_PARSE_MEMO: dict = {}
-_PARSE_MEMO_MAX = 4096
+_ALLOWED_BINOPS = frozenset(
+    {ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Pow, ast.Mod}
+)
 
-
-def _parse_expression(expression: str) -> ast.Expression:
-    tree = _PARSE_MEMO.get(expression)
-    if tree is None:
-        with _PARSE_LOCK:
-            tree = _PARSE_MEMO.get(expression)
-            if tree is None:
-                if len(_PARSE_MEMO) >= _PARSE_MEMO_MAX:  # bound pathological use
-                    _PARSE_MEMO.clear()
-                tree = ast.parse(expression, mode="eval")
-                _PARSE_MEMO[expression] = tree
-    return tree
-
-_ALLOWED_BINOPS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
-    ast.FloorDiv: operator.floordiv,
-    ast.Pow: operator.pow,
-    ast.Mod: operator.mod,
-}
-
-_ALLOWED_UNARYOPS = {
-    ast.UAdd: operator.pos,
-    ast.USub: operator.neg,
-}
+_ALLOWED_UNARYOPS = frozenset({ast.UAdd, ast.USub})
 
 _ALLOWED_FUNCS = {
     "min": min,
@@ -64,6 +42,105 @@ _ALLOWED_FUNCS = {
     "log2": math.log2,
     "sqrt": math.sqrt,
 }
+
+#: The only globals a compiled rule sees: ``float`` and the allowed functions,
+#: under names no parameter lookup can reach (parameters are read as ``p[...]``).
+_RULE_GLOBALS = {
+    "__builtins__": {},
+    "_float": float,
+    **{f"_f_{name}": func for name, func in _ALLOWED_FUNCS.items()},
+}
+
+#: Shared memo of compiled expressions: scaling expressions come from a small
+#: fixed template vocabulary, so repeated architecture builds (every design
+#: point of a sweep with caching off) reuse one parse and one compile.  The
+#: lock matters beyond speed: ``ast.parse`` is not thread-safe on CPython <=
+#: 3.11 (the AST constructor's recursion-depth counter is per-interpreter, not
+#: per-thread), so concurrent template builds on several threads intermittently
+#: died with ``SystemError: AST constructor recursion depth mismatch`` until
+#: parsing was serialized.
+_PARSE_LOCK = threading.Lock()
+_PARSE_MEMO: dict = {}
+_PARSE_MEMO_MAX = 4096
+
+CompiledRule = Tuple[Tuple[str, ...], Callable[[Mapping[str, float]], float]]
+
+
+def _validate(node: ast.AST, expression: str) -> None:
+    if isinstance(node, ast.Constant):
+        if not isinstance(node.value, (int, float)):
+            raise ValueError(f"only numeric constants allowed, got {node.value!r}")
+    elif isinstance(node, ast.Name):
+        return
+    elif isinstance(node, ast.BinOp):
+        if type(node.op) not in _ALLOWED_BINOPS:
+            raise ValueError(
+                f"operator {type(node.op).__name__} not allowed in scaling rule"
+            )
+        _validate(node.left, expression)
+        _validate(node.right, expression)
+    elif isinstance(node, ast.UnaryOp):
+        if type(node.op) not in _ALLOWED_UNARYOPS:
+            raise ValueError(
+                f"operator {type(node.op).__name__} not allowed in scaling rule"
+            )
+        _validate(node.operand, expression)
+    elif isinstance(node, ast.Call):
+        if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_FUNCS:
+            raise ValueError(
+                "only min/max/ceil/floor/abs/log2/sqrt calls allowed in scaling rules"
+            )
+        if node.keywords:
+            raise ValueError("keyword arguments not allowed in scaling rules")
+        for arg in node.args:
+            _validate(arg, expression)
+    else:
+        raise ValueError(
+            f"unsupported syntax {type(node).__name__!r} in scaling rule {expression!r}"
+        )
+
+
+def _lower(node: ast.AST, variables: set) -> ast.expr:
+    """The validated ``node`` as float arithmetic over the mapping ``p``."""
+    if isinstance(node, ast.Constant):
+        return ast.Constant(float(node.value))
+    if isinstance(node, ast.Name):
+        variables.add(node.id)
+        lookup = ast.Subscript(ast.Name("p", ast.Load()), ast.Constant(node.id), ast.Load())
+        return ast.Call(ast.Name("_float", ast.Load()), [lookup], [])
+    if isinstance(node, ast.BinOp):
+        return ast.BinOp(_lower(node.left, variables), node.op, _lower(node.right, variables))
+    if isinstance(node, ast.UnaryOp):
+        return ast.UnaryOp(node.op, _lower(node.operand, variables))
+    func = ast.Name(f"_f_{node.func.id}", ast.Load())  # type: ignore[union-attr]
+    call = ast.Call(func, [_lower(arg, variables) for arg in node.args], [])
+    return ast.Call(ast.Name("_float", ast.Load()), [call], [])
+
+
+def _compile(expression: str) -> CompiledRule:
+    """Parse, validate and compile ``expression`` (call under ``_PARSE_LOCK``)."""
+    body = ast.parse(expression, mode="eval").body
+    _validate(body, expression)
+    variables: set = set()
+    lowered = _lower(body, variables)
+    args = ast.arguments(
+        posonlyargs=[], args=[ast.arg("p")], kwonlyargs=[], kw_defaults=[], defaults=[]
+    )
+    tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(args, lowered)))
+    code = compile(tree, f"<scaling rule {expression!r}>", "eval")
+    return tuple(sorted(variables)), eval(code, _RULE_GLOBALS)  # a validated tree, empty builtins
+
+
+def _compiled(expression: str) -> CompiledRule:
+    compiled = _PARSE_MEMO.get(expression)
+    if compiled is None:
+        with _PARSE_LOCK:
+            compiled = _PARSE_MEMO.get(expression)
+            if compiled is None:
+                if len(_PARSE_MEMO) >= _PARSE_MEMO_MAX:  # bound pathological use
+                    _PARSE_MEMO.clear()
+                compiled = _PARSE_MEMO[expression] = _compile(expression)
+    return compiled
 
 
 class ScalingRule:
@@ -88,68 +165,12 @@ class ScalingRule:
             raise TypeError(
                 f"expression must be str or number, got {type(expression).__name__}"
             )
-        # Parse eagerly so malformed expressions fail at definition time.  The
-        # returned tree is shared and treated as read-only (validation and
-        # evaluation only walk it).
-        self._tree = _parse_expression(self.expression)
-        self._validate(self._tree.body)
-        variables: set = set()
-        self._collect_variables(self._tree.body, variables)
-        self._variables = tuple(sorted(variables))
-        # Memo of evaluate() results keyed by the referenced parameter values --
-        # rules are evaluated with the same handful of parameter combinations
-        # over and over during analysis sweeps.
-        self._eval_memo: dict = {}
+        # Compile eagerly so malformed expressions fail at definition time.
+        self._variables, self._fn = _compiled(self.expression)
 
-    # -- validation ------------------------------------------------------------
-    def _validate(self, node: ast.AST) -> None:
-        if isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
-                raise ValueError(
-                    f"only numeric constants allowed, got {node.value!r}"
-                )
-        elif isinstance(node, ast.Name):
-            return
-        elif isinstance(node, ast.BinOp):
-            if type(node.op) not in _ALLOWED_BINOPS:
-                raise ValueError(
-                    f"operator {type(node.op).__name__} not allowed in scaling rule"
-                )
-            self._validate(node.left)
-            self._validate(node.right)
-        elif isinstance(node, ast.UnaryOp):
-            if type(node.op) not in _ALLOWED_UNARYOPS:
-                raise ValueError(
-                    f"operator {type(node.op).__name__} not allowed in scaling rule"
-                )
-            self._validate(node.operand)
-        elif isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_FUNCS:
-                raise ValueError(
-                    "only min/max/ceil/floor/abs/log2/sqrt calls allowed in scaling rules"
-                )
-            if node.keywords:
-                raise ValueError("keyword arguments not allowed in scaling rules")
-            for arg in node.args:
-                self._validate(arg)
-        else:
-            raise ValueError(
-                f"unsupported syntax {type(node).__name__!r} in scaling rule "
-                f"{self.expression!r}"
-            )
-
-    def _collect_variables(self, node: ast.AST, out: set) -> None:
-        """Names referenced as parameters (call targets like ``max`` excluded)."""
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.BinOp):
-            self._collect_variables(node.left, out)
-            self._collect_variables(node.right, out)
-        elif isinstance(node, ast.UnaryOp):
-            self._collect_variables(node.operand, out)
-        elif isinstance(node, ast.Call):
-            for arg in node.args:
-                self._collect_variables(arg, out)
+    def __reduce__(self):
+        # The compiled function does not pickle; the expression rebuilds it.
+        return (ScalingRule, (self.expression,))
 
     @property
     def variables(self) -> tuple:
@@ -157,47 +178,17 @@ class ScalingRule:
         return self._variables
 
     # -- evaluation ------------------------------------------------------------
-    def _eval(self, node: ast.AST, params: Mapping[str, float]) -> float:
-        if isinstance(node, ast.Constant):
-            return float(node.value)
-        if isinstance(node, ast.Name):
-            try:
-                return float(params[node.id])
-            except KeyError:
-                known = ", ".join(sorted(params))
-                raise KeyError(
-                    f"scaling rule {self.expression!r} references unknown parameter "
-                    f"{node.id!r}; available: {known}"
-                ) from None
-        if isinstance(node, ast.BinOp):
-            return _ALLOWED_BINOPS[type(node.op)](
-                self._eval(node.left, params), self._eval(node.right, params)
-            )
-        if isinstance(node, ast.UnaryOp):
-            return _ALLOWED_UNARYOPS[type(node.op)](self._eval(node.operand, params))
-        if isinstance(node, ast.Call):
-            func = _ALLOWED_FUNCS[node.func.id]  # type: ignore[union-attr]
-            return float(func(*(self._eval(arg, params) for arg in node.args)))
-        raise AssertionError(f"unvalidated node {node!r}")  # pragma: no cover
-
     def evaluate(self, params: Mapping[str, float]) -> float:
-        """Evaluate the expression with the given architecture parameters.
-
-        Results are memoized per referenced-parameter values: analyses evaluate
-        the same rule with the same handful of parameter combinations many times
-        per run (and design-space sweeps many times per sweep).
-        """
+        """Evaluate the expression with the given architecture parameters."""
         try:
-            key = tuple(params[name] for name in self._variables)
-        except KeyError:
-            # Missing parameter: fall through for the detailed _eval error.
-            return self._eval(self._tree.body, params)
-        cached = self._eval_memo.get(key)
-        if cached is None:
-            if len(self._eval_memo) >= 4096:  # bound pathological sweeps
-                self._eval_memo.clear()
-            cached = self._eval_memo[key] = self._eval(self._tree.body, params)
-        return cached
+            return self._fn(params)
+        except KeyError as exc:
+            missing = exc.args[0] if exc.args else None
+            known = ", ".join(sorted(params))
+            raise KeyError(
+                f"scaling rule {self.expression!r} references unknown parameter "
+                f"{missing!r}; available: {known}"
+            ) from None
 
     def count(self, params: Mapping[str, float]) -> int:
         """Evaluate and round up to an integer instance count (never negative)."""

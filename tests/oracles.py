@@ -15,17 +15,38 @@ replaced, each kept verbatim so the rewrite can be checked bit for bit:
   -- ``np.round(v / scale) * scale`` with an ``np.abs`` peak;
 - :func:`gelu_reference` -- the tanh GELU with ``x**3``;
 - :func:`zero_fraction_reference` -- ``GEMMWorkload`` sparsity as a mean.
+
+And the analysis loops that the per-run rule table and the energy plan
+replaced, which re-evaluate every scaling rule where they need it:
+
+- :func:`eval_tree` -- the recursive tree walk over a scaling expression's
+  AST that compiled :class:`~repro.netlist.scaling.ScalingRule` functions
+  replaced;
+- :func:`energy_report_reference` -- ``EnergyAnalyzer.analyze`` as one loop
+  over the energy instances;
+- :func:`area_report_reference` -- ``AreaAnalyzer.analyze`` as one loop over
+  the area instances.
 """
 
 from __future__ import annotations
 
+import ast
 import math
-from typing import Optional, Tuple
+import operator
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.arch.architecture import Architecture
+from repro.arch.instance import Activity, Role
+from repro.core.area import AreaAnalyzer, AreaReport
+from repro.core.energy import EnergyAnalyzer, EnergyReport
+from repro.core.link_budget import LinkBudgetReport
+from repro.core.memory_analyzer import MemoryReport
+from repro.core.report import component_label
 from repro.core.snr import SNRReport
 from repro.dataflow.gemm import GEMMWorkload
+from repro.dataflow.mapping import Mapping as GEMMMapping
 from repro.onn.layers import Conv2d
 from repro.variation.accuracy import (
     AccuracyReport,
@@ -168,3 +189,175 @@ def zero_fraction_reference(gemm: GEMMWorkload) -> float:
     if gemm.weight_values is not None:
         return float(np.mean(gemm.weight_values == 0.0))
     return 0.0
+
+
+_BINOPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.FloorDiv: operator.floordiv,
+    ast.Pow: operator.pow,
+    ast.Mod: operator.mod,
+}
+_UNARYOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_FUNCS = {
+    "min": min,
+    "max": max,
+    "ceil": math.ceil,
+    "floor": math.floor,
+    "abs": abs,
+    "log2": math.log2,
+    "sqrt": math.sqrt,
+}
+
+
+def eval_tree(expression: str, params: Mapping[str, float]) -> float:
+    """Evaluate a (valid) scaling expression by walking its AST.
+
+    The same missing-parameter ``KeyError`` message as ``ScalingRule.evaluate``.
+    """
+
+    def walk(node: ast.AST) -> float:
+        if isinstance(node, ast.Constant):
+            return float(node.value)
+        if isinstance(node, ast.Name):
+            try:
+                return float(params[node.id])
+            except KeyError:
+                known = ", ".join(sorted(params))
+                raise KeyError(
+                    f"scaling rule {expression!r} references unknown parameter "
+                    f"{node.id!r}; available: {known}"
+                ) from None
+        if isinstance(node, ast.BinOp):
+            return _BINOPS[type(node.op)](walk(node.left), walk(node.right))
+        if isinstance(node, ast.UnaryOp):
+            return _UNARYOPS[type(node.op)](walk(node.operand))
+        if isinstance(node, ast.Call):
+            func = _FUNCS[node.func.id]
+            return float(func(*(walk(arg) for arg in node.args)))
+        raise AssertionError(f"unvalidated node {node!r}")
+
+    return walk(ast.parse(expression, mode="eval").body)
+
+
+def energy_report_reference(
+    analyzer: EnergyAnalyzer,
+    arch: Architecture,
+    mapping: GEMMMapping,
+    link_budget: Optional[LinkBudgetReport] = None,
+    memory_energy_pj: float = 0.0,
+    memory_static_power_mw: float = 0.0,
+    data_aware: Optional[bool] = None,
+) -> EnergyReport:
+    """``EnergyAnalyzer.analyze`` as a per-instance loop re-evaluating every rule."""
+    data_aware = analyzer.config.data_aware if data_aware is None else data_aware
+    params = dict(arch.params)
+    params.update(mapping.params_overlay())
+    total_time_ns = mapping.total_time_ns
+    compute_time_ns = mapping.compute_time_ns
+    active_cycles = mapping.compute_cycles
+    cycle_ns = 1.0 / mapping.frequency_ghz
+    workload = mapping.workload
+    sparsity = workload.sparsity if data_aware else 0.0
+
+    breakdown: Dict[str, float] = {}
+
+    def add(label: str, energy_pj: float) -> None:
+        if energy_pj <= 0:
+            return
+        breakdown[label] = breakdown.get(label, 0.0) + energy_pj
+
+    def device_power(inst, device) -> float:
+        if not (data_aware and inst.data_dependent):
+            return device.nominal_power_mw()
+        return analyzer._data_power_mw(device, inst, mapping)
+
+    if link_budget is not None:
+        add("Laser", link_budget.total_laser_electrical_power_mw * compute_time_ns)
+
+    for inst in arch.instances:
+        if not inst.count_in_energy:
+            continue
+        if inst.role is Role.LIGHT_SOURCE and link_budget is not None:
+            continue
+        if inst.activity is Activity.PASSIVE:
+            continue
+        count = inst.instance_count(params)
+        if count == 0:
+            continue
+        device = arch.library.get(inst.device)
+        label = component_label(inst)
+        duty = inst.duty_factor(params)
+
+        if inst.activity is Activity.STATIC:
+            gating = 1.0
+            if data_aware and inst.operand == "B":
+                gating = max(0.0, 1.0 - sparsity)
+            power = device_power(inst, device)
+            add(label, count * power * duty * gating * compute_time_ns)
+
+        elif inst.activity is Activity.PER_CYCLE:
+            activity_scale = duty
+            if analyzer.config.include_idle_gating:
+                activity_scale *= mapping.utilization
+            if data_aware and inst.role is Role.WEIGHT_ENCODER:
+                activity_scale *= max(0.0, 1.0 - sparsity)
+            power = device_power(inst, device)
+            energy_per_cycle = power * cycle_ns + device.energy_per_op_pj
+            add(label, count * energy_per_cycle * active_cycles * activity_scale)
+
+        elif inst.activity is Activity.PER_RECONFIG:
+            events = mapping.reconfig_events * mapping.forwards
+            if events == 0:
+                continue
+            write_energy = float(
+                device.spec.extra.get("write_energy_pj", device.energy_per_op_pj)
+            )
+            scale = 1.0
+            if data_aware:
+                scale = max(0.0, 1.0 - sparsity)
+            add(label, count * events * write_energy * scale)
+
+    add("DM", memory_energy_pj + memory_static_power_mw * compute_time_ns)
+    return EnergyReport(
+        breakdown_pj=breakdown, total_time_ns=total_time_ns, data_aware=data_aware
+    )
+
+
+def area_report_reference(
+    analyzer: AreaAnalyzer,
+    arch: Architecture,
+    memory_report: Optional[MemoryReport] = None,
+    layout_aware: Optional[bool] = None,
+) -> AreaReport:
+    """``AreaAnalyzer.analyze`` as a per-instance loop re-evaluating every count."""
+    layout_aware = (
+        analyzer.config.use_layout_aware_area if layout_aware is None else layout_aware
+    )
+    node_area, node_naive = analyzer.node_areas(arch, layout_aware)
+    params = arch.params
+    breakdown: Dict[str, float] = {}
+    for inst in arch.instances:
+        if not inst.count_in_area:
+            continue
+        count = inst.instance_count(params)
+        if count == 0:
+            continue
+        if inst.is_composite:
+            unit_area = node_area
+        else:
+            unit_area = arch.library.get(inst.device).area_um2
+        label = component_label(inst)
+        breakdown[label] = breakdown.get(label, 0.0) + unit_area * count
+    memory_area = 0.0
+    if memory_report is not None and analyzer.config.include_memory:
+        memory_area = memory_report.onchip_area_mm2
+    return AreaReport(
+        breakdown_um2=breakdown,
+        node_area_um2=node_area,
+        node_area_naive_um2=node_naive,
+        memory_area_mm2=memory_area,
+        layout_aware=layout_aware,
+    )

@@ -127,3 +127,54 @@ class TestExplorer:
     def test_rejects_non_workload_objects(self):
         with pytest.raises(TypeError):
             DesignSpaceExplorer(build_tempo, ["not a workload"])
+
+
+class TestConfigSnapshot:
+    """An explorer evaluates and keys its points on construction-time config
+    snapshots, so editing the caller's config afterwards can never make a
+    memoized point disagree with a fresh evaluation."""
+
+    def test_mutated_base_config_serves_no_stale_point(self):
+        from repro.scenarios.workloads import large_grid_workloads
+
+        workloads = large_grid_workloads(11)
+        cfg = ArchitectureConfig()
+        cached = DesignSpaceExplorer(build_tempo, workloads, base_config=cfg)
+        uncached = DesignSpaceExplorer(build_tempo, workloads, base_config=cfg, cache=False)
+        before = cached.evaluate({"num_tiles": 2})
+        assert before.latency_ns == pytest.approx(1472921.6)
+        cfg.frequency_ghz = 10.0
+        # Key and evaluated config agree: the cached point equals a fresh
+        # (uncached) evaluation of the same explorer.
+        assert cached.evaluate({"num_tiles": 2}) == before
+        assert uncached.evaluate({"num_tiles": 2}) == before
+        assert cached.base_config.frequency_ghz == 5.0
+        # The edit takes effect through a new explorer.
+        fresh = DesignSpaceExplorer(build_tempo, workloads, base_config=cfg)
+        assert fresh.evaluate({"num_tiles": 2}).latency_ns == pytest.approx(896204.8)
+
+    def test_mutated_sim_config_serves_no_stale_point(self):
+        from repro.core.config import SimulationConfig
+
+        workloads = [GEMMWorkload("g", m=64, k=16, n=64)]
+        sim = SimulationConfig()
+        cached = DesignSpaceExplorer(build_tempo, workloads, sim_config=sim)
+        uncached = DesignSpaceExplorer(build_tempo, workloads, sim_config=sim, cache=False)
+        before = cached.evaluate({"num_tiles": 2})
+        sim.include_memory = False
+        assert cached.evaluate({"num_tiles": 2}) == before
+        assert uncached.evaluate({"num_tiles": 2}) == before
+        fresh = DesignSpaceExplorer(build_tempo, workloads, sim_config=sim)
+        assert fresh.evaluate({"num_tiles": 2}).energy_uj < before.energy_uj
+
+    def test_config_attributes_are_copies(self):
+        workloads = [GEMMWorkload("g", m=64, k=16, n=64)]
+        explorer = DesignSpaceExplorer(build_tempo, workloads)
+        before = explorer.evaluate({"num_tiles": 1})
+        explorer.base_config.frequency_ghz = 10.0
+        explorer.sim_config.include_memory = False
+        assert explorer.base_config.frequency_ghz == 5.0
+        assert explorer.sim_config.include_memory is True
+        assert DesignSpaceExplorer(build_tempo, workloads, cache=False).evaluate(
+            {"num_tiles": 1}
+        ) == explorer.evaluate({"num_tiles": 1}) == before
