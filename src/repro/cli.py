@@ -34,8 +34,6 @@ from repro.scenarios import (
 )
 from repro.scenarios.bench import (
     DEFAULT_BENCH_PATH,
-    bench_cluster_scaling,
-    bench_dispatch_comparison,
     bench_scenarios,
     check_speedups,
     write_bench_report,
@@ -183,27 +181,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _parse_worker_counts(text: str) -> List[int]:
-    """``"1,2,4"`` -> ``[1, 2, 4]`` with a clean usage error on garbage."""
-    counts: List[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            value = int(part)
-        except ValueError:
-            raise SystemExit(
-                f"error: --cluster-workers expects comma-separated counts, got {text!r}"
-            ) from None
-        if value < 1:
-            raise SystemExit(f"error: worker counts must be >= 1, got {value}")
-        counts.append(value)
-    if not counts:
-        raise SystemExit("error: --cluster-workers needs at least one count")
-    return counts
-
-
 def _parse_fail_below(pairs: Sequence[str]) -> Dict[str, float]:
     thresholds: Dict[str, float] = {}
     for pair in pairs:
@@ -249,19 +226,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "error: --fail-below-ref needs a non-reference mode; add "
             "--rng philox and/or --dtype float32"
         )
-    cluster_workers = _parse_worker_counts(args.cluster_workers)
-    if args.cluster and args.cluster not in names:
-        raise SystemExit(
-            f"error: --cluster scenario not selected: {args.cluster}"
-        )
-    if args.fail_below_dispatch is not None and not args.compare_dispatch:
-        raise SystemExit(
-            "error: --fail-below-dispatch requires --compare-dispatch"
-        )
-    if args.compare_dispatch and args.compare_dispatch not in names:
-        raise SystemExit(
-            f"error: --compare-dispatch scenario not selected: {args.compare_dispatch}"
-        )
     payload = bench_scenarios(
         names,
         repeats=args.repeats,
@@ -270,25 +234,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         rng=args.rng,
         dtype=args.dtype,
     )
-    if args.cluster:
-        payload["cluster_scaling"] = bench_cluster_scaling(
-            args.cluster,
-            worker_counts=cluster_workers,
-            repeats=args.repeats,
-            warmup=args.warmup,
-            params=_parse_params(args.param),
-            rng=args.rng,
-            dtype=args.dtype,
-        )
-    if args.compare_dispatch:
-        payload["dispatch_comparison"] = bench_dispatch_comparison(
-            args.compare_dispatch,
-            repeats=args.repeats,
-            warmup=args.warmup,
-            params=_parse_params(args.param),
-            rng=args.rng,
-            dtype=args.dtype,
-        )
     rows = []
     for name in names:
         entry = payload["scenarios"][name]
@@ -322,42 +267,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             rows,
         )
     )
-    if args.cluster:
-        scaling = payload["cluster_scaling"]
-        serial_ms = scaling["serial"]["median_s"] * 1e3
-        print(f"\ncluster scaling for {args.cluster} (serial {serial_ms:.1f} ms):")
-        for count, centry in sorted(
-            scaling["cluster"].items(), key=lambda kv: int(kv[0])
-        ):
-            print(
-                f"  {count} worker(s): {centry['median_s'] * 1e3:.1f} ms "
-                f"({centry['speedup_vs_serial_median']:.2f}x vs serial)"
-            )
-    if args.compare_dispatch:
-        dispatch = payload["dispatch_comparison"]
-        serial_ms = dispatch["serial"]["median_s"] * 1e3
-        print(
-            f"\ndispatch comparison for {args.compare_dispatch} "
-            f"(serial {serial_ms:.1f} ms):"
-        )
-        for label, dentry in dispatch["dispatch"].items():
-            print(
-                f"  {label:9s} {dentry['median_s'] * 1e3:8.1f} ms "
-                f"({dentry['speedup_vs_serial_median']:.2f}x vs serial, "
-                f"dispatch overhead {dentry['dispatch_overhead_s'] * 1e3:.1f} ms)"
-            )
     target = write_bench_report(payload, args.output)
     print(f"\nwrote {target}", file=sys.stderr)
     failures = check_speedups(payload, ref_thresholds)
-    if args.fail_below_dispatch is not None:
-        warm = payload["dispatch_comparison"]["dispatch"]["warm_shm"]
-        ratio = warm["speedup_vs_serial_median"]
-        if ratio < args.fail_below_dispatch:
-            failures.append(
-                f"{args.compare_dispatch}: warm+shm process dispatch at "
-                f"{ratio:.2f}x of serial, below the required "
-                f"{args.fail_below_dispatch:.2f}x"
-            )
     for failure in failures:
         print(f"SPEEDUP CHECK FAILED {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -596,27 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                          help="override a scenario parameter for every "
                               "benchmarked scenario (repeatable)")
-    p_bench.add_argument("--cluster", metavar="SCENARIO", default=None,
-                         help="additionally time SCENARIO on localhost clusters "
-                              "(fresh coordinator + spawned workers per count) "
-                              "and record workers-vs-wall-clock scaling in the "
-                              "report's cluster_scaling block")
-    p_bench.add_argument("--cluster-workers", default="1,2", metavar="N,M,...",
-                         help="comma-separated cluster sizes for --cluster "
-                              "(default: 1,2)")
-    p_bench.add_argument("--compare-dispatch", nargs="?", metavar="SCENARIO",
-                         const="variation_robustness", default=None,
-                         help="additionally time SCENARIO (default: "
-                              "variation_robustness) on the process backend "
-                              "under cold-pool, warm-pool and warm+shm "
-                              "dispatch and record medians plus dispatch-"
-                              "overhead stage timings in the report's "
-                              "dispatch_comparison block")
-    p_bench.add_argument("--fail-below-dispatch", type=float, default=None,
-                         metavar="FACTOR",
-                         help="exit non-zero when the warm+shm process-backend "
-                              "run is slower than FACTOR x serial (requires "
-                              "--compare-dispatch)")
     p_bench.add_argument("--output", default=DEFAULT_BENCH_PATH, metavar="PATH",
                          help=f"report path (default: {DEFAULT_BENCH_PATH}, an "
                               "untracked scratch file; name a BENCH_*.json "

@@ -642,8 +642,7 @@ class MonteCarloAccuracyPass(EnginePass):
     (architecture-derived link operating point + DAC/ADC bits, noise spec,
     model, inputs, trials, seed) triple, so re-evaluating an unchanged
     (arch, noise-spec, workload) combination is a single cache hit.  Fresh
-    studies fan their independent trials out over the request's execution
-    backend (:mod:`repro.exec`); results are backend-invariant by construction.
+    studies run in process (:func:`~repro.variation.montecarlo.run_monte_carlo`).
     """
 
     name = "mc_accuracy"

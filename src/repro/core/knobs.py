@@ -273,9 +273,9 @@ register(
     "REPRO_SHM",
     default="on",
     choices=("on", "off"),
-    description="Shared-memory array transport for task-shipping backends: "
-    "large arrays are published once per host and task encodings carry "
-    "content-addressed handles instead of pickled copies.",
+    description="Shared-memory payload transport for task-shipping backends: "
+    "large round contexts are published once per host and task encodings "
+    "carry content-addressed handles instead of pickled copies.",
 )
 register(
     "REPRO_CACHE_MAX_ENTRIES",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.arch.architecture import Architecture
 from repro.arch.dataflow_spec import Dataflow
@@ -136,6 +136,10 @@ class DataflowMapper:
                 return max(1, device.max_integration_cycles)
         return 1
 
+    def _limits(self, arch: Architecture) -> Tuple[int, int]:
+        """``(integration limit, weight reconfig cycles)``: device scans only."""
+        return self._integration_limit(arch), arch.weight_reconfig_cycles()
+
     def _reconfig_events(self, arch: Architecture, m_iters: int, n_iters: int, k_iters: int,
                          workload: GEMMWorkload) -> int:
         """Number of stationary-operand reloads over the GEMM."""
@@ -172,7 +176,7 @@ class DataflowMapper:
             limits = self.cache.get_or_compute(
                 "mapper_limits",
                 (token, self.max_integration_cycles),
-                lambda: (self._integration_limit(arch), arch.weight_reconfig_cycles()),
+                lambda: self._limits(arch),
             )
             # Exempt from content addressing: the mapping reads only the GEMM's
             # shape and bitwidths, never its operand values, so the key is the
@@ -192,15 +196,19 @@ class DataflowMapper:
                 arch.frequency_ghz,
             )
             mapping = self.cache.get_or_compute(
-                "map", key, lambda: self._map_impl(workload, arch, dims)
+                "map", key, lambda: self._map_impl(workload, arch, dims, limits)
             )
             if mapping.workload is not workload:
                 mapping = dataclasses.replace(mapping, workload=workload)
             return mapping
-        return self._map_impl(workload, arch, dims)
+        return self._map_impl(workload, arch, dims, self._limits(arch))
 
     def _map_impl(
-        self, workload: GEMMWorkload, arch: Architecture, dims: Dict[str, int]
+        self,
+        workload: GEMMWorkload,
+        arch: Architecture,
+        dims: Dict[str, int],
+        limits: Tuple[int, int],
     ) -> Mapping:
         m_par, n_par, k_par = dims["M"], dims["N"], dims["K"]
 
@@ -209,11 +217,11 @@ class DataflowMapper:
         k_iters = math.ceil(workload.k / k_par)
         compute_cycles = m_iters * n_iters * k_iters
 
-        integration_limit = self._integration_limit(arch)
+        integration_limit, reconfig_cycles = limits
         temporal_accumulation = max(1, min(integration_limit, k_iters))
 
         reconfig_events = self._reconfig_events(arch, m_iters, n_iters, k_iters, workload)
-        reconfig_cycles_per_event = arch.weight_reconfig_cycles() if reconfig_events else 0
+        reconfig_cycles_per_event = reconfig_cycles if reconfig_events else 0
 
         forwards = arch.forwards_per_output
 

@@ -30,11 +30,8 @@ from repro.exec.pool import pool_mode, pool_status, stop_pools
 from repro.exec.shm import (
     ShmHandle,
     active_segments,
-    as_array,
     as_object,
-    publish_array,
     publish_object,
-    resolve_array,
     resolve_object,
     set_fetch_hook,
     shm_enabled,
@@ -75,7 +72,6 @@ __all__ = [
     "WorkerTelemetry",
     "active_segments",
     "applied_env_snapshot",
-    "as_array",
     "as_object",
     "available_cpus",
     "cache_stats_delta",
@@ -87,11 +83,9 @@ __all__ = [
     "parse_address",
     "pool_mode",
     "pool_status",
-    "publish_array",
     "publish_object",
     "render_pass_timings",
     "repro_env_snapshot",
-    "resolve_array",
     "resolve_backend",
     "resolve_object",
     "run_worker",

@@ -67,7 +67,6 @@ def steal_partition(
     count: int,
     workers: int,
     min_chunk: int = 1,
-    cap: Optional[int] = None,
     factor: int = 4,
 ) -> List[List[int]]:
     """Size-tiered contiguous chunks for completion-driven (work-stealing) pools.
@@ -80,8 +79,7 @@ def steal_partition(
     a pure function of its arguments and the chunks concatenate to
     ``range(count)``, so every backend shards identically-seeded work the same
     way and reassembling results by chunk position is byte-identical to serial
-    no matter which worker pulled which chunk.  ``cap`` bounds chunk length
-    (e.g. a trial-batch working-set cap).
+    no matter which worker pulled which chunk.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
@@ -89,27 +87,19 @@ def steal_partition(
         raise ValueError(f"workers must be positive, got {workers}")
     if min_chunk < 1:
         raise ValueError(f"min_chunk must be positive, got {min_chunk}")
-    if cap is not None and cap < 1:
-        raise ValueError(f"cap must be positive when given, got {cap}")
     if factor < 1:
         raise ValueError(f"factor must be positive, got {factor}")
     if count == 0:
         return []
     if workers == 1:
         # Stealing needs at least two consumers; with one, minimizing dispatch
-        # round-trips wins, so emit the coarsest chunks the cap allows.
-        size = count if cap is None else cap
-        return [
-            list(range(start, min(start + size, count)))
-            for start in range(0, count, size)
-        ]
+        # round-trips wins, so emit one chunk.
+        return [list(range(count))]
     chunks: List[List[int]] = []
     start = 0
     remaining = count
     while remaining:
         size = max(min_chunk, math.ceil(remaining / (workers * factor)))
-        if cap is not None:
-            size = min(size, cap)
         size = min(size, remaining)
         chunks.append(list(range(start, start + size)))
         start += size

@@ -5,15 +5,15 @@ module.  :class:`ClusterBackend` serves workers that connect over TCP from
 this host or any other; :class:`ProcessBackend` forks local workers that
 speak the same protocol over ``socket.socketpair()``.  Either way one
 :class:`ClusterCoordinator` chunks each ``map_tasks`` round, ships the
-picklable task encodings with each round's context, returns worker stage
-totals and requeues the chunks of a dead worker -- so DSE design grids, Monte
-Carlo trial chunks and whole batch scenarios shard the same way on one
-machine or many, with zero changes to the consumers.  Determinism is
-preserved by construction: tasks are dispatched in contiguous chunks whose
-results are reassembled in submission order, and the per-trial
-SeedSequence/Philox contracts derive every trial's randomness from ``(seed,
-trial index)`` alone -- a shipped run is byte-identical to a serial one no
-matter which worker computed which chunk.
+picklable task encodings with each round's context and requeues the chunks
+of a dead worker -- so DSE design-point groups and whole batch scenarios
+shard the same way on one machine or many, with zero changes to the
+consumers.  Determinism is preserved by construction: tasks are dispatched in
+contiguous chunks whose results are reassembled in submission order, and
+every task is a pure function of its encoding (Monte Carlo studies inside a
+task derive each trial's randomness from ``(seed, trial index)`` alone) -- a
+shipped run is byte-identical to a serial one no matter which worker
+computed which chunk.
 
 Topology
 --------
@@ -21,7 +21,7 @@ Topology
 - A **cluster coordinator** is embedded in the backend: the first
   :class:`ClusterBackend` bound to ``(host, port)`` starts a process-wide
   coordinator with a TCP listener (shared by every later backend instance in
-  the process, so one `repro run` with many Monte Carlo studies reuses one
+  the process, so one `repro run` with many dispatch rounds reuses one
   worker fleet) that accepts workers and schedules rounds.
 - **Cluster workers** are separate processes -- on this host or any other
   that can reach the coordinator -- started with ``repro worker --connect
@@ -43,12 +43,9 @@ Frames are ``8-byte big-endian length + pickle``.  The worker opens with
 ``("reject", reason)`` and closes, otherwise ``("welcome", options)``.  Each
 ``map_tasks`` round ships its pickled ``(fn, shared)`` payload once to each
 worker that takes one of its chunks (``("context", round, blob)``, which
-supersedes every earlier context), then ``("task", round, chunk_id, tasks,
-want_stages)`` messages; workers answer ``("result", round, chunk_id,
-results, stage_totals)`` -- ``stage_totals`` carries the worker-side
-:class:`~repro.variation.stages.StageAccumulator` snapshot when the
-coordinator asked for it, so stage attribution survives the host boundary --
-or ``("error", ...)`` with the remote traceback.  A worker resolving a
+supersedes every earlier context), then ``("task", round, chunk_id, tasks)``
+messages; workers answer ``("result", round, chunk_id, results)`` or
+``("error", ...)`` with the remote traceback.  A worker resolving a
 :class:`~repro.exec.shm.ShmHandle` it cannot see locally (a cross-host
 segment) sends ``("fetch", digest)`` and the coordinator answers ``("blob",
 digest, bytes)``; fetched payloads are cached per worker by digest, so each
@@ -104,8 +101,9 @@ from repro.exec.backends import (
 #: ``fetch``/``blob`` shared-memory fallback transfer; ``/3`` cached contexts
 #: by digest on the workers; ``/4`` dropped that cache (large payloads are
 #: already content-addressed by :mod:`repro.exec.shm`) and ships each round's
-#: context frame as ``("context", round, blob)``.
-PROTOCOL = "repro-cluster/4"
+#: context frame as ``("context", round, blob)``; ``/5`` dropped the stage
+#: totals from task and result frames (Monte Carlo studies run in process).
+PROTOCOL = "repro-cluster/5"
 
 #: Environment knobs the backend resolves its defaults from, so
 #: ``--backend cluster`` / ``--param backend=cluster`` need no code changes.
@@ -274,13 +272,6 @@ class _Round:
         self.error: Optional[BaseException] = None
         self.max_attempts = max_attempts
         self.context_workers: set = set()
-        #: Whether workers should ship their StageAccumulator snapshots back
-        #: (set when the dispatching parent has stage observers registered).
-        self.want_stages = False
-        #: Worker-side stage totals, folded across chunks as results land --
-        #: only the *first* result of a reassigned chunk counts, so totals
-        #: stay attribution-exact under fault-tolerant re-execution.
-        self.stage_totals: Dict[str, float] = {}
 
     @property
     def finished(self) -> bool:
@@ -446,7 +437,7 @@ class ClusterCoordinator:
                     if kind == "heartbeat":
                         continue
                     if kind == "result":
-                        _, round_id, chunk_id, results, stage_totals = frame
+                        _, round_id, chunk_id, results = frame
                         rnd = self._round
                         if (
                             rnd is not None
@@ -455,11 +446,6 @@ class ClusterCoordinator:
                         ):
                             rnd.results[chunk_id] = results
                             rnd.inflight.pop(chunk_id, None)
-                            if stage_totals:
-                                for sname, seconds in stage_totals.items():
-                                    rnd.stage_totals[sname] = (
-                                        rnd.stage_totals.get(sname, 0.0) + seconds
-                                    )
                         if worker.current == chunk_id:
                             worker.current = None
                         self._cond.notify_all()
@@ -586,8 +572,6 @@ class ClusterCoordinator:
         the context (e.g. for a picklability probe) pass it to avoid paying
         for the same pickle twice per round.
         """
-        from repro.variation.stages import emit_totals, stages_active
-
         with self._map_lock:
             if not self._alive:
                 raise RuntimeError("cluster coordinator is shut down")
@@ -602,7 +586,6 @@ class ClusterCoordinator:
                     ("context", round_id, context), protocol=pickle.HIGHEST_PROTOCOL
                 )
                 rnd = _Round(round_id, payload, chunks, self.max_attempts)
-                rnd.want_stages = stages_active()
                 self._round = rnd
             no_worker_since: Optional[float] = None
             try:
@@ -646,11 +629,6 @@ class ClusterCoordinator:
                 # a worker receives supersedes this one: no frame retires it.
                 for worker in list(rnd.context_workers):
                     worker.contexts_sent.discard(rnd.round_id)
-            # Re-emit the workers' stage totals where the observers live: the
-            # dispatching parent.  This is what keeps cluster bench records
-            # from collapsing to the parent-side ``rng`` stage alone.
-            if rnd.stage_totals:
-                emit_totals(rnd.stage_totals)
             return [rnd.results[i] for i in range(len(chunks))]
 
     def _dispatch(self, worker: _WorkerConn, rnd: _Round, cid: int) -> None:
@@ -660,7 +638,7 @@ class ClusterCoordinator:
                 parts.append((None, rnd.payload))
                 worker.contexts_sent.add(rnd.round_id)
             parts.append(
-                (("task", rnd.round_id, cid, rnd.chunks[cid], rnd.want_stages), None)
+                (("task", rnd.round_id, cid, rnd.chunks[cid]), None)
             )
             worker.send(raw_parts=parts)
         except (OSError, socket.timeout) as exc:
@@ -712,8 +690,8 @@ class ClusterCoordinator:
 
 
 #: Process-wide coordinators keyed by (host, port): every ClusterBackend bound
-#: to the same endpoint shares one worker fleet, so sequential Monte Carlo
-#: studies (each resolving its own backend instance) reuse connected workers.
+#: to the same endpoint shares one worker fleet, so sequential dispatches
+#: (each resolving its own backend instance) reuse connected workers.
 _COORDINATORS: Dict[Tuple[str, int], ClusterCoordinator] = {}
 _COORDINATORS_LOCK = threading.Lock()
 
@@ -943,8 +921,8 @@ class ClusterBackend(_CoordinatedBackend):
     def jobs(self) -> int:
         """Connected workers (at least the configured minimum).
 
-        Consumers size their sharding on this -- e.g. the Monte Carlo trial
-        partition -- so before the coordinator starts it reports the configured
+        Consumers size their sharding on this -- e.g. the explorer's
+        design-point groups -- so before the coordinator starts it reports the configured
         minimum, and afterwards the live fleet size.
         """
         coordinator = self._coordinator
@@ -1042,7 +1020,6 @@ def _serve_session(sock: socket.socket, quiet: bool) -> str:
 
     threading.Thread(target=beat, name="cluster-heartbeat", daemon=True).start()
     from repro.exec import shm as shm_transport
-    from repro.variation.stages import StageAccumulator, observe_stages
 
     contexts: Dict[int, Tuple[TaskFn, Any]] = {}
     #: Frames that arrived while a blob fetch was waiting for its reply; the
@@ -1077,19 +1054,12 @@ def _serve_session(sock: socket.socket, quiet: bool) -> str:
                 # context supersedes every earlier one.
                 contexts = {round_id: pickle.loads(blob)}
             elif kind == "task":
-                _, round_id, chunk_id, chunk, want_stages = frame
+                _, round_id, chunk_id, chunk = frame
                 try:
                     fn, shared = contexts[round_id]
-                    stage_totals: Optional[Dict[str, float]] = None
-                    if want_stages:
-                        accumulator = StageAccumulator()
-                        with observe_stages(accumulator):
-                            results = [fn(shared, task) for task in chunk]
-                        stage_totals = accumulator.totals() or None
-                    else:
-                        results = [fn(shared, task) for task in chunk]
+                    results = [fn(shared, task) for task in chunk]
                     payload = pickle.dumps(
-                        ("result", round_id, chunk_id, results, stage_totals),
+                        ("result", round_id, chunk_id, results),
                         protocol=pickle.HIGHEST_PROTOCOL,
                     )
                 except BaseException:  # noqa: BLE001 - shipped back verbatim

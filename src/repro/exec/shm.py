@@ -1,17 +1,16 @@
 """Content-addressed shared-memory transport for bulky task payloads.
 
 Task-shipping backends (:class:`~repro.exec.cluster.ProcessBackend`,
-:class:`~repro.exec.cluster.ClusterBackend`) historically pickled the whole
-shared context -- model weights, input tensors, Philox slabs -- into every
-chunk's dispatch.  This module is the zero-copy alternative: a payload is
-*published* once per host into a ``multiprocessing.shared_memory`` segment and
-the task encoding carries a small :class:`ShmHandle` (digest + segment name +
-shape/dtype) instead of megabytes of pickled array bytes.  Consumers resolve
-handles back to arrays (or unpickled objects) on the worker; resolution is
-content-addressed, so a handle republished by a later study with identical
-bytes maps onto the worker's existing attachment -- and, for object payloads,
-onto the *already unpickled* object, which is what makes warm pools start
-warm.
+:class:`~repro.exec.cluster.ClusterBackend`) would otherwise pickle a round's
+whole shared context -- the explorer's workload tuple with its operand arrays
+-- into every worker's dispatch.  This module is the zero-copy alternative: an
+object is *published* once per host into a ``multiprocessing.shared_memory``
+segment and the task context carries a small :class:`ShmHandle` (digest +
+segment name + size) instead of megabytes of pickled bytes.  Workers resolve
+handles back to objects; resolution is content-addressed, so a handle
+republished by a later round with identical bytes maps onto the worker's
+existing attachment and onto the *already unpickled* object, which is what
+makes warm pools start warm.
 
 Three resolution tiers, tried in order:
 
@@ -88,7 +87,7 @@ def shm_enabled() -> bool:
 
 @dataclass(frozen=True)
 class ShmHandle:
-    """The blessed picklable reference to a published payload.
+    """The blessed picklable reference to a published object payload.
 
     This is the *only* shared-memory object allowed inside task encodings
     (lint rule R004 flags raw ``SharedMemory`` objects in ``*Context`` /
@@ -99,15 +98,10 @@ class ShmHandle:
     """
 
     digest: str
-    kind: str  # "array" | "object"
-    shape: Tuple[int, ...]
-    dtype: str
+    #: Bytes in the framed payload.
+    size: int
     segment: Optional[str] = None
     inline: Optional[bytes] = None
-
-    @property
-    def nbytes(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
 
 
 @dataclass
@@ -150,11 +144,9 @@ def _close_quietly(segment: Any) -> None:
         pass
 
 
-def _digest_of(
-    pieces: Sequence[Any], shape: Tuple[int, ...], dtype: str, kind: str
-) -> str:
+def _digest_of(pieces: Sequence[Any]) -> str:
     hasher = hashlib.sha1()
-    hasher.update(f"{kind}|{dtype}|{shape}|".encode("utf-8"))
+    hasher.update(b"object|")
     for piece in pieces:
         hasher.update(piece)
     return hasher.hexdigest()
@@ -202,9 +194,9 @@ def _unframe(payload: memoryview) -> List[memoryview]:
     return parts
 
 
-def _view(buffer, shape: Tuple[int, ...], dtype: str, nbytes: int) -> np.ndarray:
-    array = np.frombuffer(buffer, dtype=np.dtype(dtype), count=-1, offset=0)
-    array = array[: nbytes // np.dtype(dtype).itemsize].reshape(shape)
+def _view(buffer, size: int) -> np.ndarray:
+    """The first ``size`` bytes of ``buffer`` as a read-only ``uint8`` array."""
+    array = np.frombuffer(buffer, dtype=np.uint8)[:size]
     array.flags.writeable = False
     return array
 
@@ -251,48 +243,30 @@ def _attach_untracked(name: str):
 # -- publishing ------------------------------------------------------------------------
 
 
-def publish_array(array: np.ndarray) -> ShmHandle:
-    """Publish an array once and return its content-addressed handle.
-
-    Idempotent per content: republishing identical bytes returns the existing
-    handle.  Small arrays, ``REPRO_SHM=off`` and shm-less platforms fall back
-    to an inline handle (same digest, same resolution path).
-    """
-    array = np.ascontiguousarray(array)
-    data = array.reshape(-1).view(np.uint8)
-    return _publish([data], tuple(array.shape), str(array.dtype), "array")
-
-
 def publish_object(obj: Any) -> ShmHandle:
-    """Pickle ``obj`` out-of-band and publish the framed payload (``kind="object"``).
+    """Pickle ``obj`` out-of-band, publish the framed payload, return its handle.
 
     Contiguous arrays in ``obj`` travel as protocol-5 out-of-band buffers, so
     resolving the handle maps them instead of copying them.  The digest
     addresses the whole framed payload, so workers that already resolved an
     identical payload reuse their cached *unpickled* object -- repeated
-    studies on a warm pool skip both the transfer and the unpickle.
+    rounds on a warm pool skip both the transfer and the unpickle.
+
+    Idempotent per content: republishing identical bytes returns the existing
+    handle.  Small payloads, ``REPRO_SHM=off`` and shm-less platforms fall
+    back to an inline handle (same digest, same resolution path).
     """
     buffers: List[pickle.PickleBuffer] = []
     stream = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
     pieces = _frame([stream, *(buffer.raw() for buffer in buffers)])
-    size = sum(map(len, pieces))
-    return _publish(pieces, (size,), "uint8", "object")
-
-
-def _publish(
-    pieces: Sequence[Any], shape: Tuple[int, ...], dtype: str, kind: str
-) -> ShmHandle:
-    """Publish the payload that ``pieces`` (1-D byte buffers) concatenate to."""
-    digest = _digest_of(pieces, shape, dtype, kind)
+    digest = _digest_of(pieces)
     with _REGISTRY.lock:
         entry = _REGISTRY.published.get(digest)
         if entry is not None:
             return entry[1]
     size = sum(map(len, pieces))
     if size <= INLINE_MAX_BYTES or not shm_enabled():
-        return ShmHandle(
-            digest=digest, kind=kind, shape=shape, dtype=dtype, inline=b"".join(pieces)
-        )
+        return ShmHandle(digest=digest, size=size, inline=b"".join(pieces))
     try:
         from multiprocessing import shared_memory
 
@@ -304,17 +278,13 @@ def _publish(
         # adopt the existing segment (contents are by construction identical).
         segment = _attach_untracked(_segment_name(digest))
     except (OSError, ImportError, ValueError):  # pragma: no cover - no shm
-        return ShmHandle(
-            digest=digest, kind=kind, shape=shape, dtype=dtype, inline=b"".join(pieces)
-        )
+        return ShmHandle(digest=digest, size=size, inline=b"".join(pieces))
     offset = 0
     for piece in pieces:
         segment.buf[offset : offset + len(piece)] = piece
         offset += len(piece)
-    handle = ShmHandle(
-        digest=digest, kind=kind, shape=shape, dtype=dtype, segment=segment.name
-    )
-    view = _view(segment.buf, shape, dtype, size)
+    handle = ShmHandle(digest=digest, size=size, segment=segment.name)
+    view = _view(segment.buf, size)
     with _REGISTRY.lock:
         raced = _REGISTRY.published.get(digest)
         if raced is not None:
@@ -343,10 +313,10 @@ def set_fetch_hook(hook: Optional[Callable[[str], Optional[bytes]]]) -> None:
     _FETCH_HOOK = hook
 
 
-def resolve_array(handle: ShmHandle) -> np.ndarray:
-    """The published array for ``handle`` (read-only; zero-copy when local)."""
+def _resolve_payload(handle: ShmHandle) -> np.ndarray:
+    """The framed payload behind ``handle`` (read-only; zero-copy when local)."""
     if handle.inline is not None:
-        return _view(handle.inline, handle.shape, handle.dtype, len(handle.inline))
+        return _view(handle.inline, handle.size)
     with _REGISTRY.lock:
         entry = _REGISTRY.published.get(handle.digest)
         if entry is not None:
@@ -356,14 +326,14 @@ def resolve_array(handle: ShmHandle) -> np.ndarray:
             return attached[1]
         data = _REGISTRY.fetched.get(handle.digest)
     if data is not None:
-        return _view(data, handle.shape, handle.dtype, len(data))
+        return _view(data, handle.size)
     if handle.segment is not None:
         try:
             segment = _attach_untracked(handle.segment)
         except (FileNotFoundError, OSError):
             segment = None
         if segment is not None:
-            view = _view(segment.buf, handle.shape, handle.dtype, handle.nbytes)
+            view = _view(segment.buf, handle.size)
             with _REGISTRY.lock:
                 raced = _REGISTRY.attached.get(handle.digest)
                 if raced is not None:
@@ -377,7 +347,7 @@ def resolve_array(handle: ShmHandle) -> np.ndarray:
         if data is not None:
             with _REGISTRY.lock:
                 _REGISTRY.fetched.setdefault(handle.digest, data)
-            return _view(data, handle.shape, handle.dtype, len(data))
+            return _view(data, handle.size)
     raise RuntimeError(
         f"cannot resolve shm handle {handle.digest[:12]} (segment "
         f"{handle.segment!r}): the publishing process is gone or unreachable "
@@ -394,15 +364,10 @@ def resolve_object(handle: ShmHandle) -> Any:
     with _REGISTRY.lock:
         if handle.digest in _REGISTRY.objects:
             return _REGISTRY.objects[handle.digest]
-    stream, *buffers = _unframe(memoryview(resolve_array(handle)))
+    stream, *buffers = _unframe(memoryview(_resolve_payload(handle)))
     obj = pickle.loads(stream, buffers=buffers)
     with _REGISTRY.lock:
         return _REGISTRY.objects.setdefault(handle.digest, obj)
-
-
-def as_array(value: Any) -> Any:
-    """``value`` with :class:`ShmHandle` instances resolved to arrays."""
-    return resolve_array(value) if isinstance(value, ShmHandle) else value
 
 
 def as_object(value: Any) -> Any:

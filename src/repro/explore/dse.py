@@ -343,7 +343,7 @@ def _worker_explorer(shared: _DesignTaskContext) -> "DesignSpaceExplorer":
         if explorer is None:
             explorer = DesignSpaceExplorer(
                 shared.builder,
-                list(as_object(shared.workloads)),
+                as_object(shared.workloads),
                 base_config=shared.base_config,
                 sim_config=shared.sim_config,
                 cache=EvaluationCache(
@@ -426,6 +426,8 @@ class DesignSpaceExplorer:
     digests, so editing the caller's config objects afterwards changes
     neither (build a new explorer to explore another base).  The
     ``base_config``/``sim_config`` attributes return copies of the snapshots.
+    The workload sequence is snapshotted too: ``workloads`` is a tuple, so the
+    set a cached explorer keys its points on cannot grow or shrink under it.
     """
 
     def __init__(
@@ -440,7 +442,7 @@ class DesignSpaceExplorer:
         backend: object = None,
         accuracy: Optional[AccuracyRequest] = None,
     ) -> None:
-        workloads = list(workloads)
+        workloads = tuple(workloads)
         if not workloads:
             raise ValueError("need at least one workload to explore against")
         for workload in workloads:
@@ -586,15 +588,7 @@ class DesignSpaceExplorer:
             self.cache.max_entries,
             self.accuracy.fingerprint() if self.accuracy is not None else None,
         )
-        # Monte Carlo trials run inline inside each worker: a group of design
-        # points is already one worker task, so a nested trial pool would only
-        # oversubscribe (results are backend-invariant either way).
-        accuracy = (
-            dataclasses.replace(self.accuracy, backend=None, jobs=None)
-            if self.accuracy is not None
-            else None
-        )
-        workloads: Union[Tuple[object, ...], ShmHandle] = tuple(self.workloads)
+        workloads: Union[Tuple[object, ...], ShmHandle] = self.workloads
         if shm_enabled():
             # Operand tensors dominate the context payload; publish them once
             # so every worker task ships a digest instead of the pickle.
@@ -607,7 +601,7 @@ class DesignSpaceExplorer:
             workloads=workloads,
             cache_enabled=self.cache.enabled,
             cache_max_entries=self.cache.max_entries,
-            accuracy=accuracy,
+            accuracy=self.accuracy,
             env=repro_env_snapshot(),
         )
 

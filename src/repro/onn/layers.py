@@ -55,11 +55,9 @@ def _knob_raw(name: str) -> Optional[str]:
 
     return raw_value(name)
 
-#: Thread-local mode override installed by :func:`pinned_modes`.  Worker-bound
-#: task encodings (Monte Carlo trial contexts, batch/DSE task payloads) carry
-#: the mode they were dispatched under and pin it around execution, so a
-#: process or cluster worker computes under the *parent's* mode regardless of
-#: its own environment.
+#: Thread-local mode override installed by :func:`pinned_modes`.  A Monte Carlo
+#: study resolves its mode once and pins it around each trial chunk, so an
+#: environment flip mid-study cannot change what the study computes.
 _MODE_OVERRIDE = threading.local()
 
 
@@ -88,7 +86,7 @@ def pinned_modes(dtype: Optional[str] = None):
 def dtype_mode() -> str:
     """The active batched-compute precision: ``"float64"`` or ``"float32"``.
 
-    A :func:`pinned_modes` override (task encodings shipped to workers) wins;
+    A :func:`pinned_modes` override (a running Monte Carlo study) wins;
     otherwise ``$REPRO_DTYPE`` is read on every call so tests and benchmarks
     can flip the mode without re-importing.  The float32 mode applies to the
     *trial-batched* Monte Carlo path only; the serial reference forwards

@@ -20,9 +20,7 @@ A scenario's headline timing (the ``vectorized`` block) runs on the selected
 ``rng`` / ``dtype`` throughput modes.  When a non-reference rng or dtype is
 selected, the bit-exact reference mode (``seedseq`` + ``float64``) is timed
 alongside and ``speedup_vs_reference_median`` records the additional speedup
-the fast path buys over it.  Backend comparisons (cluster scaling, process
-dispatch) select the backend through the scenario's ``backend``/``jobs``
-parameters.
+the fast path buys over it.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -157,7 +155,7 @@ def time_scenario(
     times: List[float] = []
     passes = 0
     stats: Dict[str, Dict[str, float]] = {}
-    stage_totals = StageAccumulator()
+    stage_seconds = StageAccumulator()
     with _forced_env(RNG_MODE_ENV, rng), _forced_env(DTYPE_MODE_ENV, dtype):
         knobs = _active_knobs()
         mode_label = f"{knobs[RNG_MODE_ENV]}/{knobs[DTYPE_MODE_ENV]}"
@@ -176,7 +174,7 @@ def time_scenario(
                 if timed:
                     # Stage observation only on timed rounds: identical
                     # instrumentation overhead in every mode's numbers.
-                    stack.enter_context(observe_stages(stage_totals))
+                    stack.enter_context(observe_stages(stage_seconds))
                 start = time.perf_counter()
                 REGISTRY.run(name, params=params, cache=cache, store=None, force=True)
                 elapsed = time.perf_counter() - start
@@ -193,7 +191,7 @@ def time_scenario(
                 }
     return BenchTiming.from_times(
         mode_label, warmup, times, passes, stats, knobs=knobs,
-        stages_s=stage_totals.totals(),
+        stages_s=stage_seconds.totals(),
     )
 
 
@@ -263,153 +261,6 @@ def bench_scenarios(
         },
         "scenarios": scenarios,
     }
-
-
-def _on_backend(
-    params: Optional[Mapping[str, Any]], backend: str, jobs: int
-) -> Dict[str, Any]:
-    """``params`` with the scenario's ``backend``/``jobs`` parameters set."""
-    return {**(params or {}), "backend": backend, "jobs": jobs}
-
-
-def bench_cluster_scaling(
-    name: str,
-    worker_counts: Sequence[int] = (1, 2),
-    repeats: int = 3,
-    warmup: int = 1,
-    params: Optional[Mapping[str, Any]] = None,
-    rng: Optional[str] = None,
-    dtype: Optional[str] = None,
-    wait_s: float = 60.0,
-) -> Dict[str, Any]:
-    """Time one scenario serially and on localhost clusters of growing size.
-
-    For every worker count a *fresh* coordinator is started on an ephemeral
-    port and exactly that many ``repro worker`` subprocesses are spawned and
-    torn down, so each measurement sees precisely the fleet it claims
-    (persistent workers from a previous count can never inflate a later one).
-    The backend reaches the scenario through its ``backend``/``jobs``
-    parameters, so ``name`` must declare them.  Returns the
-    ``cluster_scaling`` payload block: the serial baseline plus a
-    ``workers -> timing`` map with ``speedup_vs_serial_median`` ratios -- the
-    workers x wall-clock record BENCH_PR7 tracks.
-
-    Localhost workers share the host's cores, so the recorded scaling is a
-    lower bound dominated by per-round shipping overhead; the same knobs point
-    the backend at real remote hosts.
-    """
-    from repro.exec.cluster import (
-        CLUSTER_HOST_ENV,
-        CLUSTER_PORT_ENV,
-        coordinator_for,
-        spawn_local_workers,
-    )
-
-    counts = sorted(set(int(c) for c in worker_counts))
-    if not counts or counts[0] < 1:
-        raise ValueError(f"worker counts must be positive, got {worker_counts!r}")
-    serial = time_scenario(
-        name, repeats=repeats, warmup=warmup,
-        params=_on_backend(params, "serial", 0), rng=rng, dtype=dtype,
-    )
-    block: Dict[str, Any] = {
-        "scenario": name,
-        "serial": asdict(serial),
-        "cluster": {},
-    }
-    for count in counts:
-        coordinator = coordinator_for("127.0.0.1", 0)
-        processes = spawn_local_workers(count, coordinator.host, coordinator.port)
-        try:
-            coordinator.wait_for_workers(count, wait_s)
-            with _forced_env(CLUSTER_HOST_ENV, coordinator.host), _forced_env(
-                CLUSTER_PORT_ENV, str(coordinator.port)
-            ):
-                timing = time_scenario(
-                    name, repeats=repeats, warmup=warmup,
-                    params=_on_backend(params, "cluster", count), rng=rng, dtype=dtype,
-                )
-        finally:
-            coordinator.close("shutdown")
-            for process in processes:
-                try:
-                    process.wait(timeout=10)
-                except Exception:  # noqa: BLE001 - last resort below
-                    process.terminate()
-                    process.wait(timeout=10)
-        entry = asdict(timing)
-        entry["workers"] = count
-        entry["speedup_vs_serial_median"] = (
-            serial.median_s / timing.median_s if timing.median_s > 0 else 0.0
-        )
-        block["cluster"][str(count)] = entry
-    return block
-
-
-#: The dispatch configurations ``bench_dispatch_comparison`` times, in order:
-#: the pre-warm-pool baseline, the persistent pool alone, and the pool plus
-#: shared-memory task transport.
-DISPATCH_MODES: Tuple[Tuple[str, str, str], ...] = (
-    ("cold", "cold", "off"),
-    ("warm", "warm", "off"),
-    ("warm_shm", "warm", "on"),
-)
-
-
-def bench_dispatch_comparison(
-    name: str = "variation_robustness",
-    repeats: int = 3,
-    warmup: int = 1,
-    jobs: Optional[int] = None,
-    params: Optional[Mapping[str, Any]] = None,
-    rng: Optional[str] = None,
-    dtype: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Time one scenario serially and under each process-dispatch configuration.
-
-    Runs the scenario with ``backend=processes`` (and ``jobs``; 0 or ``None``
-    means one worker per core) and sweeps ``(REPRO_POOL, REPRO_SHM)``
-    through :data:`DISPATCH_MODES`: the cold-pool baseline forks its
-    workers on every run, ``warm`` reuses one persistent pool across the timed
-    repeats (the warmup round absorbs the one-time spin-up), and ``warm_shm``
-    additionally ships task arrays as shared-memory digests instead of
-    pickles.  Every entry records ``speedup_vs_serial_median`` against the
-    same-knobs serial baseline and ``dispatch_overhead_s`` -- the ``dispatch``
-    stage total: backend wall-clock not attributable to any worker compute
-    stage (spin-up, pickling, IPC, idle gaps).  Warm pools are stopped between
-    modes so each configuration measures exactly the fleet it claims.
-    """
-    from repro.exec.pool import stop_pools
-
-    serial = time_scenario(
-        name, repeats=repeats, warmup=warmup,
-        params=_on_backend(params, "serial", 0), rng=rng, dtype=dtype,
-    )
-    processes = _on_backend(params, "processes", jobs or 0)
-    block: Dict[str, Any] = {
-        "scenario": name,
-        "serial": asdict(serial),
-        "dispatch": {},
-    }
-    for label, pool, shm in DISPATCH_MODES:
-        stop_pools()
-        try:
-            with _forced_env("REPRO_POOL", pool), _forced_env("REPRO_SHM", shm):
-                timing = time_scenario(
-                    name, repeats=repeats, warmup=warmup, params=processes,
-                    rng=rng, dtype=dtype,
-                )
-        finally:
-            stop_pools()
-        entry = asdict(timing)
-        entry["pool"] = pool
-        entry["shm"] = shm
-        entry["speedup_vs_serial_median"] = (
-            serial.median_s / timing.median_s if timing.median_s > 0 else 0.0
-        )
-        entry["dispatch_overhead_s"] = float(timing.stages_s.get("dispatch", 0.0))
-        block["dispatch"][label] = entry
-    return block
 
 
 def write_bench_report(

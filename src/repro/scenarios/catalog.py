@@ -938,8 +938,6 @@ def _mc_request(
     ctx: ScenarioContext, noise, reference: str = "quantized"
 ) -> AccuracyRequest:
     """An AccuracyRequest from the scenario's shared model/input/seed parameters."""
-    jobs = int(ctx.params.get("jobs", 0)) or None
-    backend = str(ctx.params.get("backend", "serial"))
     return AccuracyRequest(
         model=mc_classifier_model(seed=int(ctx.params["model_seed"])),
         inputs=mc_classifier_inputs(
@@ -949,8 +947,7 @@ def _mc_request(
         trials=int(ctx.params["trials"]),
         seed=int(ctx.params["seed"]),
         reference=reference,
-        backend=backend,
-        jobs=jobs,
+        backend=ctx.params.get("backend"),
     )
 
 
@@ -1001,6 +998,9 @@ def _check_variation_robustness(result: ScenarioResult) -> None:
             "model_seed": 3,
             "input_seed": 9,
             "samples": 48,
+            # Exist only for perfbench's McRobustness (backend=serial); they
+            # leave when `repro bench` folds into perfbench (ROADMAP item B).
+            # `backend` accepts only "serial" and `jobs` is ignored.
             "backend": "serial",
             "jobs": 0,
         },
@@ -1010,9 +1010,9 @@ def _check_variation_robustness(result: ScenarioResult) -> None:
             "(weight-encoding error, phase noise, crosstalk, link-loss drift) "
             "and Monte Carlo-samples the classifier's fidelity to the "
             "noise-free quantized baseline.  Per-trial seeds derive from "
-            "(seed, trial index), so the rendered table is byte-identical on "
-            "the serial, process and cluster backends; `jobs=0` means one "
-            "worker per core."
+            "(seed, trial index), so the rendered table is a pure function "
+            "of the parameters.  Studies run in process: `backend` accepts "
+            "only `serial` and `jobs` is ignored."
         ),
         tags=("smoke", "variation", "montecarlo"),
     ),
@@ -1096,8 +1096,6 @@ def _check_accuracy_vs_precision(result: ScenarioResult) -> None:
             "model_seed": 3,
             "input_seed": 9,
             "samples": 48,
-            "backend": "serial",
-            "jobs": 0,
         },
         description=(
             "The three bitwidth axes are swept together (b, b, b).  Operands "

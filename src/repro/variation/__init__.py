@@ -7,13 +7,13 @@ SNR-derived receiver precision into workload-level inference *accuracy*, which
 then stands next to energy / latency / area as a first-class objective:
 
 - :mod:`repro.variation.models`     -- composable :class:`NoiseSpec` variation models;
-- :mod:`repro.variation.sampler`    -- deterministic per-trial seeding, backend-invariant,
+- :mod:`repro.variation.sampler`    -- deterministic per-trial seeding, chunking-invariant,
   in two modes: the bit-exact SeedSequence contract (default) and the
   counter-based ``REPRO_RNG=philox`` throughput mode;
 - :mod:`repro.variation.accuracy`   -- noisy functional forward + accuracy/error metrics;
 - :mod:`repro.variation.stages`     -- per-stage (rng/forward/quantize/metrics)
   wall-clock attribution for the bench harness;
-- :mod:`repro.variation.montecarlo` -- trial fan-out over ``repro.exec`` backends,
+- :mod:`repro.variation.montecarlo` -- in-process chunked trial execution,
   the :class:`AccuracyRequest` study record and the engine-integrated
   :func:`evaluate_accuracy` entry point.
 

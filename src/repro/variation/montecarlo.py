@@ -1,13 +1,14 @@
-"""Monte Carlo orchestration: independent trials fanned over ``repro.exec``.
+"""Monte Carlo orchestration: independent trials in fixed in-process chunks.
 
 One :class:`AccuracyRequest` describes an entire study -- the model, the
 evaluation inputs, the :class:`~repro.variation.models.NoiseSpec`, the trial
-count and the scenario seed, plus (execution detail, excluded from the request
-fingerprint) which execution backend runs the trials.  :func:`run_monte_carlo`
-computes the noise-free reference once, ships a picklable
-:class:`_TrialContext` to the backend, maps the trial indices, and folds the
-per-trial results in trial order -- so serial, thread and process runs produce
-bit-identical :class:`~repro.variation.accuracy.AccuracyReport` records.
+count and the scenario seed.  :func:`run_monte_carlo` computes the noise-free
+reference once, runs the trials in contiguous chunks of at most
+:data:`_TRIAL_CHUNK_CAP` as stacked forwards, and folds the per-trial results
+in trial order into an :class:`~repro.variation.accuracy.AccuracyReport`.
+A study always runs in the calling process: parallelism pays one level up,
+where design-point groups (the explorer) or whole scenarios (the batch runner)
+go to workers and each runs its studies in place.
 
 :func:`evaluate_accuracy` is the one-call entry point: it routes the request
 through :meth:`repro.core.engine.EvaluationEngine.run_accuracy`, whose
@@ -17,26 +18,14 @@ effective bits and the whole Monte Carlo study on the engine cache.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.cache import digest, memoized_fingerprint
 from repro.core.snr import SNRAnalyzer, SNRReport
-from repro.exec import (
-    ShmHandle,
-    as_array,
-    as_object,
-    publish_array,
-    publish_object,
-    resolve_backend,
-    shm_enabled,
-    steal_partition,
-)
 from repro.onn.layers import (
     Module,
     compute_dtype,
@@ -58,13 +47,7 @@ from repro.variation.accuracy import (
 from repro.variation.models import NoiseSpec
 from repro.variation.sampler import make_trial_rng, philox_fused_normals
 from repro.variation.sampler import rng_mode as active_rng_mode
-from repro.variation.stages import (
-    StageAccumulator,
-    emit,
-    observe_stages,
-    stage,
-    stages_active,
-)
+from repro.variation.stages import stage
 
 
 #: Upper bound on trials per batched chunk: large enough to amortize the
@@ -80,7 +63,7 @@ class LinkOperatingPoint:
     Carries exactly what per-trial SNR re-evaluation needs -- the per-channel
     laser optical power, the nominal critical-path insertion loss, the receiver
     bandwidth and the receiver-chain noise model -- so trials can price extra
-    drift loss without shipping whole architectures to worker processes.  The
+    drift loss without holding the whole architecture.  The
     ``analyzer`` is the same one the engine's ``receiver_precision`` pass uses
     (``None`` means the default receiver), so nominal and per-trial effective
     bits come from one noise model.
@@ -118,13 +101,7 @@ class LinkOperatingPoint:
 
 @dataclass(frozen=True)
 class AccuracyRequest:
-    """A complete Monte Carlo accuracy study over one model and noise spec.
-
-    ``backend``/``jobs`` choose how trials execute (any ``repro.exec`` spec);
-    they are deliberately excluded from :meth:`fingerprint` because every
-    backend produces bit-identical results -- two requests differing only in
-    where they run share one cache entry.
-    """
+    """A complete Monte Carlo accuracy study over one model and noise spec."""
 
     model: Module
     inputs: np.ndarray
@@ -137,7 +114,9 @@ class AccuracyRequest:
     #: model -- measures quantization and variation together, the right
     #: baseline for precision sweeps).
     reference: str = "quantized"
-    backend: object = None
+    # Exists only for perfbench's McRobustness (backend="serial"); leaves when
+    # `repro bench` folds into perfbench (ROADMAP item B).
+    backend: Optional[str] = None
     jobs: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -146,6 +125,11 @@ class AccuracyRequest:
         if self.reference not in ("quantized", "float"):
             raise ValueError(
                 f"reference must be 'quantized' or 'float', got {self.reference!r}"
+            )
+        if self.backend not in (None, "serial"):
+            raise ValueError(
+                "Monte Carlo studies run in process: backend must be None or "
+                f"'serial', got {self.backend!r}"
             )
         object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=float))
 
@@ -173,94 +157,23 @@ class AccuracyRequest:
 
 @dataclass(frozen=True)
 class _TrialContext:
-    """Picklable task-invariant payload shipped once per worker chunk.
+    """The study invariants every trial chunk reads."""
 
-    Under task-shipping backends with ``REPRO_SHM=on``, the bulky fields
-    (``model``, ``inputs``, ``reference``) are :class:`~repro.exec.ShmHandle`
-    references to payloads published once per host instead of per-chunk
-    pickled copies; workers materialize them via :func:`_materialized`
-    (content-addressed, so repeated studies reuse the worker's cached
-    attachment and unpickled model).
-    """
-
-    model: Union[Module, ShmHandle]
-    inputs: Union[np.ndarray, ShmHandle]
-    reference: Union[np.ndarray, ShmHandle]
+    model: Module
+    inputs: np.ndarray
+    reference: np.ndarray
     spec: NoiseSpec
     input_bits: int
     weight_bits: int
     output_bits: int
     seed: int
     link: Optional[LinkOperatingPoint]
-    #: The RNG mode the study resolved at dispatch time.  Carried in the
-    #: context (not re-read from the environment) so process-pool workers run
-    #: the same mode as the parent regardless of env propagation.
+    #: The RNG mode the study resolved when it started.
     rng_mode: str = "seedseq"
-    #: The compute-precision mode, resolved at dispatch time for the same
-    #: reason: a process (or cluster) worker pins it around the trials via
-    #: :func:`repro.onn.layers.pinned_modes`, so flipping ``REPRO_DTYPE`` after
-    #: task encoding -- or running a worker under a different shell
-    #: environment -- cannot change results.
+    #: The compute-precision mode, resolved when the study started and pinned
+    #: around each chunk via :func:`repro.onn.layers.pinned_modes`, so
+    #: flipping ``REPRO_DTYPE`` mid-study cannot change results.
     dtype_mode: str = "float64"
-
-
-def _materialized(shared: _TrialContext) -> _TrialContext:
-    """Resolve any shm handles in the context to live arrays/objects.
-
-    A no-op for in-process backends (which never encode handles).  Worker-side
-    resolution is cached by content digest, so every chunk of a study -- and
-    every later study over the same model -- shares one attachment and one
-    unpickled model per worker process.
-    """
-    if not (
-        isinstance(shared.model, ShmHandle)
-        or isinstance(shared.inputs, ShmHandle)
-        or isinstance(shared.reference, ShmHandle)
-    ):
-        return shared
-    return dataclasses.replace(
-        shared,
-        model=as_object(shared.model),
-        inputs=as_array(shared.inputs),
-        reference=as_array(shared.reference),
-    )
-
-
-def _shm_context(shared: _TrialContext) -> _TrialContext:
-    """Publish the context's bulky fields and swap in their handles."""
-    return dataclasses.replace(
-        shared,
-        model=publish_object(shared.model),
-        inputs=publish_array(shared.inputs),
-        reference=publish_array(shared.reference),
-    )
-
-
-@dataclass(frozen=True)
-class _SlabRows:
-    """A contiguous row window of the study-wide Philox slab, by construction.
-
-    Ships the slab's *generation spec* instead of its bytes: the slab is a
-    pure, memoized function of ``(seed, trials, draws, dtype)``
-    (:func:`philox_fused_normals`), so a worker re-deriving it locally gets
-    the identical read-only array without any transfer or content hashing --
-    cheaper than shm even on the same host, and a ~100-byte task on the
-    cluster wire.  The per-process memo means one generation per study per
-    worker (fork-pool workers usually inherit the parent's already-warm memo).
-    """
-
-    seed: int
-    trials: int
-    draws: int
-    dtype: str
-    start: int
-    stop: int
-
-    def resolve(self) -> np.ndarray:
-        slab = philox_fused_normals(
-            self.seed, self.trials, self.draws, dtype=np.dtype(self.dtype).type
-        )
-        return slab[self.start : self.stop]
 
 
 def _run_trial_chunk(shared: _TrialContext, trials: List[int]) -> List[TrialResult]:
@@ -274,29 +187,35 @@ def _run_trial_chunk(shared: _TrialContext, trials: List[int]) -> List[TrialResu
     batched numpy pass per layer per resolved-bits group instead of
     ``len(trials)`` full model clones.
     """
-    shared = _materialized(shared)
     with pinned_modes(shared.dtype_mode):
-        return _run_trial_chunk_pinned(shared, trials)
+        with stage("rng"):
+            rngs = [
+                make_trial_rng(shared.seed, trial, shared.rng_mode) for trial in trials
+            ]
+            losses = [shared.spec.sample_loss_db(rng) for rng in rngs]
+        effective = _effective_bits_for(shared, losses)
+        with scratch_workspace():
+            outputs = noisy_forward_batch(
+                shared.model,
+                shared.inputs,
+                shared.spec,
+                rngs,
+                input_bits=shared.input_bits,
+                weight_bits=shared.weight_bits,
+                output_bits=shared.output_bits,
+                effective_bits=effective,
+            )
+        return _trial_results(shared, trials, outputs, effective, losses)
 
 
-def _run_trial_chunk_pinned(
-    shared: _TrialContext, trials: List[int]
+def _trial_results(
+    shared: _TrialContext,
+    trials: Sequence[int],
+    outputs: np.ndarray,
+    effective: Sequence[float],
+    losses: Sequence[float],
 ) -> List[TrialResult]:
-    with stage("rng"):
-        rngs = [make_trial_rng(shared.seed, trial, shared.rng_mode) for trial in trials]
-        losses = [shared.spec.sample_loss_db(rng) for rng in rngs]
-    effective = _effective_bits_for(shared, losses)
-    with scratch_workspace():
-        outputs = noisy_forward_batch(
-            shared.model,
-            shared.inputs,
-            shared.spec,
-            rngs,
-            input_bits=shared.input_bits,
-            weight_bits=shared.weight_bits,
-            output_bits=shared.output_bits,
-            effective_bits=effective,
-        )
+    """Score a chunk's stacked outputs against the reference, one record per trial."""
     with stage("metrics"):
         accuracies = classification_agreement_batch(outputs, shared.reference)
         rmses = output_rmse_batch(outputs, shared.reference)
@@ -333,85 +252,38 @@ def _effective_bits_for(
 
 
 def _run_philox_chunk(
-    shared: _TrialContext, task: Tuple[List[int], Any]
+    shared: _TrialContext, trials: List[int], draws: np.ndarray
 ) -> List[TrialResult]:
     """A chunk of trials driven by pre-generated counter-based draws.
 
-    ``task`` is ``(trial_indices, draws)`` where ``draws`` holds each trial's
-    row of the study-wide Philox slab: the leading ``loss_draw_count`` columns
-    are the link-loss draws, the rest the fused weight-noise block.  Under
-    shm transport ``draws`` is a :class:`_SlabRows` window into the published
-    slab instead of a pickled row copy.  No per-trial generator is ever
-    constructed -- the whole chunk consumes numpy slices of one matrix, which
-    is what makes this mode's RNG cost nearly independent of the trial count.
+    ``draws`` holds each trial's row of the study-wide Philox slab: the
+    leading ``loss_draw_count`` columns are the link-loss draws, the rest the
+    fused weight-noise block.  No per-trial generator is ever constructed --
+    the whole chunk consumes numpy slices of one matrix, which is what makes
+    this mode's RNG cost nearly independent of the trial count.
     """
-    shared = _materialized(shared)
-    trials, draws = task
-    if isinstance(draws, _SlabRows):
-        with stage("rng"):
-            task = (trials, draws.resolve())
     with pinned_modes(shared.dtype_mode):
-        return _run_philox_chunk_pinned(shared, task)
-
-
-def _run_philox_chunk_pinned(
-    shared: _TrialContext, task: Tuple[List[int], np.ndarray]
-) -> List[TrialResult]:
-    trials, draws = task
-    loss_columns = shared.spec.loss_draw_count()
-    with stage("rng"):
-        loss_array = shared.spec.sample_loss_db_batch(draws[:, :loss_columns])
-    losses = [float(v) for v in loss_array]
-    if shared.link is None:
-        effective: List[float] = [math.inf] * len(trials)
-    else:
-        effective = [float(v) for v in shared.link.effective_bits_batch(loss_array)]
-    with scratch_workspace():
-        outputs = noisy_forward_batch(
-            shared.model,
-            shared.inputs,
-            shared.spec,
-            rngs=None,
-            input_bits=shared.input_bits,
-            weight_bits=shared.weight_bits,
-            output_bits=shared.output_bits,
-            effective_bits=effective,
-            weight_draws=draws[:, loss_columns:],
-        )
-    with stage("metrics"):
-        accuracies = classification_agreement_batch(outputs, shared.reference)
-        rmses = output_rmse_batch(outputs, shared.reference)
-        return [
-            TrialResult(
-                trial=trial,
-                accuracy=float(accuracies[i]),
-                rmse=float(rmses[i]),
-                effective_bits=float(effective[i]),
-                extra_loss_db=float(losses[i]),
+        loss_columns = shared.spec.loss_draw_count()
+        with stage("rng"):
+            loss_array = shared.spec.sample_loss_db_batch(draws[:, :loss_columns])
+        losses = [float(v) for v in loss_array]
+        if shared.link is None:
+            effective: List[float] = [math.inf] * len(trials)
+        else:
+            effective = [float(v) for v in shared.link.effective_bits_batch(loss_array)]
+        with scratch_workspace():
+            outputs = noisy_forward_batch(
+                shared.model,
+                shared.inputs,
+                shared.spec,
+                rngs=None,
+                input_bits=shared.input_bits,
+                weight_bits=shared.weight_bits,
+                output_bits=shared.output_bits,
+                effective_bits=effective,
+                weight_draws=draws[:, loss_columns:],
             )
-            for i, trial in enumerate(trials)
-        ]
-
-
-def _observed_dispatch(dispatch: Callable[[], Any]) -> Any:
-    """Run a backend dispatch, attributing unexplained wall-clock to ``dispatch``.
-
-    With stage observers registered, the compute stages (rng/forward/quantize/
-    metrics) reach the parent either inline (serial) or as shipped
-    worker totals (processes/cluster); whatever part of the dispatch wall-clock
-    those stages do *not* explain is the execution layer's own overhead --
-    pool spin-up, pickling, IPC, scheduling gaps -- and is emitted as the
-    ``dispatch`` stage so bench records show exactly what a backend costs.
-    """
-    if not stages_active():
-        return dispatch()
-    attributed = StageAccumulator()
-    start = time.perf_counter()
-    with observe_stages(attributed):
-        result = dispatch()
-    overhead = (time.perf_counter() - start) - sum(attributed.totals().values())
-    emit("dispatch", max(0.0, overhead))
-    return result
+        return _trial_results(shared, trials, outputs, effective, losses)
 
 
 def run_monte_carlo(
@@ -422,15 +294,13 @@ def run_monte_carlo(
     link: Optional[LinkOperatingPoint] = None,
     nominal_snr: Optional[SNRReport] = None,
 ) -> AccuracyReport:
-    """Execute the study and return the aggregated report.
+    """Execute the study in this process and return the aggregated report.
 
     The reference (noise-free, quantized at the *static* link penalty) is
-    computed once in the caller; trials then fan out over the request's
-    execution backend and are aggregated in trial order, which keeps the
-    report bit-identical no matter which backend ran the trials.  When the
-    caller already holds the receiver's nominal :class:`SNRReport` (the
-    engine's memoized ``receiver_precision`` pass), passing it as
-    ``nominal_snr`` skips re-deriving it from the link.
+    computed once; the trials then run in contiguous chunks and are
+    aggregated in trial order.  When the caller already holds the receiver's
+    nominal :class:`SNRReport` (the engine's memoized ``receiver_precision``
+    pass), passing it as ``nominal_snr`` skips re-deriving it from the link.
     """
     static_loss_db = request.noise.static_loss_db()
     if nominal_snr is not None:
@@ -451,10 +321,6 @@ def run_monte_carlo(
             effective_bits=nominal_bits,
         )
     mode = active_rng_mode()
-    # Every mode is resolved HERE, at dispatch time, and carried in the task
-    # context: workers pin them around each chunk, so neither later env flips
-    # in this process nor a remote worker's own environment can change what a
-    # dispatched study computes.
     shared = _TrialContext(
         model=request.model,
         inputs=request.inputs,
@@ -468,61 +334,31 @@ def run_monte_carlo(
         rng_mode=mode,
         dtype_mode=dtype_mode(),
     )
-    backend = resolve_backend(request.backend, request.jobs)
-    if backend.ships_tasks and shm_enabled():
-        # Zero-copy transport: the model/inputs/reference travel as
-        # content-addressed handles; workers resolve (and cache) them once
-        # per host instead of unpickling per-chunk copies.
-        shared = _shm_context(shared)
-    # Shard the trial axis into contiguous size-tiered chunks, capped at
-    # _TRIAL_CHUNK_CAP trials so the stacked per-layer temporaries stay
-    # cache-resident.  Task-shipping backends pull them as workers free up, so
-    # a straggler strands at most one small tail chunk; one worker gets the
-    # coarsest capped chunks.  The partition is a pure function of (trials,
-    # jobs), and per-trial seeds (or, in philox mode, per-trial slab rows)
-    # make results chunking-invariant anyway.
-    chunks = steal_partition(request.trials, backend.jobs, cap=_TRIAL_CHUNK_CAP)
+    slab = None
     if mode == "philox" and request.noise.supports_fused_sampling():
         # Counter-based fast path: generate the whole study's draws as one
-        # (trials, loss + weight draws) Philox call in the parent, then ship
-        # each chunk its contiguous row slice.  Trial i's draws are row i
-        # regardless of chunking or backend.
-        loss_columns = request.noise.loss_draw_count()
-        weight_columns = sum(
+        # (trials, loss + weight draws) Philox call, then hand each chunk its
+        # contiguous row slice.  Trial i's draws are row i whatever the
+        # chunking.
+        draws = request.noise.loss_draw_count() + sum(
             request.noise.weight_draw_count(size)
             for size in _weighted_layer_sizes(request.model)
         )
-        draws = loss_columns + weight_columns
-        dtype = compute_dtype()
-        if backend.ships_tasks:
-            # Each task carries a ~100-byte generation spec; the worker
-            # re-derives its rows from the memoized pure slab function instead
-            # of receiving pickled (or even shm-published) bytes.
-            tasks = [
-                (
-                    chunk,
-                    _SlabRows(
-                        int(request.seed), request.trials, draws,
-                        dtype.str, chunk[0], chunk[-1] + 1,
-                    ),
-                )
-                for chunk in chunks
-            ]
+        with stage("rng"):
+            slab = philox_fused_normals(
+                request.seed, request.trials, draws, dtype=compute_dtype().type
+            )
+    # Contiguous chunks of at most _TRIAL_CHUNK_CAP trials keep the stacked
+    # per-layer temporaries cache-resident; per-trial seeds (or slab rows)
+    # make the results chunking-invariant anyway.
+    results: List[TrialResult] = []
+    for start in range(0, request.trials, _TRIAL_CHUNK_CAP):
+        stop = min(start + _TRIAL_CHUNK_CAP, request.trials)
+        trials = list(range(start, stop))
+        if slab is None:
+            results += _run_trial_chunk(shared, trials)
         else:
-            with stage("rng"):
-                slab = philox_fused_normals(
-                    request.seed, request.trials, draws, dtype=dtype.type
-                )
-            tasks = [(chunk, slab[chunk[0] : chunk[-1] + 1]) for chunk in chunks]
-        run_chunk = _run_philox_chunk
-    else:
-        run_chunk, tasks = _run_trial_chunk, chunks
-    # One round needs no session: the round leases (cold: forks) its own
-    # workers inside the observed dispatch, which charges their start-up.
-    nested = _observed_dispatch(
-        lambda: backend.map_tasks(run_chunk, tasks, shared=shared)
-    )
-    results = [result for chunk_results in nested for result in chunk_results]
+            results += _run_philox_chunk(shared, trials, slab[start:stop])
     return aggregate_trials(
         tuple(results),
         seed=request.seed,

@@ -3,12 +3,12 @@
 **Reference mode (``seedseq``, the default).**  Every trial's random stream is
 a pure function of ``(scenario_seed, trial index)``: the trial's
 :class:`numpy.random.SeedSequence` uses the scenario seed as entropy and the
-trial index as its spawn key.  Any worker -- the local process, a thread, or a
-process-pool worker that received nothing but the two integers -- reconstructs
-bit-identical streams, which is what makes Monte Carlo accuracy tables
-byte-identical across the ``repro.exec`` backends.  This deliberately avoids
+trial index as its spawn key.  Any chunk of the trial axis reconstructs
+bit-identical streams from nothing but the two integers, which is what makes
+Monte Carlo accuracy tables independent of how the trials are chunked and of
+which ``repro.exec`` worker ran the study.  This deliberately avoids
 ``SeedSequence.spawn()``: spawning is stateful (the parent's
-``n_children_spawned`` advances), so two backends that partition the trial
+``n_children_spawned`` advances), so two chunkings that partition the trial
 list differently would derive different children.  Keying the spawn path by
 the trial index directly has no such ordering dependence.
 
@@ -146,8 +146,8 @@ def philox_fused_normals(
     Row ``i`` (variates ``[i * draws, (i + 1) * draws)`` of the study's keyed
     Philox stream) is trial ``i``'s block -- a pure function of
     ``(base_seed, i, draws)``, so any chunking of the trial axis slices the
-    same rows.  The caller generates the whole matrix once per study and ships
-    row slices to worker chunks.
+    same rows.  The caller generates the whole matrix once per study and hands
+    row slices to its trial chunks.
 
     Because the slab is a pure function of ``(base_seed, trials, draws,
     dtype)``, it is memoized (small LRU): a noise-magnitude sweep at a fixed

@@ -11,9 +11,9 @@ short-circuits to (near) zero overhead, so production runs pay nothing.
 Stages are coarse by design -- chunk-level and layer-level blocks, not
 per-element timers -- and observers run on whichever thread executed the block
 (concurrent studies time concurrently), so observers must be thread-safe;
-:class:`StageAccumulator` is the lock-protected default collector.  Timings
-from process-backend workers stay in the worker (the bench harness times
-scenarios on the in-process serial backend, where attribution is complete).
+:class:`StageAccumulator` is the lock-protected default collector.  A study
+always runs in the process that called it, so the observers registered there
+see every stage it times.
 """
 
 from __future__ import annotations
@@ -23,21 +23,14 @@ import threading
 import time
 from typing import Callable, Dict, Iterator, List
 
-#: The stage names the variation pipeline attributes time to.  ``dispatch``
-#: is the execution layer's own share: backend wall-clock not attributable to
-#: any worker-reported compute stage (pool spin-up, pickling, IPC, idle gaps).
-STAGE_NAMES = ("rng", "forward", "quantize", "metrics", "dispatch")
+#: The stage names the variation pipeline attributes time to.
+STAGE_NAMES = ("rng", "forward", "quantize", "metrics")
 
 #: Registered stage observers.  Mutated only under the lock: concurrent
 #: ``observe_stages`` scopes (e.g. studies on several threads) would otherwise
 #: race ``append``/``remove`` and could drop or double-register a callback.
 _OBSERVERS: List[Callable[[str, float], None]] = []
 _OBSERVERS_LOCK = threading.Lock()
-
-
-def stages_active() -> bool:
-    """Whether any stage observer is registered (the fast-path guard)."""
-    return bool(_OBSERVERS)
 
 
 @contextlib.contextmanager
@@ -50,27 +43,6 @@ def observe_stages(callback: Callable[[str, float], None]) -> Iterator[None]:
     finally:
         with _OBSERVERS_LOCK:
             _OBSERVERS.remove(callback)
-
-
-def emit(name: str, seconds: float) -> None:
-    """Report an externally measured stage duration to the observers.
-
-    The re-entry point for timings that crossed a process or host boundary:
-    process-pool chunks and cluster workers accumulate their own ``stage``
-    blocks and ship the totals home, where the parent emits them into its
-    observers so ``observe_stages`` sees one complete attribution regardless
-    of backend.
-    """
-    if not _OBSERVERS:
-        return
-    for callback in list(_OBSERVERS):
-        callback(name, seconds)
-
-
-def emit_totals(totals: Dict[str, float]) -> None:
-    """Emit a ``{stage: seconds}`` map (a shipped accumulator snapshot)."""
-    for name, seconds in totals.items():
-        emit(name, seconds)
 
 
 @contextlib.contextmanager

@@ -4,7 +4,8 @@ The contract under test: a ``--backend cluster`` run is byte-identical to a
 serial run (same task encodings, deterministic chunk reassembly, per-trial
 seed contracts), survives worker death mid-round by reassigning in-flight
 chunks to survivors, and never depends on the *worker's* environment -- task
-encodings carry the parent's forward/RNG/dtype modes.
+encodings carry the parent's mode snapshot, and a Monte Carlo trial chunk
+pins the dtype mode its study resolved.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import pytest
 from repro.exec import (
     ClusterBackend,
     ClusterTaskError,
-    ProcessBackend,
     coordinator_for,
     parse_address,
     resolve_backend,
@@ -35,9 +35,7 @@ from repro.onn.layers import dtype_mode, pinned_modes
 from repro.onn.models import build_mlp
 from repro.scenarios import REGISTRY, BatchRunner
 from repro.variation import (
-    AccuracyRequest,
     reference_forward,
-    run_monte_carlo,
     standard_noise,
 )
 from repro.variation.montecarlo import _run_trial_chunk, _TrialContext
@@ -156,10 +154,10 @@ class TestClusterProtocol:
             backend.map_tasks(lambda shared, task: task, [1, 2])
 
     def test_handshake_rejects_protocol_mismatch(self, coordinator):
-        assert PROTOCOL == "repro-cluster/4"
+        assert PROTOCOL == "repro-cluster/5"
         # /3 workers expect the retired context cache; a future version is
         # just as foreign.
-        for version in ("repro-cluster/3", "repro-cluster/999"):
+        for version in ("repro-cluster/4", "repro-cluster/999"):
             sock = socket.create_connection(
                 (coordinator.host, coordinator.port), timeout=5
             )
@@ -251,32 +249,6 @@ def mc_inputs():
 
 
 class TestClusterDeterminism:
-    def test_monte_carlo_cluster_report_is_bit_identical_to_serial(
-        self, mc_model, mc_inputs
-    ):
-        serial = run_monte_carlo(
-            AccuracyRequest(
-                mc_model, mc_inputs, noise=standard_noise(), trials=12, seed=7
-            )
-        )
-        coord = coordinator_for("127.0.0.1", 0)
-        processes = _spawn(coord, 2)
-        try:
-            coord.wait_for_workers(2, 60.0)
-            clustered = run_monte_carlo(
-                AccuracyRequest(
-                    mc_model,
-                    mc_inputs,
-                    noise=standard_noise(),
-                    trials=12,
-                    seed=7,
-                    backend=_backend(coord),
-                )
-            )
-        finally:
-            _reap(coord, processes)
-        assert clustered == serial
-
     def test_batch_tables_and_pass_counts_match_serial(self):
         names = ["fig6_layout", "table1_taxonomy", "variation_robustness"]
         serial_report = BatchRunner(store=None).run(names)
@@ -353,18 +325,3 @@ class TestModePinning:
         # Flip the parent environment AFTER encoding: results must not move.
         monkeypatch.setenv("REPRO_DTYPE", "float32")
         assert _run_trial_chunk(context, list(range(6))) == baseline
-
-    def test_process_workers_ignore_their_inherited_env(
-        self, mc_model, mc_inputs, monkeypatch
-    ):
-        """The regression the satellite names: encode tasks, flip the parent
-        env, fan out over real worker processes (which inherit the flipped
-        env), and require bit-identical results."""
-        context = _trial_context(mc_model, mc_inputs)
-        chunks = [list(range(3)), list(range(3, 6))]
-        baseline = [_run_trial_chunk(context, chunk) for chunk in chunks]
-        monkeypatch.setenv("REPRO_DTYPE", "float32")
-        nested = ProcessBackend(jobs=2).map_tasks(
-            _run_trial_chunk, chunks, shared=context
-        )
-        assert nested == baseline

@@ -167,6 +167,25 @@ class TestConfigSnapshot:
         fresh = DesignSpaceExplorer(build_tempo, workloads, sim_config=sim)
         assert fresh.evaluate({"num_tiles": 2}).energy_uj < before.energy_uj
 
+    def test_workloads_are_a_snapshot(self):
+        """Appending to the caller's list (or trying to append to the
+        explorer's) cannot change the set a cached explorer keys on."""
+        small = GEMMWorkload("g", m=64, k=16, n=64)
+        big = GEMMWorkload("big", m=256, k=256, n=256)
+        workloads = [small]
+        cached = DesignSpaceExplorer(build_tempo, workloads)
+        before = cached.evaluate({"num_tiles": 1})
+        assert before.latency_ns == pytest.approx(601.6)
+        workloads.append(big)
+        assert cached.workloads == (small,)
+        with pytest.raises(AttributeError):
+            cached.workloads.append(big)
+        assert cached.evaluate({"num_tiles": 1}) == before
+        both = DesignSpaceExplorer(build_tempo, workloads)
+        uncached = DesignSpaceExplorer(build_tempo, workloads, cache=False)
+        assert both.evaluate({"num_tiles": 1}).latency_ns == pytest.approx(117939.2)
+        assert both.evaluate({"num_tiles": 1}) == uncached.evaluate({"num_tiles": 1})
+
     def test_config_attributes_are_copies(self):
         workloads = [GEMMWorkload("g", m=64, k=16, n=64)]
         explorer = DesignSpaceExplorer(build_tempo, workloads)

@@ -303,3 +303,30 @@ class TestRuleEvaluationSpy:
             # point's mappings use, never once per mapping.
             duty_overlays = [c[2] for c in point_calls if c[1] == "1/max(T_ACC, 1)"]
             assert 1 <= len(duty_overlays) <= len(workloads)
+
+
+# -- the mapper reads its device limits once per structure ------------------------------
+
+
+class TestMapperLimits:
+    def test_integration_limit_scanned_once_per_limits_miss(self, monkeypatch):
+        scan = DataflowMapper._integration_limit
+        calls = []
+
+        def spy(mapper, arch):
+            calls.append(arch.name)
+            return scan(mapper, arch)
+
+        monkeypatch.setattr(DataflowMapper, "_integration_limit", spy)
+        workloads = [
+            GEMMWorkload("qkv", m=64, k=48, n=96),
+            GEMMWorkload("deep", m=16, k=1024, n=32),
+        ]
+        explorer = DesignSpaceExplorer(build_tempo, workloads)
+        space = DesignSpace({"num_tiles": [1, 2], "core_height": [2, 4]})
+        result = explorer.explore(space)
+        stats = explorer.cache.stats
+        assert len(result.points) == 4
+        # Every map miss reuses the limits its key already holds.
+        assert stats["map"].misses > stats["mapper_limits"].misses
+        assert len(calls) == stats["mapper_limits"].misses

@@ -2,8 +2,9 @@
 
 The contracts under test mirror the dispatch-path design:
 
-- shm handles are content-addressed, inline below the segment threshold, and
-  leak nothing -- not even when a cluster worker is SIGKILLed mid-round;
+- shm object handles are content-addressed, inline below the segment
+  threshold, and leak nothing -- not even when a cluster worker is SIGKILLed
+  mid-round;
 - warm pools reuse worker processes across dispatches, revalidate their
   ``REPRO_*`` snapshot on checkout, reap themselves when idle, and preserve
   the result-store warm start (a second batch runs zero engine passes);
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import glob
 import os
-import pickle
 import signal
 import threading
 import time
@@ -30,13 +30,10 @@ from repro.exec import (
     ProcessBackend,
     ShmHandle,
     active_segments,
-    as_array,
     as_object,
     coordinator_for,
     pool_status,
-    publish_array,
     publish_object,
-    resolve_array,
     resolve_object,
     run_worker,
     set_fetch_hook,
@@ -48,8 +45,6 @@ from repro.exec import (
 from repro.exec import pool as pool_mod
 from repro.exec import shm as shm_mod
 from repro.exec.shm import FRAME_ALIGN, INLINE_MAX_BYTES, published_bytes
-from repro.variation import AccuracyRequest, run_monte_carlo, standard_noise
-from repro.onn.models import build_mlp
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 
@@ -70,14 +65,14 @@ def _slow_square(shared, task):
 
 
 def _sum_resolved(shared, task):
-    array = as_array(shared)
+    array = as_object(shared)
     return float(array.sum()) + task
 
 
 def _object_view_facts(shared, task):
     """What a worker sees of a resolved object payload's arrays."""
     weights = as_object(shared)["weights"]
-    segment = resolve_array(shared)
+    segment = shm_mod._resolve_payload(shared)
     return (
         bool(weights.flags.writeable),
         bool(np.shares_memory(weights, segment)),
@@ -91,7 +86,7 @@ def _sum_resolved_or_die(shared, task):
         with open(sentinel, "w"):
             pass
         os.kill(os.getpid(), signal.SIGKILL)
-    return float(as_array(shared).sum()) + value
+    return float(as_object(shared).sum()) + value
 
 
 # -- helpers ---------------------------------------------------------------------------
@@ -132,21 +127,21 @@ class TestShmTransport:
     def test_small_payloads_ship_inline(self):
         array = np.arange(64, dtype=np.float64)
         with forced_env("REPRO_SHM", "on"):
-            handle = publish_array(array)
+            handle = publish_object(array)
         assert isinstance(handle, ShmHandle)
-        assert handle.inline is not None
+        assert handle.inline is not None and handle.size <= INLINE_MAX_BYTES
         assert active_segments() == []
-        np.testing.assert_array_equal(resolve_array(handle), array)
+        np.testing.assert_array_equal(resolve_object(handle), array)
 
     def test_large_arrays_publish_segments(self):
         array = np.random.default_rng(0).normal(
             size=(INLINE_MAX_BYTES // 8 + 512,)
         )
         with forced_env("REPRO_SHM", "on"):
-            handle = publish_array(array)
-            assert handle.inline is None
+            handle = publish_object(array)
+            assert handle.inline is None and handle.size > INLINE_MAX_BYTES
             assert len(active_segments()) == 1
-            resolved = resolve_array(handle)
+            resolved = resolve_object(handle)
             np.testing.assert_array_equal(resolved, array)
             assert not resolved.flags.writeable
         del resolved
@@ -157,8 +152,8 @@ class TestShmTransport:
     def test_publish_is_content_addressed(self):
         array = np.random.default_rng(1).normal(size=(INLINE_MAX_BYTES // 8 + 16,))
         with forced_env("REPRO_SHM", "on"):
-            first = publish_array(array)
-            second = publish_array(array.copy())
+            first = publish_object(array)
+            second = publish_object(array.copy())
             assert first.digest == second.digest
             assert len(active_segments()) == 1
 
@@ -174,10 +169,10 @@ class TestShmTransport:
     def test_shm_off_inlines_everything(self):
         array = np.zeros(INLINE_MAX_BYTES // 8 + 1024)
         with forced_env("REPRO_SHM", "off"):
-            handle = publish_array(array)
+            handle = publish_object(array)
         assert handle.inline is not None
         assert active_segments() == []
-        np.testing.assert_array_equal(as_array(handle), array)
+        np.testing.assert_array_equal(as_object(handle), array)
 
 
 class TestZeroCopyObjects:
@@ -196,7 +191,7 @@ class TestZeroCopyObjects:
         np.testing.assert_array_equal(resolved["weights"], weights)
         assert resolved["label"] == "w"
         assert not resolved["weights"].flags.writeable
-        assert np.shares_memory(resolved["weights"], resolve_array(handle))
+        assert np.shares_memory(resolved["weights"], shm_mod._resolve_payload(handle))
 
     def test_out_of_band_arrays_are_aligned(self):
         with forced_env("REPRO_SHM", "on"):
@@ -273,28 +268,6 @@ class TestZeroCopyObjects:
         _assert_same(resolved, payload)
         assert not resolved["weights"].flags.writeable
 
-    def test_monte_carlo_with_a_segment_sized_model_matches_serial(self):
-        model = build_mlp((32, 192, 96, 6), rng=np.random.default_rng(3))
-        assert len(pickle.dumps(model)) > INLINE_MAX_BYTES
-        inputs = np.random.default_rng(9).normal(size=(32, 32))
-
-        def report(backend):
-            return run_monte_carlo(
-                AccuracyRequest(
-                    model, inputs, noise=standard_noise(), trials=8, seed=7,
-                    backend=backend, jobs=2,
-                )
-            )
-
-        serial = report("serial")
-        with forced_env("REPRO_SHM", "on"):
-            processes = report("processes")
-            assert any(
-                handle.kind == "object" and handle.segment is not None
-                for _segment, handle, _view, _pid in shm_mod._REGISTRY.published.values()
-            ), "the model never reached a real segment"
-        assert processes == serial
-
 
 def _assert_same(actual, expected):
     """Structural equality that also compares arrays element for element."""
@@ -331,7 +304,7 @@ class TestShmLeaks:
         try:
             coord.wait_for_workers(2, 60)
             with forced_env("REPRO_SHM", "on"):
-                handle = publish_array(array)
+                handle = publish_object(array)
                 backend = ClusterBackend(jobs=2, host=coord.host, port=coord.port)
                 sentinel = str(tmp_path / "die-once")
                 tasks = [(sentinel if i == 1 else None, i) for i in range(6)]
@@ -363,7 +336,7 @@ class TestShmLeaks:
                 code = 1
                 try:
                     os.close(read_end)
-                    handle = publish_array(np.arange(2e5))
+                    handle = publish_object(np.arange(2e5))
                     os.write(write_end, handle.segment.encode())
                     unlink_all()
                     code = 0
@@ -383,14 +356,14 @@ class TestShmLeaks:
     def test_forked_child_keeps_what_it_inherited(self):
         array = np.random.default_rng(11).normal(size=(INLINE_MAX_BYTES // 8 + 64,))
         with forced_env("REPRO_SHM", "on"):
-            handle = publish_array(array)
+            handle = publish_object(array)
             pid = os.fork()
             if pid == 0:  # pragma: no cover - runs in the child
                 unlink_all()
                 os._exit(0)
         os.waitpid(pid, 0)
         assert os.path.exists(f"/dev/shm/{handle.segment}")
-        np.testing.assert_array_equal(resolve_array(handle), array)
+        np.testing.assert_array_equal(resolve_object(handle), array)
 
 
 class TestForkedWorkers:
@@ -407,14 +380,14 @@ class TestForkedWorkers:
             )
             assert cluster.map_tasks(_slow_square, [1, 2]) == [1, 4]
             with forced_env("REPRO_POOL", "cold"), forced_env("REPRO_SHM", "on"):
-                handle = publish_array(array)
+                handle = publish_object(array)
                 backend = ProcessBackend(jobs=2)
                 with backend.session():
                     results = backend.map_tasks(_sum_resolved, [0, 1], shared=handle)
             assert results == pytest.approx([float(array.sum()), float(array.sum()) + 1])
             assert os.path.exists(f"/dev/shm/{handle.segment}")
             assert active_segments() == [handle.segment]
-            np.testing.assert_array_equal(resolve_array(handle), array)
+            np.testing.assert_array_equal(resolve_object(handle), array)
             # The coordinator's TCP worker was not drained by any child.
             assert cluster.map_tasks(_slow_square, [3, 4]) == [9, 16]
             assert coord.worker_count == 1
@@ -546,22 +519,14 @@ class TestStealPartition:
         assert sizes[-1] == min(sizes)
         assert sizes == sorted(sizes, reverse=True)
 
-    def test_cap_bounds_every_chunk(self):
-        chunks = steal_partition(100, 2, cap=8)
-        assert all(len(chunk) <= 8 for chunk in chunks)
-        assert [i for c in chunks for i in c] == list(range(100))
-
     def test_single_worker_minimizes_round_trips(self):
         assert steal_partition(24, 1) == [list(range(24))]
-        assert [len(c) for c in steal_partition(24, 1, cap=10)] == [10, 10, 4]
 
     def test_invalid_arguments_fail_loudly(self):
         with pytest.raises(ValueError):
             steal_partition(-1, 2)
         with pytest.raises(ValueError):
             steal_partition(4, 0)
-        with pytest.raises(ValueError):
-            steal_partition(4, 2, cap=0)
 
 
 # -- straggler determinism -------------------------------------------------------------
@@ -581,20 +546,3 @@ class TestStragglerDeterminism:
         finally:
             coord.close("shutdown")
         assert serial == warm == cluster == expected
-
-    def test_monte_carlo_warm_shm_matches_serial(self):
-        model = build_mlp((16, 24, 12, 6), rng=np.random.default_rng(3))
-        inputs = np.random.default_rng(9).normal(size=(32, 16))
-
-        def report(backend):
-            return run_monte_carlo(
-                AccuracyRequest(
-                    model, inputs, noise=standard_noise(), trials=8, seed=7,
-                    backend=backend, jobs=2,
-                )
-            )
-
-        serial = report("serial")
-        with forced_env("REPRO_POOL", "warm"), forced_env("REPRO_SHM", "on"):
-            warm_shm = report("processes")
-        assert warm_shm == serial

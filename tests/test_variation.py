@@ -19,7 +19,6 @@ from repro.variation import (
     AccuracyRequest,
     Crosstalk,
     LinkLossDrift,
-    LinkOperatingPoint,
     NoiseSpec,
     PhaseError,
     WeightEncodingError,
@@ -69,7 +68,7 @@ class TestSampler:
         assert not np.array_equal(a, b)
 
     def test_construction_order_is_irrelevant(self):
-        """Chunked/partitioned construction (process backend) changes nothing."""
+        """Chunked construction (trial chunks, design-point groups) changes nothing."""
         forward = [trial_rng(11, t).normal(size=4) for t in range(6)]
         backward = {t: trial_rng(11, t).normal(size=4) for t in reversed(range(6))}
         for t in range(6):
@@ -213,7 +212,7 @@ class TestNoisyForward:
         )
 
 
-# -- Monte Carlo over execution backends ------------------------------------------------
+# -- Monte Carlo studies ----------------------------------------------------------------
 
 
 class TestMonteCarlo:
@@ -224,21 +223,6 @@ class TestMonteCarlo:
         report = run_monte_carlo(request)
         assert report.accuracy_mean == 1.0
         assert report.rmse_mean == 0.0
-
-    def test_reports_are_identical_across_backends(self, mc_model, mc_inputs):
-        """The acceptance contract: per-trial seeding is backend-invariant."""
-        link = LinkOperatingPoint(
-            optical_power_mw=1.2, insertion_loss_db=6.0, bandwidth_ghz=5.0
-        )
-        reports = {
-            backend: run_monte_carlo(
-                make_request(mc_model, mc_inputs, backend=backend, jobs=jobs),
-                link=link,
-            )
-            for backend, jobs in (("serial", None), ("processes", 2))
-        }
-        assert reports["processes"] == reports["serial"]
-        assert reports["serial"].accuracies  # per-trial values round-trip
 
     def test_aggregates_cover_per_trial_spread(self, mc_model, mc_inputs):
         report = run_monte_carlo(
@@ -269,12 +253,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="reference"):
             AccuracyRequest(mc_model, mc_inputs, reference="digital")
 
-    def test_fingerprint_excludes_backend(self, mc_model, mc_inputs):
-        a = make_request(mc_model, mc_inputs, backend="serial")
-        b = make_request(mc_model, mc_inputs, backend="processes", jobs=2)
-        c = make_request(mc_model, mc_inputs, seed=8)
-        assert a.fingerprint() == b.fingerprint()
-        assert a.fingerprint() != c.fingerprint()
+    def test_studies_refuse_task_shipping_backends(self, mc_model, mc_inputs):
+        for backend in ("processes", "cluster", "threads"):
+            with pytest.raises(ValueError, match="run in process"):
+                make_request(mc_model, mc_inputs, backend=backend, jobs=2)
+        serial = make_request(mc_model, mc_inputs, backend="serial", jobs=2)
+        default = make_request(mc_model, mc_inputs)
+        assert run_monte_carlo(serial) == run_monte_carlo(default)
 
 
 # -- engine integration -----------------------------------------------------------------
@@ -401,13 +386,11 @@ class TestAccuracyObjective:
 
 
 class TestVariationScenarios:
-    def test_robustness_table_is_byte_identical_across_backends(self):
-        """Acceptance: same seed -> same Monte Carlo table on every backend."""
-        serial = run_scenario("variation_robustness")
-        processes = run_scenario(
-            "variation_robustness", params={"backend": "processes", "jobs": "2"}
-        )
-        assert processes.table == serial.table
+    def test_robustness_scenario_refuses_task_shipping_backends(self):
+        with pytest.raises(ValueError, match="run in process"):
+            run_scenario(
+                "variation_robustness", params={"backend": "processes", "jobs": "2"}
+            )
 
     def test_pareto_scenario_runs_through_repro_batch(self, tmp_path):
         """Acceptance: accuracy as a DSE objective, batch-run and persisted."""

@@ -21,7 +21,6 @@ import pytest
 
 from repro.cli import main
 from repro.dataflow.gemm import GEMMWorkload
-from repro.exec import steal_partition
 from oracles import im2col_loop, loop_monte_carlo
 from repro.onn.layers import (
     AvgPool2d,
@@ -65,7 +64,9 @@ from repro.variation.accuracy import (
     output_rmse_batch,
 )
 from repro.variation.models import Crosstalk, LinkLossDrift, VariationModel
+from repro.variation import montecarlo
 from repro.variation.montecarlo import run_monte_carlo
+from repro.variation.stages import STAGE_NAMES, StageAccumulator, observe_stages
 from repro.variation.sampler import trial_rng
 
 RNG = np.random.default_rng(20250730)
@@ -452,11 +453,6 @@ class TestBatchedMonteCarlo:
     def test_loop_and_batched_reports_are_identical(self):
         assert loop_monte_carlo(self.request()) == run_monte_carlo(self.request())
 
-    def test_reports_identical_across_backends(self):
-        serial = run_monte_carlo(self.request(backend="serial"))
-        processes = run_monte_carlo(self.request(backend="processes", jobs=2))
-        assert serial == processes
-
     def test_per_trial_seeds_survive_chunking(self):
         """extra_loss_db is the first draw of each trial's stream: bit-equal
         values against the loop prove the seed contract held under batching."""
@@ -465,23 +461,29 @@ class TestBatchedMonteCarlo:
         assert loop_report.accuracies == batched_report.accuracies
         assert loop_report.effective_bits_mean == batched_report.effective_bits_mean
 
-    def test_trial_partition_is_deterministic_and_complete(self):
-        # run_monte_carlo's partition on every backend: serial gets the
-        # coarsest capped chunks, several workers get size-tiered ones.
-        assert steal_partition(256, 1, cap=64) == [
-            list(range(start, start + 64)) for start in range(0, 256, 64)
-        ]
-        assert steal_partition(24, 1, cap=64) == [list(range(24))]
-        chunks = steal_partition(100, 3, cap=64)
-        assert [len(c) for c in chunks][:3] == [9, 8, 7]
-        assert [i for chunk in chunks for i in chunk] == list(range(100))
-        assert steal_partition(100, 3, cap=64) == chunks
-        assert steal_partition(2, 8, cap=64) == [[0], [1]]
-        assert steal_partition(0, 4, cap=64) == []
-        with pytest.raises(ValueError):
-            steal_partition(4, 0)
-        with pytest.raises(ValueError):
-            steal_partition(-1, 2)
+    def test_trial_partition_is_deterministic_and_complete(self, monkeypatch):
+        # Every study runs in fixed, contiguous chunks of at most
+        # _TRIAL_CHUNK_CAP trials, folded in trial order.
+        seen = []
+        original = montecarlo._run_trial_chunk
+
+        def spy(shared, trials):
+            seen.append(list(trials))
+            return original(shared, trials)
+
+        monkeypatch.setattr(montecarlo, "_run_trial_chunk", spy)
+        report = run_monte_carlo(self.request(trials=150))
+        cap = montecarlo._TRIAL_CHUNK_CAP
+        assert cap == 64
+        assert seen == [list(range(0, 64)), list(range(64, 128)), list(range(128, 150))]
+        assert report.trials == len(report.accuracies) == 150
+
+    def test_observed_study_emits_only_compute_stages(self):
+        accumulator = StageAccumulator()
+        with observe_stages(accumulator):
+            run_monte_carlo(self.request())
+        assert set(accumulator.totals()) == {"rng", "forward", "quantize", "metrics"}
+        assert set(STAGE_NAMES) == {"rng", "forward", "quantize", "metrics"}
 
 
 class TestFingerprintMemoization:
