@@ -24,17 +24,22 @@ import pytest
 from repro.exec import (
     ClusterBackend,
     ClusterTaskError,
+    ProcessBackend,
     coordinator_for,
     parse_address,
     resolve_backend,
     run_worker,
     spawn_local_workers,
 )
+from repro.arch.templates import build_tempo
 from repro.exec.cluster import PROTOCOL, recv_frame, send_frame
+from repro.explore import DesignSpace, DesignSpaceExplorer
 from repro.onn.layers import dtype_mode, pinned_modes
 from repro.onn.models import build_mlp
+from repro.onn.workload import extract_workloads
 from repro.scenarios import REGISTRY, BatchRunner
 from repro.variation import (
+    AccuracyRequest,
     reference_forward,
     standard_noise,
 )
@@ -249,6 +254,31 @@ def mc_inputs():
 
 
 class TestClusterDeterminism:
+    def test_accuracy_points_match_serial(self, mc_model, mc_inputs):
+        """Cluster workers run each design-point group's Monte Carlo study in
+        process and record the serial accuracy, bit for bit."""
+        workloads = extract_workloads(mc_model, mc_inputs)
+        space = DesignSpace({"input_bits": (4, 6, 8)})
+        request = AccuracyRequest(
+            mc_model, mc_inputs, noise=standard_noise(), trials=12, seed=7
+        )
+
+        def sweep(backend):
+            explorer = DesignSpaceExplorer(build_tempo, workloads, accuracy=request)
+            return explorer.explore(space, backend=backend)
+
+        serial = sweep(None)
+        coord = coordinator_for("127.0.0.1", 0)
+        processes = _spawn(coord, 2)
+        try:
+            coord.wait_for_workers(2, 60.0)
+            clustered = sweep(_backend(coord))
+        finally:
+            _reap(coord, processes)
+        assert clustered.backend == "cluster"
+        assert all(point.accuracy is not None for point in clustered.points)
+        assert clustered.points == serial.points
+
     def test_batch_tables_and_pass_counts_match_serial(self):
         names = ["fig6_layout", "table1_taxonomy", "variation_robustness"]
         serial_report = BatchRunner(store=None).run(names)
@@ -325,3 +355,18 @@ class TestModePinning:
         # Flip the parent environment AFTER encoding: results must not move.
         monkeypatch.setenv("REPRO_DTYPE", "float32")
         assert _run_trial_chunk(context, list(range(6))) == baseline
+
+    def test_process_workers_ignore_their_inherited_env(
+        self, mc_model, mc_inputs, monkeypatch
+    ):
+        """Encode trial chunks, flip the parent env, run them in real worker
+        processes (which inherit the flipped env, as a process-backend
+        design-point group does), and require bit-identical results."""
+        context = _trial_context(mc_model, mc_inputs)
+        chunks = [list(range(3)), list(range(3, 6))]
+        baseline = [_run_trial_chunk(context, chunk) for chunk in chunks]
+        monkeypatch.setenv("REPRO_DTYPE", "float32")
+        nested = ProcessBackend(jobs=2).map_tasks(
+            _run_trial_chunk, chunks, shared=context
+        )
+        assert nested == baseline

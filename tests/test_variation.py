@@ -253,6 +253,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="reference"):
             AccuracyRequest(mc_model, mc_inputs, reference="digital")
 
+    def test_fingerprint_excludes_backend(self, mc_model, mc_inputs):
+        a = make_request(mc_model, mc_inputs, backend="serial")
+        b = make_request(mc_model, mc_inputs, jobs=2)
+        c = make_request(mc_model, mc_inputs, seed=8)
+        assert a.fingerprint() == b.fingerprint()
+        assert a.fingerprint() != c.fingerprint()
+
     def test_studies_refuse_task_shipping_backends(self, mc_model, mc_inputs):
         for backend in ("processes", "cluster", "threads"):
             with pytest.raises(ValueError, match="run in process"):
@@ -391,6 +398,23 @@ class TestVariationScenarios:
             run_scenario(
                 "variation_robustness", params={"backend": "processes", "jobs": "2"}
             )
+
+    def test_robustness_table_ignores_jobs(self):
+        """`jobs` is accepted for the serial backend and changes nothing."""
+        default = run_scenario("variation_robustness")
+        with_jobs = run_scenario(
+            "variation_robustness", params={"backend": "serial", "jobs": "4"}
+        )
+        assert with_jobs.table == default.table
+
+    def test_pareto_table_is_byte_identical_across_backends(self):
+        """Design-point groups on workers run their Monte Carlo in process."""
+        serial = run_scenario("accuracy_energy_pareto")
+        processes = run_scenario(
+            "accuracy_energy_pareto", params={"backend": "processes", "jobs": "2"}
+        )
+        assert processes.metrics["backend"] == "processes"
+        assert processes.table == serial.table
 
     def test_pareto_scenario_runs_through_repro_batch(self, tmp_path):
         """Acceptance: accuracy as a DSE objective, batch-run and persisted."""
