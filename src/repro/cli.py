@@ -26,6 +26,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.report import format_table, save_result_text
 from repro.exec import BACKENDS
+# Importing the cluster module registers the task-shipping --backend choices.
+from repro.exec.cluster import parse_address, run_worker
 from repro.scenarios import (
     REGISTRY,
     BatchRunner,
@@ -199,8 +201,6 @@ def _parse_fail_below(pairs: Sequence[str]) -> Dict[str, float]:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.exec import parse_address, run_worker
-
     try:
         host, port = parse_address(args.connect)
     except ValueError as exc:
@@ -276,7 +276,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_pool(args: argparse.Namespace) -> int:
-    from repro.exec import pool_status, stop_pools
+    from repro.exec.pool import pool_status, stop_pools
 
     if args.action == "stop":
         stopped = stop_pools()
@@ -587,6 +587,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except AssertionError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # Out-of-range scenario parameters (``trials=0``) and bad values.
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; exit quietly like other CLIs.

@@ -13,6 +13,13 @@ payloads travel through :mod:`~repro.exec.shm`).  The :mod:`~repro.exec.telemetr
 accounting (engine passes, per-pass wall-clock, cache hit/miss counters)
 mergeable across process and host boundaries, so reports look identical no
 matter which backend ran the work.
+
+The package itself exports only the serial path (:mod:`~repro.exec.backends`)
+and the telemetry.  :mod:`~repro.exec.cluster`, :mod:`~repro.exec.pool` and
+:mod:`~repro.exec.shm` load on demand: :func:`resolve_backend` imports the
+cluster module the first time it is asked for a backend name it has not
+registered yet, and callers that use the task-shipping machinery directly
+import the submodule they need, so a serial run never loads them.
 """
 
 from repro.exec.backends import (
@@ -25,28 +32,6 @@ from repro.exec.backends import (
     repro_env_snapshot,
     resolve_backend,
     steal_partition,
-)
-from repro.exec.pool import pool_mode, pool_status, stop_pools
-from repro.exec.shm import (
-    ShmHandle,
-    active_segments,
-    as_object,
-    publish_object,
-    resolve_object,
-    set_fetch_hook,
-    shm_enabled,
-    unlink_all,
-)
-from repro.exec.cluster import (
-    ClusterBackend,
-    ClusterCoordinator,
-    ClusterTaskError,
-    ProcessBackend,
-    coordinator_for,
-    parse_address,
-    run_worker,
-    shutdown_coordinators,
-    spawn_local_workers,
 )
 from repro.exec.telemetry import (
     scoped_pass_observer,
@@ -61,39 +46,19 @@ from repro.exec.telemetry import (
 
 __all__ = [
     "BACKENDS",
-    "ClusterBackend",
-    "ClusterCoordinator",
-    "ClusterTaskError",
     "ExecutionBackend",
     "PassTiming",
-    "ProcessBackend",
     "SerialBackend",
-    "ShmHandle",
     "WorkerTelemetry",
-    "active_segments",
     "applied_env_snapshot",
-    "as_object",
     "available_cpus",
     "cache_stats_delta",
     "cache_stats_snapshot",
-    "coordinator_for",
     "default_jobs",
     "merge_cache_stats",
     "merge_pass_timings",
-    "parse_address",
-    "pool_mode",
-    "pool_status",
-    "publish_object",
     "render_pass_timings",
     "repro_env_snapshot",
     "resolve_backend",
-    "resolve_object",
-    "run_worker",
-    "set_fetch_hook",
-    "shm_enabled",
-    "shutdown_coordinators",
-    "spawn_local_workers",
     "steal_partition",
-    "stop_pools",
-    "unlink_all",
 ]

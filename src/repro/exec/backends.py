@@ -63,17 +63,17 @@ def _validate_jobs(jobs: Optional[int]) -> Optional[int]:
     return jobs
 
 
-def steal_partition(
-    count: int,
-    workers: int,
-    min_chunk: int = 1,
-    factor: int = 4,
-) -> List[List[int]]:
+#: Guided self-scheduling: a chunk takes ``1 / _STEAL_FACTOR`` of a worker's
+#: fair share of the remaining indices (rounded up, so never none).
+_STEAL_FACTOR = 4
+
+
+def steal_partition(count: int, workers: int) -> List[List[int]]:
     """Size-tiered contiguous chunks for completion-driven (work-stealing) pools.
 
     Guided self-scheduling: each chunk takes ``ceil(remaining / (workers *
-    factor))`` indices, so early chunks are large (amortizing per-chunk
-    dispatch cost) and the tail degrades to ``min_chunk``-sized pieces -- a
+    _STEAL_FACTOR))`` indices, so early chunks are large (amortizing per-chunk
+    dispatch cost) and the tail degrades to single-index pieces -- a
     straggler can strand at most one small chunk's worth of work, instead of
     the ``count / workers`` a static one-chunk-per-worker split risks.  It is
     a pure function of its arguments and the chunks concatenate to
@@ -85,10 +85,6 @@ def steal_partition(
         raise ValueError(f"count must be non-negative, got {count}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    if min_chunk < 1:
-        raise ValueError(f"min_chunk must be positive, got {min_chunk}")
-    if factor < 1:
-        raise ValueError(f"factor must be positive, got {factor}")
     if count == 0:
         return []
     if workers == 1:
@@ -99,8 +95,7 @@ def steal_partition(
     start = 0
     remaining = count
     while remaining:
-        size = max(min_chunk, math.ceil(remaining / (workers * factor)))
-        size = min(size, remaining)
+        size = math.ceil(remaining / (workers * _STEAL_FACTOR))
         chunks.append(list(range(start, start + size)))
         start += size
         remaining -= size
@@ -197,7 +192,8 @@ class SerialBackend(ExecutionBackend):
 
 
 #: Backends constructible by name (the CLI's ``--backend`` values);
-#: :mod:`repro.exec.cluster` registers ``processes`` and ``cluster``.
+#: :mod:`repro.exec.cluster` registers ``processes`` and ``cluster`` when it
+#: is imported, which :func:`resolve_backend` does on the first name it lacks.
 BACKENDS: Dict[str, Type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
 }
@@ -218,6 +214,10 @@ def resolve_backend(
         return backend
     if backend is None:
         return SerialBackend()
+    if not isinstance(backend, str) or backend not in BACKENDS:
+        # The task-shipping backends register themselves when their module
+        # loads, so a serial run never pays for importing them.
+        import repro.exec.cluster  # noqa: F401
     if isinstance(backend, str):
         if backend not in BACKENDS:
             import difflib

@@ -33,6 +33,7 @@ import pickle
 import threading
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -65,22 +66,21 @@ from repro.dataflow.gemm import GEMMWorkload
 from repro.exec import (
     ExecutionBackend,
     PassTiming,
-    ShmHandle,
     WorkerTelemetry,
     applied_env_snapshot,
-    as_object,
     cache_stats_delta,
     cache_stats_snapshot,
     merge_cache_stats,
-    publish_object,
     repro_env_snapshot,
     resolve_backend,
     scoped_pass_observer,
-    shm_enabled,
 )
 from repro.explore.search import SearchStrategy, resolve_strategy
 from repro.onn.workload import LayerWorkload
 from repro.variation.montecarlo import AccuracyRequest
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exec.shm import ShmHandle
 
 ArchBuilder = Callable[..., Architecture]
 WorkloadSet = Sequence[object]
@@ -338,6 +338,8 @@ _WORKER_EXPLORERS_LOCK = threading.Lock()
 
 
 def _worker_explorer(shared: _DesignTaskContext) -> "DesignSpaceExplorer":
+    from repro.exec.shm import as_object
+
     with _WORKER_EXPLORERS_LOCK:
         explorer = _WORKER_EXPLORERS.get(shared.key)
         if explorer is None:
@@ -568,6 +570,8 @@ class DesignSpaceExplorer:
     # -- process-backend task encoding -------------------------------------------------
     def _process_context(self) -> _DesignTaskContext:
         """The picklable, task-invariant payload shipped to worker processes."""
+        from repro.exec.shm import publish_object, shm_enabled
+
         try:
             pickle.dumps(self.builder)
         except Exception as exc:

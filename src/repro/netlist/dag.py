@@ -7,14 +7,25 @@ stores ``(CW - 1) x`` the crossing loss on that edge).  The total insertion loss
 path from a light source to a detector is then the source device's own loss plus the
 sum of edge weights along the path, and the link-budget critical path is the longest
 such weighted path.
+
+Ties decide which path is reported, so the longest-path search follows a fixed
+order, the one of the graph library it replaced (``tests/test_dag_oracle.py`` checks
+it against that library on random DAGs):
+
+- nodes are visited in topological generations, each generation in instance order
+  and each node's successors in first-net order (duplicate nets count once);
+- a node's best predecessor is the first maximum over its predecessors in
+  first-net order, and a negative distance restarts the path at the node;
+- the path ends at the first node, in that visiting order, of maximum distance, and
+  its length is summed edge by edge from the start;
+- :meth:`CircuitDAG.longest_path_from` walks simple paths depth first in successor
+  order, sink by sink in instance order, and keeps the first maximum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.devices.library import DeviceLibrary
 from repro.netlist.netlist import Netlist
@@ -56,23 +67,47 @@ class CircuitDAG:
                 raise ValueError(
                     f"loss multiplier for {name!r} must be non-negative, got {multiplier}"
                 )
-        self.graph = self._build_graph()
+        # Edge weights keyed both ways, each map in instance order and each
+        # neighbour map in first-net order; a duplicate net keeps one edge.
+        names = netlist.instances
+        self._succ: Dict[str, Dict[str, float]] = {name: {} for name in names}
+        self._pred: Dict[str, Dict[str, float]] = {name: {} for name in names}
+        for src, dst in netlist.edge_list():
+            # The tiny epsilon breaks ties in favour of longer paths so the critical
+            # path always extends through lossless devices down to the detector.
+            loss_db = self._instance_loss_db(dst) + 1e-9
+            self._succ[src][dst] = loss_db
+            self._pred[dst][src] = loss_db
 
-    # -- graph construction --------------------------------------------------------
+    # -- graph structure ------------------------------------------------------------
     def _instance_loss_db(self, name: str) -> float:
         device = self.library.get(self.netlist.device_of(name))
         multiplier = self.loss_multipliers.get(name, 1.0)
         return device.insertion_loss_db * multiplier
 
-    def _build_graph(self) -> nx.DiGraph:
-        graph = nx.DiGraph()
-        for name, inst in self.netlist.instances.items():
-            graph.add_node(name, device=inst.device, role=inst.role)
-        for src, dst in self.netlist.edge_list():
-            # The tiny epsilon breaks ties in favour of longer paths so the critical
-            # path always extends through lossless devices down to the detector.
-            graph.add_edge(src, dst, loss_db=self._instance_loss_db(dst) + 1e-9)
-        return graph
+    def _topological_order(self) -> List[str]:
+        """Kahn's sort by generations: sources first, in instance order."""
+        indegree = {name: len(pred) for name, pred in self._pred.items()}
+        generation = [name for name, degree in indegree.items() if degree == 0]
+        order: List[str] = []
+        while generation:
+            order.extend(generation)
+            ready: List[str] = []
+            for name in generation:
+                for child in self._succ[name]:
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        ready.append(child)
+            generation = ready
+        return order
+
+    def _paths_to(self, path: List[str], sink: str) -> Iterator[List[str]]:
+        """Every path from ``path``'s end to ``sink``, depth first by successor."""
+        for child in self._succ[path[-1]]:
+            if child == sink:
+                yield path + [child]
+            else:
+                yield from self._paths_to(path + [child], sink)
 
     # -- analyses -------------------------------------------------------------------
     def path_insertion_loss_db(self, path: List[str]) -> float:
@@ -81,9 +116,10 @@ class CircuitDAG:
             return 0.0
         total = self._instance_loss_db(path[0])
         for src, dst in zip(path, path[1:]):
-            if not self.graph.has_edge(src, dst):
+            loss_db = self._succ.get(src, {}).get(dst)
+            if loss_db is None:
                 raise ValueError(f"path step {src!r} -> {dst!r} is not a net")
-            total += self.graph.edges[src, dst]["loss_db"]
+            total += loss_db
         return total
 
     def critical_path(self) -> CriticalPath:
@@ -92,16 +128,31 @@ class CircuitDAG:
         Uses the weighted longest-path algorithm on the DAG; the source instance's
         own insertion loss is added on top of the edge weights.
         """
-        if self.graph.number_of_nodes() == 0:
+        if not self._succ:
             return CriticalPath(instances=(), insertion_loss_db=0.0)
-        if self.graph.number_of_edges() == 0:
+        if not any(self._succ.values()):
             # Degenerate single-instance circuits: the worst device alone.
-            worst = max(self.graph.nodes, key=self._instance_loss_db)
+            worst = max(self._succ, key=self._instance_loss_db)
             return CriticalPath(
                 instances=(worst,), insertion_loss_db=self._instance_loss_db(worst)
             )
-        path = nx.dag_longest_path(self.graph, weight="loss_db")
-        loss = nx.dag_longest_path_length(self.graph, weight="loss_db")
+        dist: Dict[str, Tuple[float, str]] = {}  # name -> (distance, predecessor)
+        for name in self._topological_order():
+            candidates = [
+                (dist[pred][0] + loss_db, pred)
+                for pred, loss_db in self._pred[name].items()
+            ]
+            best = max(candidates, key=lambda entry: entry[0], default=(0.0, name))
+            dist[name] = best if best[0] >= 0 else (0.0, name)
+        node = max(dist, key=lambda name: dist[name][0])
+        path = [node]
+        while dist[node][1] != node:
+            node = dist[node][1]
+            path.append(node)
+        path.reverse()
+        loss = 0.0  # a plain loop: sum() compensates float error from Python 3.12
+        for src, dst in zip(path, path[1:]):
+            loss += self._succ[src][dst]
         loss += self._instance_loss_db(path[0])
         return CriticalPath(instances=tuple(path), insertion_loss_db=float(loss))
 
@@ -126,15 +177,15 @@ class CircuitDAG:
         for sink in self.netlist.sinks():
             if sink == source:
                 continue
-            for path in nx.all_simple_paths(self.graph, source, sink):
+            for path in self._paths_to([source], sink):
                 loss = self.path_insertion_loss_db(path)
                 if loss > best_loss:
                     best_loss = loss
-                    best_path = list(path)
+                    best_path = path
         return CriticalPath(instances=tuple(best_path), insertion_loss_db=best_loss)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CircuitDAG(netlist={self.netlist.name!r}, "
-            f"nodes={self.graph.number_of_nodes()}, edges={self.graph.number_of_edges()})"
+            f"nodes={len(self._succ)}, edges={sum(map(len, self._succ.values()))})"
         )

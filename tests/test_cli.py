@@ -73,6 +73,12 @@ class TestRun:
         ]) == 1
         assert "parameter of scenario" in capsys.readouterr().err
 
+    def test_out_of_range_param_is_a_one_line_error(self, capsys):
+        assert main([
+            "run", "variation_robustness", "--no-store", "--param", "trials=0",
+        ]) == 1
+        assert capsys.readouterr().err == "error: trials must be positive, got 0\n"
+
 
 class TestBatchAndReport:
     def test_smoke_batch_then_report(self, tmp_path, capsys):

@@ -21,18 +21,20 @@ import time
 import numpy as np
 import pytest
 
-from repro.exec import (
+from repro.arch.templates import build_tempo
+from repro.exec import resolve_backend
+from repro.exec.cluster import (
+    PROTOCOL,
     ClusterBackend,
     ClusterTaskError,
     ProcessBackend,
     coordinator_for,
     parse_address,
-    resolve_backend,
+    recv_frame,
     run_worker,
+    send_frame,
     spawn_local_workers,
 )
-from repro.arch.templates import build_tempo
-from repro.exec.cluster import PROTOCOL, recv_frame, send_frame
 from repro.explore import DesignSpace, DesignSpaceExplorer
 from repro.onn.layers import dtype_mode, pinned_modes
 from repro.onn.models import build_mlp

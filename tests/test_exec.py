@@ -18,6 +18,8 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
@@ -30,16 +32,17 @@ from repro.core.knobs import forced_env
 from repro.exec import (
     BACKENDS,
     PassTiming,
-    ProcessBackend,
     SerialBackend,
     merge_cache_stats,
     merge_pass_timings,
     resolve_backend,
 )
+from repro.exec.cluster import ProcessBackend
 from repro.explore import DesignPoint, DesignSpace, DesignSpaceExplorer, pareto_front
 from repro.scenarios import BatchRunner, ResultStore, ScenarioResult
 
 PASS_SCENARIOS = ("fig7_tempo_validation", "fig6_layout", "table1_taxonomy")
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # -- helpers that must be picklable (module-level) for process-backend tests -----------
@@ -295,6 +298,55 @@ class TestResolveBackend:
     def test_bad_type_rejected(self):
         with pytest.raises(TypeError, match="backend must be"):
             resolve_backend(3.14)
+
+
+def _run_cold(tmp_path, script):
+    """Run ``script`` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + os.pathsep + env.get(
+        "PYTHONPATH", ""
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_serial_imports_leave_task_shipping_machinery_unloaded(tmp_path):
+    # The serial request path's imports, then the first task-shipping backend
+    # name, then a process-backend scenario through the CLI.
+    out = _run_cold(tmp_path, """
+import sys
+import repro.scenarios, repro.explore, repro.variation
+heavy = ("networkx", "repro.exec.cluster", "repro.exec.shm", "repro.exec.pool")
+loaded = [name for name in heavy if name in sys.modules]
+assert not loaded, f"serial imports loaded {loaded}"
+from repro.exec import resolve_backend
+backend = resolve_backend("processes", 2)
+assert (backend.name, backend.jobs) == ("processes", 2), backend
+from repro.cli import main
+sys.exit(main(["run", "dse_large_grid", "--no-store", "--param", "backend=processes"]))
+""")
+    with open(os.path.join(REPO_ROOT, "benchmarks", "results", "dse_large_grid.txt")) as fh:
+        reference = fh.read()
+    assert out == "=== dse_large_grid ===\n" + reference
+
+
+def test_cold_resolve_errors_name_every_backend(tmp_path):
+    out = _run_cold(tmp_path, """
+from repro.exec import resolve_backend
+for bad in (3.14, "procces"):
+    try:
+        resolve_backend(bad)
+    except (KeyError, TypeError) as exc:
+        print(exc)
+""")
+    type_error, key_error = out.splitlines()
+    assert "(cluster, processes, serial)" in type_error
+    assert "did you mean 'processes'" in key_error
+    assert "known: cluster, processes, serial" in key_error
 
 
 class TestTelemetryMerging:

@@ -25,26 +25,29 @@ import numpy as np
 import pytest
 
 from repro.core.knobs import forced_env
-from repro.exec import (
+from repro.exec import steal_partition
+from repro.exec import pool as pool_mod
+from repro.exec import shm as shm_mod
+from repro.exec.cluster import (
     ClusterBackend,
     ProcessBackend,
+    coordinator_for,
+    run_worker,
+    spawn_local_workers,
+)
+from repro.exec.pool import pool_status, stop_pools
+from repro.exec.shm import (
+    FRAME_ALIGN,
+    INLINE_MAX_BYTES,
     ShmHandle,
     active_segments,
     as_object,
-    coordinator_for,
-    pool_status,
     publish_object,
+    published_bytes,
     resolve_object,
-    run_worker,
     set_fetch_hook,
-    spawn_local_workers,
-    steal_partition,
-    stop_pools,
     unlink_all,
 )
-from repro.exec import pool as pool_mod
-from repro.exec import shm as shm_mod
-from repro.exec.shm import FRAME_ALIGN, INLINE_MAX_BYTES, published_bytes
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 
