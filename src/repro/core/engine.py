@@ -642,7 +642,11 @@ class MonteCarloAccuracyPass(EnginePass):
     (architecture-derived link operating point + DAC/ADC bits, noise spec,
     model, inputs, trials, seed) triple, so re-evaluating an unchanged
     (arch, noise-spec, workload) combination is a single cache hit.  Fresh
-    studies run in process (:func:`~repro.variation.montecarlo.run_monte_carlo`).
+    studies run in process (:func:`~repro.variation.montecarlo.run_monte_carlo`)
+    on a standard-normal draw slab memoized as ``mc_draws`` under
+    :func:`~repro.variation.montecarlo.draw_slab_key` alone, so every study
+    of a request with the same seed, trial count and draw layout (a noise,
+    precision or design-point sweep) shares one slab.
     """
 
     name = "mc_accuracy"
@@ -654,7 +658,12 @@ class MonteCarloAccuracyPass(EnginePass):
         # Lazy import: repro.variation imports the engine for its convenience
         # entry points, so the engine only touches it when accuracy is asked for.
         from repro.onn.layers import dtype_mode
-        from repro.variation.montecarlo import LinkOperatingPoint, run_monte_carlo
+        from repro.variation.montecarlo import (
+            LinkOperatingPoint,
+            draw_slab,
+            draw_slab_key,
+            run_monte_carlo,
+        )
         from repro.variation.sampler import rng_mode
 
         archs = ReceiverPrecisionPass._target_archs(ctx)
@@ -674,8 +683,15 @@ class MonteCarloAccuracyPass(EnginePass):
             arch.config.weight_bits,
             arch.config.output_bits,
         )
+        cache = self.engine.cache
 
         def compute():
+            slab_key = draw_slab_key(request)
+            draws = None
+            if slab_key is not None:
+                draws = cache.get_or_compute(
+                    "mc_draws", slab_key, lambda: draw_slab(slab_key)
+                )
             return run_monte_carlo(
                 request,
                 input_bits=bits[0],
@@ -683,9 +699,9 @@ class MonteCarloAccuracyPass(EnginePass):
                 output_bits=bits[2],
                 link=link,
                 nominal_snr=nominal_snr,
+                draws=draws,
             )
 
-        cache = self.engine.cache
         if not cache.enabled:
             ctx.accuracy_report = compute()
             return

@@ -7,9 +7,9 @@ SNR-derived receiver precision into workload-level inference *accuracy*, which
 then stands next to energy / latency / area as a first-class objective:
 
 - :mod:`repro.variation.models`     -- composable :class:`NoiseSpec` variation models;
-- :mod:`repro.variation.sampler`    -- deterministic per-trial seeding, chunking-invariant,
-  in two modes: the bit-exact SeedSequence contract (default) and the
-  counter-based ``REPRO_RNG=philox`` throughput mode;
+- :mod:`repro.variation.sampler`    -- deterministic per-trial seeding and per-study
+  draw slabs, chunking-invariant, in two modes: the bit-exact SeedSequence
+  contract (default) and the counter-based ``REPRO_RNG=philox`` throughput mode;
 - :mod:`repro.variation.accuracy`   -- noisy functional forward + accuracy/error metrics;
 - :mod:`repro.variation.stages`     -- per-stage (rng/forward/quantize/metrics)
   wall-clock attribution for the bench harness;
@@ -57,8 +57,8 @@ from repro.variation.sampler import (
     philox_fused_normals,
     philox_trial_rng,
     rng_mode,
+    seedseq_fused_normals,
     trial_rng,
-    trial_rngs,
     trial_seed_sequence,
 )
 from repro.variation.stages import (
@@ -97,9 +97,9 @@ __all__ = [
     "reference_forward",
     "rng_mode",
     "run_monte_carlo",
+    "seedseq_fused_normals",
     "stage",
     "standard_noise",
     "trial_rng",
-    "trial_rngs",
     "trial_seed_sequence",
 ]

@@ -19,6 +19,7 @@ isolates what variation costs on top of quantization.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -133,46 +134,34 @@ def _weighted_layer_sizes(model: Module) -> List[int]:
     return sizes
 
 
-def _fused_draws(
-    spec: NoiseSpec,
-    rngs: Sequence[np.random.Generator],
-    sizes: Sequence[int],
-) -> Optional[List[np.ndarray]]:
-    """Pre-draw every trial's weight noise as one standard-normal block.
+def _weight_draw_counts(spec: NoiseSpec, model: Module) -> List[int]:
+    """Standard normals one trial's weight noise draws per weighted layer."""
+    return [spec.weight_draw_count(size) for size in _weighted_layer_sizes(model)]
 
-    One ``standard_normal(total)`` call per trial replaces one ``normal`` call
-    per (trial, layer, stochastic model); the block is sliced back per layer
-    in draw order, so each trial's stream is consumed bit-identically to the
-    sequential path.  Returns ``None`` when the spec's draw layout is unknown
-    (custom models) or there is nothing to draw.
+
+def fused_draw_count(spec: NoiseSpec, model: Module) -> Optional[int]:
+    """Standard normals one trial of a fused-sampling study consumes.
+
+    The link-loss draws come first, then every weighted layer's block in
+    layer order -- the row layout of a study's draw slab.  ``None`` when the
+    spec's draw layout is not statically known (custom noise models), whose
+    trials draw from per-trial generators instead.
     """
     if not spec.supports_fused_sampling():
         return None
-    counts = [spec.weight_draw_count(size) for size in sizes]
-    total = sum(counts)
-    if total == 0:
-        return None
-    z = np.empty((len(rngs), total))
-    for row, rng in enumerate(rngs):
-        rng.standard_normal(out=z[row])
-    blocks: List[np.ndarray] = []
-    offset = 0
-    for count in counts:
-        blocks.append(z[:, offset : offset + count])
-        offset += count
-    return blocks
+    return spec.loss_draw_count() + sum(_weight_draw_counts(spec, model))
 
 
 def _sliced_draw_blocks(
-    spec: NoiseSpec, weight_draws: np.ndarray, sizes: Sequence[int]
+    spec: NoiseSpec, weight_draws: np.ndarray, model: Module
 ) -> List[np.ndarray]:
     """Slice a pre-generated ``(trials, total_draws)`` slab into per-layer blocks.
 
-    The layout matches :func:`_fused_draws` (draw order per weighted layer), so
-    the counter-based fast path consumes the same block shapes the per-trial
-    streams would.
+    Each trial's row is consumed in per-trial stream order (per weighted
+    layer, in layer order), so the blocks hold exactly the draws a trial's
+    own generator would have produced for each layer.
     """
-    counts = [spec.weight_draw_count(size) for size in sizes]
+    counts = _weight_draw_counts(spec, model)
     if sum(counts) != weight_draws.shape[1]:
         raise ValueError(
             f"weight draw slab has {weight_draws.shape[1]} columns, spec "
@@ -199,25 +188,22 @@ def _forward_trial_group(
     """One batched noisy forward for trials sharing resolved DAC/ADC bits.
 
     ``weight_draws``, when given, is this group's pre-generated
-    ``(trials, total_draws)`` standard-normal slab (the ``REPRO_RNG=philox``
-    fast path): the per-trial streams in ``rngs`` are then never consumed for
-    weight noise, only the slab's per-layer slices.
+    ``(trials, total_draws)`` standard-normal slab: the weight noise is then
+    computed from the slab's per-layer slices, and ``rngs`` is never consumed.
+    Without it, each model draws from the per-trial streams in ``rngs``.
     """
     dtype = compute_dtype()
     with stage("quantize"):
         xq = quantize_uniform(x, in_bits)
     xq = _match_dtype(xq, dtype)
+    fused: Optional[List[np.ndarray]] = None
     if weight_draws is not None:
         trials = int(weight_draws.shape[0])
         weight_draws = _match_dtype(weight_draws, dtype)
-        fused: Optional[List[np.ndarray]] = _sliced_draw_blocks(
-            spec, weight_draws, _weighted_layer_sizes(model)
-        )
+        fused = _sliced_draw_blocks(spec, weight_draws, model)
     else:
         assert rngs is not None
         trials = len(rngs)
-        with stage("rng"):
-            fused = _fused_draws(spec, rngs, _weighted_layer_sizes(model))
     batch = np.broadcast_to(xq, (trials,) + xq.shape)
     weighted_index = 0
     for layer in _forward_layers(model):
@@ -230,7 +216,7 @@ def _forward_trial_group(
         base = _match_dtype(base, dtype)
         with stage("forward"):
             if fused is not None:
-                block = _match_dtype(fused[weighted_index], dtype)
+                block = fused[weighted_index]
                 stacked = np.broadcast_to(base, (trials,) + base.shape)
                 perturbed = spec.apply_weight_noise(stacked, block)
             else:
@@ -248,6 +234,40 @@ def _forward_trial_group(
         with stage("quantize"):
             batch = quantize_uniform_batch(batch, out_bits)
     return _as_float(batch)
+
+
+def _group_trials_by_bits(
+    effective: Sequence[Optional[float]],
+    input_bits: int,
+    weight_bits: int,
+    output_bits: int,
+) -> Dict[Tuple[int, int, int], List[int]]:
+    """Trial indices grouped by resolved ``(input, weight, output)`` bits.
+
+    :func:`~repro.onn.quantize.receiver_limited_bits` reads a finite
+    ``effective_bits`` only through its floor (``None`` and infinities mean
+    the nominal grid), so the tuple is resolved once per distinct floor
+    rather than three times per trial.  Groups are ordered by their first
+    trial; a NaN still raises ``ValueError``.
+    """
+    by_floor: Dict[Optional[int], Tuple[int, int, int]] = {}
+    groups: Dict[Tuple[int, int, int], List[int]] = {}
+    for idx, eff in enumerate(effective):
+        if eff is None or math.isinf(eff):
+            floor: Optional[int] = None
+        elif math.isnan(eff):
+            raise ValueError("effective_bits must not be NaN")
+        else:
+            floor = math.floor(eff)
+        resolved = by_floor.get(floor)
+        if resolved is None:
+            resolved = by_floor[floor] = (
+                receiver_limited_bits(input_bits, eff),
+                receiver_limited_bits(weight_bits, eff),
+                receiver_limited_bits(output_bits, eff),
+            )
+        groups.setdefault(resolved, []).append(idx)
+    return groups
 
 
 def noisy_forward_batch(
@@ -269,11 +289,12 @@ def noisy_forward_batch(
     draws the per-trial link loss first (as :func:`run_monte_carlo` does) keeps
     the streams bit-identical to the per-trial loop.
 
-    ``weight_draws`` is the counter-based alternative (``REPRO_RNG=philox``):
-    a pre-generated ``(trials, total_draws)`` standard-normal slab whose row
-    ``i`` is trial ``i``'s fused block.  It requires a spec with a statically
-    known draw layout (:meth:`NoiseSpec.supports_fused_sampling`); ``rngs``
-    may then be ``None``.
+    ``weight_draws`` is the pre-drawn alternative (what
+    :func:`~repro.variation.montecarlo.run_monte_carlo` passes in both RNG
+    modes): a ``(trials, total_draws)`` standard-normal slab whose row ``i``
+    is trial ``i``'s fused weight block.  It requires a spec with a
+    statically known draw layout (:meth:`NoiseSpec.supports_fused_sampling`);
+    ``rngs`` may then be ``None``.
 
     ``effective_bits`` gives each trial's link-limited resolution; trials are
     grouped by their *resolved* ``(input, weight, output)`` bit tuple -- the
@@ -308,14 +329,7 @@ def noisy_forward_batch(
             raise ValueError(
                 f"effective_bits has {len(effective)} entries for {trials} trials"
             )
-    groups: Dict[Tuple[int, int, int], List[int]] = {}
-    for idx, eff in enumerate(effective):
-        resolved = (
-            receiver_limited_bits(input_bits, eff),
-            receiver_limited_bits(weight_bits, eff),
-            receiver_limited_bits(output_bits, eff),
-        )
-        groups.setdefault(resolved, []).append(idx)
+    groups = _group_trials_by_bits(effective, input_bits, weight_bits, output_bits)
     outputs: Optional[np.ndarray] = None
     for (in_bits, w_bits, out_bits), indices in groups.items():
         group = _forward_trial_group(

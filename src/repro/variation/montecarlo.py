@@ -10,6 +10,14 @@ A study always runs in the calling process: parallelism pays one level up,
 where design-point groups (the explorer) or whole scenarios (the batch runner)
 go to workers and each runs its studies in place.
 
+A spec whose noise models all have a statically known draw layout (every
+built-in model) draws its random numbers as one ``(trials, draws)``
+standard-normal slab (:func:`draw_slab`), in either RNG mode; each chunk
+reads its rows.  The slab is a pure function of :func:`draw_slab_key`, so
+the engine memoizes it per request and a noise-magnitude or precision sweep
+at a fixed seed draws its normals once.  Only custom noise models fall back
+to per-trial generators.
+
 :func:`evaluate_accuracy` is the one-call entry point: it routes the request
 through :meth:`repro.core.engine.EvaluationEngine.run_accuracy`, whose
 ``receiver_precision`` and ``mc_accuracy`` passes memoize the link-derived
@@ -20,32 +28,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.cache import digest, memoized_fingerprint
 from repro.core.snr import SNRAnalyzer, SNRReport
-from repro.onn.layers import (
-    Module,
-    compute_dtype,
-    dtype_mode,
-    pinned_modes,
-    scratch_workspace,
-)
+from repro.onn.layers import Module, dtype_mode, pinned_modes, scratch_workspace
 from repro.variation.accuracy import (
     AccuracyReport,
     TrialResult,
-    _weighted_layer_sizes,
     aggregate_trials,
     classification_agreement_batch,
+    fused_draw_count,
     model_fingerprint,
     noisy_forward_batch,
     output_rmse_batch,
     reference_forward,
 )
 from repro.variation.models import NoiseSpec
-from repro.variation.sampler import make_trial_rng, philox_fused_normals
+from repro.variation.sampler import (
+    make_trial_rng,
+    philox_fused_normals,
+    seedseq_fused_normals,
+)
 from repro.variation.sampler import rng_mode as active_rng_mode
 from repro.variation.stages import stage
 
@@ -88,8 +94,10 @@ class LinkOperatingPoint:
         """Vectorized :meth:`effective_bits` over an array of drift losses.
 
         One numpy pass instead of a Python SNR evaluation per trial; used by
-        the throughput Monte Carlo paths (the reference path keeps the scalar
-        call so committed tables stay byte-stable).
+        ``REPRO_RNG=philox`` studies.  Reference-mode studies keep the scalar
+        call, because numpy's vectorized ``pow``/``log`` may differ from the
+        scalar ones in the last ulp on some hosts and committed tables must
+        stay byte-stable.
         """
         losses = np.asarray(extra_loss_db, dtype=float)
         received_mw = self.optical_power_mw * 10.0 ** (
@@ -176,34 +184,47 @@ class _TrialContext:
     dtype_mode: str = "float64"
 
 
-def _run_trial_chunk(shared: _TrialContext, trials: List[int]) -> List[TrialResult]:
+def _run_trial_chunk(
+    shared: _TrialContext, trials: List[int], draws: Optional[np.ndarray] = None
+) -> List[TrialResult]:
     """A contiguous chunk of trials as one batched forward.
 
-    Each trial's RNG is rebuilt from ``(seed, trial index)`` and consumed in
-    the per-trial order (link loss first, then per-layer weight noise), so
-    every trial's random draws are bit-identical to a one-trial-at-a-time
-    :func:`~repro.variation.accuracy.noisy_forward` study no matter how the
-    trial axis was chunked.  The forwards themselves run stacked -- one
-    batched numpy pass per layer per resolved-bits group instead of
-    ``len(trials)`` full model clones.
+    ``draws`` holds the chunk's rows of the study's draw slab: the leading
+    ``loss_draw_count`` columns are the link-loss draws, the rest the fused
+    weight-noise block.  Each row is the trial's own stream, so results are
+    bit-identical to a one-trial-at-a-time study however the trial axis was
+    chunked.  ``None`` (what a spec outside the fused layout gets) rebuilds each
+    trial's generator from ``(seed, trial index)`` and consumes it in
+    per-trial order: link loss first, then per-layer weight noise.  The
+    forwards run stacked -- one batched numpy pass per layer per
+    resolved-bits group instead of ``len(trials)`` full model clones.
     """
+    spec = shared.spec
     with pinned_modes(shared.dtype_mode):
+        rngs = weight_draws = None
         with stage("rng"):
-            rngs = [
-                make_trial_rng(shared.seed, trial, shared.rng_mode) for trial in trials
-            ]
-            losses = [shared.spec.sample_loss_db(rng) for rng in rngs]
+            if draws is None:
+                rngs = [
+                    make_trial_rng(shared.seed, trial, shared.rng_mode)
+                    for trial in trials
+                ]
+                losses = [spec.sample_loss_db(rng) for rng in rngs]
+            else:
+                loss_columns = spec.loss_draw_count()
+                losses = spec.sample_loss_db_batch(draws[:, :loss_columns]).tolist()
+                weight_draws = draws[:, loss_columns:]
         effective = _effective_bits_for(shared, losses)
         with scratch_workspace():
             outputs = noisy_forward_batch(
                 shared.model,
                 shared.inputs,
-                shared.spec,
+                spec,
                 rngs,
                 input_bits=shared.input_bits,
                 weight_bits=shared.weight_bits,
                 output_bits=shared.output_bits,
                 effective_bits=effective,
+                weight_draws=weight_draws,
             )
         return _trial_results(shared, trials, outputs, effective, losses)
 
@@ -236,11 +257,15 @@ def _effective_bits_for(
 ) -> List[float]:
     """Per-trial receiver precision for the chunk's sampled link penalties.
 
-    Distinct loss values map to distinct SNR evaluations; drift-free specs
-    collapse every trial onto one memoized receiver computation.
+    Philox studies price the whole chunk in one vectorized pass.  Reference
+    studies keep the scalar SNR call (see
+    :meth:`LinkOperatingPoint.effective_bits_batch`), one per distinct loss:
+    drift-free specs collapse every trial onto one receiver computation.
     """
     if shared.link is None:
         return [math.inf] * len(losses)
+    if shared.rng_mode == "philox":
+        return shared.link.effective_bits_batch(np.asarray(losses)).tolist()
     by_loss: dict = {}
     effective = []
     for loss in losses:
@@ -251,39 +276,32 @@ def _effective_bits_for(
     return effective
 
 
-def _run_philox_chunk(
-    shared: _TrialContext, trials: List[int], draws: np.ndarray
-) -> List[TrialResult]:
-    """A chunk of trials driven by pre-generated counter-based draws.
+def draw_slab_key(request: AccuracyRequest) -> Optional[Tuple[str, str, int, int, int]]:
+    """What a study's draw slab is a pure function of, under the active modes.
 
-    ``draws`` holds each trial's row of the study-wide Philox slab: the
-    leading ``loss_draw_count`` columns are the link-loss draws, the rest the
-    fused weight-noise block.  No per-trial generator is ever constructed --
-    the whole chunk consumes numpy slices of one matrix, which is what makes
-    this mode's RNG cost nearly independent of the trial count.
+    ``(rng mode, dtype mode, seed, trials, draws per trial)`` -- nothing
+    about noise magnitudes, weights or inputs, so every study of a sweep
+    with the same seed, trial count and draw layout shares one slab.
+    ``None`` when the spec has no fused draw layout.
     """
-    with pinned_modes(shared.dtype_mode):
-        loss_columns = shared.spec.loss_draw_count()
-        with stage("rng"):
-            loss_array = shared.spec.sample_loss_db_batch(draws[:, :loss_columns])
-        losses = [float(v) for v in loss_array]
-        if shared.link is None:
-            effective: List[float] = [math.inf] * len(trials)
-        else:
-            effective = [float(v) for v in shared.link.effective_bits_batch(loss_array)]
-        with scratch_workspace():
-            outputs = noisy_forward_batch(
-                shared.model,
-                shared.inputs,
-                shared.spec,
-                rngs=None,
-                input_bits=shared.input_bits,
-                weight_bits=shared.weight_bits,
-                output_bits=shared.output_bits,
-                effective_bits=effective,
-                weight_draws=draws[:, loss_columns:],
-            )
-        return _trial_results(shared, trials, outputs, effective, losses)
+    draws = fused_draw_count(request.noise, request.model)
+    if draws is None:
+        return None
+    return (active_rng_mode(), dtype_mode(), request.seed, request.trials, draws)
+
+
+def draw_slab(key: Tuple[str, str, int, int, int]) -> np.ndarray:
+    """The read-only ``(trials, draws)`` standard-normal slab for ``key``.
+
+    The dtype mode applies to philox slabs only: the reference contract
+    draws float64, and a float32 study casts its rows where the forward
+    reads them.
+    """
+    mode, dtype, seed, trials, draws = key
+    with stage("rng"):
+        if mode == "philox":
+            return philox_fused_normals(seed, trials, draws, np.dtype(dtype).type)
+        return seedseq_fused_normals(seed, trials, draws)
 
 
 def run_monte_carlo(
@@ -293,6 +311,7 @@ def run_monte_carlo(
     output_bits: int = 8,
     link: Optional[LinkOperatingPoint] = None,
     nominal_snr: Optional[SNRReport] = None,
+    draws: Optional[np.ndarray] = None,
 ) -> AccuracyReport:
     """Execute the study in this process and return the aggregated report.
 
@@ -301,6 +320,8 @@ def run_monte_carlo(
     aggregated in trial order.  When the caller already holds the receiver's
     nominal :class:`SNRReport` (the engine's memoized ``receiver_precision``
     pass), passing it as ``nominal_snr`` skips re-deriving it from the link.
+    ``draws`` is the study's :func:`draw_slab` when the caller memoizes it
+    (the engine's ``mc_draws`` entry); left ``None``, it is drawn here.
     """
     static_loss_db = request.noise.static_loss_db()
     if nominal_snr is not None:
@@ -334,31 +355,23 @@ def run_monte_carlo(
         rng_mode=mode,
         dtype_mode=dtype_mode(),
     )
-    slab = None
-    if mode == "philox" and request.noise.supports_fused_sampling():
-        # Counter-based fast path: generate the whole study's draws as one
-        # (trials, loss + weight draws) Philox call, then hand each chunk its
-        # contiguous row slice.  Trial i's draws are row i whatever the
-        # chunking.
-        draws = request.noise.loss_draw_count() + sum(
-            request.noise.weight_draw_count(size)
-            for size in _weighted_layer_sizes(request.model)
+    key = draw_slab_key(request)
+    if key is None:
+        draws = None
+    elif draws is None:
+        draws = draw_slab(key)
+    elif draws.shape != key[3:]:
+        raise ValueError(
+            f"draw slab has shape {draws.shape}, the study needs {key[3:]}"
         )
-        with stage("rng"):
-            slab = philox_fused_normals(
-                request.seed, request.trials, draws, dtype=compute_dtype().type
-            )
     # Contiguous chunks of at most _TRIAL_CHUNK_CAP trials keep the stacked
-    # per-layer temporaries cache-resident; per-trial seeds (or slab rows)
+    # per-layer temporaries cache-resident; slab rows (or per-trial seeds)
     # make the results chunking-invariant anyway.
     results: List[TrialResult] = []
     for start in range(0, request.trials, _TRIAL_CHUNK_CAP):
         stop = min(start + _TRIAL_CHUNK_CAP, request.trials)
-        trials = list(range(start, stop))
-        if slab is None:
-            results += _run_trial_chunk(shared, trials)
-        else:
-            results += _run_philox_chunk(shared, trials, slab[start:stop])
+        rows = None if draws is None else draws[start:stop]
+        results += _run_trial_chunk(shared, list(range(start, stop)), rows)
     return aggregate_trials(
         tuple(results),
         seed=request.seed,

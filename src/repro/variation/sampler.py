@@ -12,29 +12,35 @@ which ``repro.exec`` worker ran the study.  This deliberately avoids
 list differently would derive different children.  Keying the spawn path by
 the trial index directly has no such ordering dependence.
 
-**Throughput mode (``REPRO_RNG=philox``).**  The seed contract's per-trial
-SeedSequence hashing and PCG64 state derivation dominate large studies.  Philox is *counter-based*: a stream
-is a pure function of its 128-bit key, so
-
-- :func:`philox_fused_normals` derives **one** keyed stream per scenario seed
-  and generates every trial's fused standard-normal block in a single
-  ``(trials, draws)`` call -- trial ``i`` owns row ``i``, a pure function of
-  ``(seed, i, draws)`` independent of how the trial axis is later chunked;
-- :func:`philox_trial_rng` (the per-trial fallback for custom noise models
-  outside the fused layout) keys an independent Philox stream directly by
-  ``(seed, trial)`` -- no hashing, no state cache.
-
+**Throughput mode (``REPRO_RNG=philox``).**  Philox is *counter-based*: a
+stream is a pure function of its 128-bit key, so no per-trial SeedSequence
+hashing or PCG64 state derivation is needed.
 Philox mode is deterministic and backend-invariant for a fixed seed, but its
 streams differ from the SeedSequence contract, so committed reference tables
 are only reproduced in the default mode.
+
+**Draw slabs.**  A study whose noise models all have a statically known draw
+layout consumes a fixed number of standard normals per trial, so both modes
+hand it one ``(trials, draws)`` slab whose row ``i`` is trial ``i``'s stream --
+a pure function of ``(seed, i, draws)``, independent of how the trial axis is
+later chunked:
+
+- :func:`seedseq_fused_normals` fills row ``i`` from :func:`trial_rng`, i.e.
+  exactly the variates the per-trial path draws;
+- :func:`philox_fused_normals` generates the whole slab from **one** keyed
+  stream per scenario seed in a single call.
+
+Neither is memoized here: the engine memoizes a slab for the lifetime of one
+:class:`~repro.core.cache.EvaluationCache`, so every study of a request with
+the same ``(seed, trials, draws)`` shares it.  :func:`trial_rng` and
+:func:`philox_trial_rng` remain the per-trial streams for custom noise models
+outside the fused layout.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -70,41 +76,34 @@ def trial_seed_sequence(base_seed: int, trial: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(base_seed), spawn_key=(int(trial),))
 
 
-#: Memoized PCG64 start states: the state is a pure function of (seed, trial),
-#: and hashing a SeedSequence into a bit-generator state costs more than
-#: restoring it, so studies that revisit the same trial seeds (e.g. a noise
-#: sweep at fixed scenario seed) skip the re-derivation.  Insertion-ordered and
-#: lock-protected so several threads can hammer it concurrently: the bound
-#: is exact (never exceeded, even under races) and eviction is deterministic
-#: FIFO -- the oldest insertion goes first, regardless of thread interleaving.
-_STATE_CACHE: "OrderedDict[Tuple[int, int], dict]" = OrderedDict()
-_STATE_CACHE_MAX = 65536
-_STATE_LOCK = threading.Lock()
-
-
 def trial_rng(base_seed: int, trial: int) -> np.random.Generator:
     """A fresh generator for one trial, identical no matter where it is built."""
-    key = (int(base_seed), int(trial))
-    with _STATE_LOCK:
-        state = _STATE_CACHE.get(key)
-    if state is None:
-        bit_generator = np.random.PCG64(trial_seed_sequence(base_seed, trial))
-        with _STATE_LOCK:
-            if key not in _STATE_CACHE:
-                while len(_STATE_CACHE) >= _STATE_CACHE_MAX:
-                    _STATE_CACHE.popitem(last=False)
-                _STATE_CACHE[key] = bit_generator.state
-    else:
-        bit_generator = np.random.PCG64(0)
-        bit_generator.state = state
-    return np.random.Generator(bit_generator)
+    return np.random.Generator(np.random.PCG64(trial_seed_sequence(base_seed, trial)))
 
 
-def trial_rngs(base_seed: int, num_trials: int) -> List[np.random.Generator]:
-    """Independent per-trial generators for ``num_trials`` trials."""
-    if num_trials < 1:
-        raise ValueError(f"num_trials must be positive, got {num_trials}")
-    return [trial_rng(base_seed, trial) for trial in range(num_trials)]
+def _check_slab(trials: int, draws: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if draws < 0:
+        raise ValueError(f"draws must be non-negative, got {draws}")
+
+
+def seedseq_fused_normals(base_seed: int, trials: int, draws: int) -> np.ndarray:
+    """Every trial's first ``draws`` reference-mode standard normals, as one slab.
+
+    Row ``i`` is ``trial_rng(base_seed, i).standard_normal(draws)``: the
+    stream the per-trial path consumes, link-loss draws first (a scalar
+    ``rng.normal(0, sigma)`` is ``0 + sigma * z`` at the same stream
+    position), then the fused weight block.  The slab is read-only because
+    the engine shares it between studies; copy before mutating.
+    """
+    _check_slab(trials, draws)
+    slab = np.empty((trials, draws))
+    if draws:
+        for trial in range(trials):
+            trial_rng(base_seed, trial).standard_normal(out=slab[trial])
+    slab.setflags(write=False)
+    return slab
 
 
 # -- counter-based (Philox) mode -------------------------------------------------------
@@ -124,20 +123,6 @@ def _philox_keys(base_seed: int) -> Tuple[int, int, int, int]:
     return tuple(int(word) for word in state)
 
 
-@lru_cache(maxsize=8)
-def _fused_normals_cached(
-    base_seed: int, trials: int, draws: int, dtype_str: str
-) -> np.ndarray:
-    keys = _philox_keys(base_seed)
-    key = np.array(keys[:2], dtype=np.uint64)
-    generator = np.random.Generator(np.random.Philox(key=key))
-    slab = generator.standard_normal((trials, draws), dtype=np.dtype(dtype_str))
-    # Shared across callers (noise-scale sweeps reuse one slab): read-only so
-    # an accidental in-place write fails loudly instead of corrupting trials.
-    slab.setflags(write=False)
-    return slab
-
-
 def philox_fused_normals(
     base_seed: int, trials: int, draws: int, dtype: type = np.float64
 ) -> np.ndarray:
@@ -146,28 +131,20 @@ def philox_fused_normals(
     Row ``i`` (variates ``[i * draws, (i + 1) * draws)`` of the study's keyed
     Philox stream) is trial ``i``'s block -- a pure function of
     ``(base_seed, i, draws)``, so any chunking of the trial axis slices the
-    same rows.  The caller generates the whole matrix once per study and hands
-    row slices to its trial chunks.
-
-    Because the slab is a pure function of ``(base_seed, trials, draws,
-    dtype)``, it is memoized (small LRU): a noise-magnitude sweep at a fixed
-    scenario seed draws its standard normals **once** and rescales -- the
-    normals themselves are scale-independent.  The returned array is read-only
-    and shared between callers; copy before mutating.
+    same rows.  The slab is read-only, like :func:`seedseq_fused_normals`.
 
     ``dtype`` may be ``np.float32`` (the ``REPRO_DTYPE=float32`` path):
     generation is then natively single-precision -- fewer raw Philox words and
     no post-hoc cast -- at the cost of a different (but equally valid) draw
     sequence than the float64 slab, which is why the engine keys cached
-    studies by dtype mode as well.
+    studies and slabs by dtype mode as well.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if draws < 0:
-        raise ValueError(f"draws must be non-negative, got {draws}")
-    return _fused_normals_cached(
-        int(base_seed), int(trials), int(draws), np.dtype(dtype).str
-    )
+    _check_slab(trials, draws)
+    key = np.array(_philox_keys(int(base_seed))[:2], dtype=np.uint64)
+    generator = np.random.Generator(np.random.Philox(key=key))
+    slab = generator.standard_normal((trials, draws), dtype=np.dtype(dtype))
+    slab.setflags(write=False)
+    return slab
 
 
 def philox_trial_rng(base_seed: int, trial: int) -> np.random.Generator:
@@ -193,3 +170,4 @@ def make_trial_rng(base_seed: int, trial: int, mode: str) -> np.random.Generator
     if mode == "seedseq":
         return trial_rng(base_seed, trial)
     raise ValueError(f"unknown RNG mode {mode!r}")
+

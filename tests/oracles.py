@@ -6,7 +6,10 @@ live only here, in the test suite, as equivalence oracles:
 - :func:`im2col_loop` -- Conv2d's per-window im2col double loop;
 - :func:`loop_monte_carlo` -- the one-trial-at-a-time Monte Carlo study
   (a full :func:`~repro.variation.accuracy.noisy_forward` per trial), with
-  the signature of :func:`repro.variation.montecarlo.run_monte_carlo`.
+  the signature of :func:`repro.variation.montecarlo.run_monte_carlo`
+  (minus its ``draws`` slab: each trial draws from its own generator);
+- :func:`group_trials_by_bits_loop` -- ``noisy_forward_batch``'s trial
+  grouping with three ``receiver_limited_bits`` calls per trial.
 
 Next to them sit the plain numpy formulas that allocation-light kernels
 replaced, each kept verbatim so the rewrite can be checked bit for bit:
@@ -33,7 +36,7 @@ from __future__ import annotations
 import ast
 import math
 import operator
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +51,7 @@ from repro.core.snr import SNRReport
 from repro.dataflow.gemm import GEMMWorkload
 from repro.dataflow.mapping import Mapping as GEMMMapping
 from repro.onn.layers import Conv2d
+from repro.onn.quantize import receiver_limited_bits
 from repro.variation.accuracy import (
     AccuracyReport,
     TrialResult,
@@ -139,6 +143,24 @@ def loop_monte_carlo(
     return aggregate_trials(
         tuple(results), seed=request.seed, effective_bits_nominal=float(nominal_bits)
     )
+
+
+def group_trials_by_bits_loop(
+    effective: Sequence[Optional[float]],
+    input_bits: int,
+    weight_bits: int,
+    output_bits: int,
+) -> Dict[Tuple[int, int, int], List[int]]:
+    """Trial indices grouped by their resolved bits, resolved trial by trial."""
+    groups: Dict[Tuple[int, int, int], List[int]] = {}
+    for idx, eff in enumerate(effective):
+        resolved = (
+            receiver_limited_bits(input_bits, eff),
+            receiver_limited_bits(weight_bits, eff),
+            receiver_limited_bits(output_bits, eff),
+        )
+        groups.setdefault(resolved, []).append(idx)
+    return groups
 
 
 def quantize_uniform_reference(

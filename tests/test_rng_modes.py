@@ -3,9 +3,9 @@
 Covers the ``REPRO_RNG=philox`` counter-based sampling mode and the
 ``REPRO_DTYPE=float32`` throughput mode: stream determinism and chunk
 invariance of the fused slab, statistical equivalence to the bit-exact
-SeedSequence contract, engine cache keying by both modes, the bounded
-thread-safe ``trial_rng`` memo, the no-copy dtype coercion helpers, and the
-aligned scratch workspace behind the fused GEMM paths.
+SeedSequence contract, engine cache keying by both modes, the per-request
+draw-slab memo, the no-copy dtype coercion helpers, and the aligned scratch
+workspace behind the fused GEMM paths.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.arch.templates import build_tempo
+from repro.core.cache import EvaluationCache
 from repro.core.engine import EvaluationEngine
 from repro.onn.layers import (
     Workspace,
@@ -31,16 +32,22 @@ from repro.onn.quantize import quantize_uniform_batch
 from repro.scenarios.bench import bench_scenarios, check_speedups
 from repro.variation import (
     AccuracyRequest,
+    LinkLossDrift,
     LinkOperatingPoint,
+    NoiseSpec,
+    PhaseError,
+    WeightEncodingError,
     make_trial_rng,
     philox_fused_normals,
     philox_trial_rng,
     rng_mode,
     run_monte_carlo,
+    seedseq_fused_normals,
     standard_noise,
+    trial_rng,
 )
-from repro.variation import sampler
-from repro.variation.sampler import trial_rng, trial_seed_sequence
+from repro.variation.accuracy import _weighted_layer_sizes, fused_draw_count
+from oracles import loop_monte_carlo
 
 
 @pytest.fixture(scope="module")
@@ -233,54 +240,123 @@ class TestEngineCacheKeying:
         assert engine.run_accuracy(request) is reference
 
 
-# -- bounded trial_rng memo -------------------------------------------------------------
+# -- per-request draw slabs ------------------------------------------------------------
 
 
-class TestTrialRngMemo:
-    def _clear(self):
-        with sampler._STATE_LOCK:
-            sampler._STATE_CACHE.clear()
+MAGNITUDES = (0.0, 0.25, 0.5, 1.0, 2.0)
 
-    def test_eviction_is_deterministic_fifo(self, monkeypatch):
-        monkeypatch.setattr(sampler, "_STATE_CACHE_MAX", 8)
-        self._clear()
-        for t in range(20):
-            trial_rng(1234, t)
-        with sampler._STATE_LOCK:
-            assert list(sampler._STATE_CACHE) == [(1234, t) for t in range(12, 20)]
 
-    def test_concurrent_hammer_keeps_bound_and_streams(self, monkeypatch):
-        """Satellite regression: many threads, overlapping keys, small bound."""
-        monkeypatch.setattr(sampler, "_STATE_CACHE_MAX", 64)
-        self._clear()
-        start = threading.Barrier(8)
-        errors = []
+def sweep(mc_model, mc_inputs, cache_for, trials=8, **kwargs):
+    """One engine study per noise magnitude; ``cache_for(i)`` picks its cache."""
+    arch = build_tempo()
+    return [
+        EvaluationEngine(arch, cache=cache_for(i)).run_accuracy(
+            make_request(
+                mc_model,
+                mc_inputs,
+                noise=standard_noise().scaled(magnitude),
+                trials=trials,
+                **kwargs,
+            )
+        )
+        for i, magnitude in enumerate(MAGNITUDES)
+    ]
 
-        def worker(offset: int) -> None:
-            try:
-                start.wait()
-                for step in range(300):
-                    trial = (step * (offset + 1)) % 150
-                    rng = trial_rng(999, trial)
-                    assert isinstance(rng, np.random.Generator)
-                    assert len(sampler._STATE_CACHE) <= 64
-            except Exception as exc:  # pragma: no cover - only on regression
-                errors.append(exc)
 
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == []
-        with sampler._STATE_LOCK:
-            assert len(sampler._STATE_CACHE) <= 64
-        # Streams survive the hammering bit-exact: memoized state == fresh state.
-        for trial in (0, 37, 149):
-            expected = np.random.Generator(
-                np.random.PCG64(trial_seed_sequence(999, trial))
-            ).normal(size=6)
-            assert np.array_equal(trial_rng(999, trial).normal(size=6), expected)
+class TestDrawSlabs:
+    def test_seedseq_rows_are_the_per_trial_streams(self, mc_model):
+        """Row i is what trial i's own generator draws: every link-loss draw
+        first (two LinkLossDrift models here), then the fused weight block."""
+        spec = NoiseSpec(
+            (
+                LinkLossDrift(mean_db=0.5, sigma_db=0.3),
+                WeightEncodingError(sigma=0.02),
+                LinkLossDrift(mean_db=0.1, sigma_db=0.7),
+                PhaseError(sigma_rad=0.05),
+            )
+        )
+        draws = fused_draw_count(spec, mc_model)
+        assert draws == 2 + 2 * sum(_weighted_layer_sizes(mc_model))
+        slab = seedseq_fused_normals(11, trials=5, draws=draws)
+        assert not slab.flags.writeable
+        for trial in range(5):
+            rng = trial_rng(11, trial)
+            loss = spec.sample_loss_db(rng)
+            assert spec.sample_loss_db_batch(slab[trial : trial + 1, :2])[0] == loss
+            assert np.array_equal(slab[trial, 2:], rng.standard_normal(draws - 2))
+
+    def test_sweep_shares_one_slab_and_matches_the_loop(
+        self, mc_model, mc_inputs, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_RNG", raising=False)
+        monkeypatch.delenv("REPRO_DTYPE", raising=False)
+        calls = []
+
+        def spy(request, **kwargs):
+            report = run_monte_carlo(request, **kwargs)
+            calls.append((request, kwargs, report))
+            return report
+
+        monkeypatch.setattr("repro.variation.montecarlo.run_monte_carlo", spy)
+        cache = EvaluationCache()
+        sweep(mc_model, mc_inputs, lambda i: cache, trials=150)
+        stats = cache.stats["mc_draws"]
+        assert (stats.misses, stats.hits) == (1, 4)
+        assert len(calls) == len(MAGNITUDES)
+        assert all(kwargs["draws"] is calls[0][1]["draws"] for _, kwargs, _ in calls)
+        for request, kwargs, report in calls:
+            kwargs = {k: v for k, v in kwargs.items() if k != "draws"}
+            assert report == loop_monte_carlo(request, **kwargs)
+
+    def test_a_slab_of_another_shape_is_rejected(self, mc_model, mc_inputs):
+        request = make_request(mc_model, mc_inputs)
+        draws = fused_draw_count(request.noise, mc_model)
+        for shape in ((request.trials + 1, draws), (request.trials, draws - 1)):
+            with pytest.raises(ValueError, match="draw slab has shape"):
+                run_monte_carlo(request, draws=np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"seed": 8},
+            {"trials": 9},
+            {"noise": NoiseSpec((WeightEncodingError(sigma=0.02),))},
+            {"env": ("REPRO_RNG", "philox")},
+            {"env": ("REPRO_DTYPE", "float32")},
+        ],
+        ids=["seed", "trials", "layout", "rng", "dtype"],
+    )
+    def test_any_key_change_misses_the_memo(
+        self, mc_model, mc_inputs, monkeypatch, change
+    ):
+        monkeypatch.delenv("REPRO_RNG", raising=False)
+        monkeypatch.delenv("REPRO_DTYPE", raising=False)
+        engine = EvaluationEngine(build_tempo(), cache=EvaluationCache())
+        engine.run_accuracy(make_request(mc_model, mc_inputs))
+        # Same key, different noise magnitude: a hit.
+        engine.run_accuracy(
+            make_request(mc_model, mc_inputs, noise=standard_noise().scaled(2.0))
+        )
+        change = dict(change)
+        if "env" in change:
+            monkeypatch.setenv(*change.pop("env"))
+        engine.run_accuracy(make_request(mc_model, mc_inputs, **change))
+        stats = engine.cache.stats["mc_draws"]
+        assert (stats.misses, stats.hits) == (2, 1)
+
+    @pytest.mark.parametrize(
+        "rng, dtype", [("philox", "float64"), ("seedseq", "float32"), ("philox", "float32")]
+    )
+    def test_shared_and_fresh_caches_agree(
+        self, mc_model, mc_inputs, monkeypatch, rng, dtype
+    ):
+        monkeypatch.setenv("REPRO_RNG", rng)
+        monkeypatch.setenv("REPRO_DTYPE", dtype)
+        cache = EvaluationCache()
+        shared = sweep(mc_model, mc_inputs, lambda i: cache)
+        fresh = sweep(mc_model, mc_inputs, lambda i: EvaluationCache())
+        assert cache.stats["mc_draws"].hits == len(MAGNITUDES) - 1
+        assert shared == fresh
 
 
 # -- no-copy dtype helpers --------------------------------------------------------------

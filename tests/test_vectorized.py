@@ -15,13 +15,14 @@ Covers the three contracts the performance work must not break:
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.dataflow.gemm import GEMMWorkload
-from oracles import im2col_loop, loop_monte_carlo
+from oracles import group_trials_by_bits_loop, im2col_loop, loop_monte_carlo
 from repro.onn.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -57,6 +58,7 @@ from repro.variation import (
     standard_noise,
 )
 from repro.variation.accuracy import (
+    _group_trials_by_bits,
     classification_agreement,
     classification_agreement_batch,
     model_fingerprint,
@@ -419,6 +421,31 @@ class TestNoisyForwardBatch:
                                 effective_bits=[8.0, 8.0])
 
 
+class TestTrialBitGroups:
+    """Resolving bits once per distinct floor groups trials as the loop does."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_per_trial_resolution(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = [None, math.inf, -math.inf, 0.0, 0.3, -2.5, 1.0, 5.999, 6.0]
+        effective = [
+            pool[i] if i < len(pool) else float(rng.uniform(-1.0, 12.0))
+            for i in rng.integers(0, len(pool) + 4, size=int(rng.integers(1, 40)))
+        ]
+        bits = tuple(int(b) for b in rng.integers(1, 10, size=3))
+        groups = _group_trials_by_bits(effective, *bits)
+        expected = group_trials_by_bits_loop(effective, *bits)
+        assert groups == expected
+        assert list(groups) == list(expected)  # ordered by first trial
+
+    def test_nan_still_raises(self):
+        for effective in ([math.nan], [8.0, None, math.nan], [2.5, 2.5, math.nan]):
+            with pytest.raises(ValueError, match="NaN"):
+                _group_trials_by_bits(effective, 8, 8, 8)
+            with pytest.raises(ValueError, match="NaN"):
+                group_trials_by_bits_loop(effective, 8, 8, 8)
+
+
 class TestBatchedMetrics:
     def test_agreement_batch_matches_scalar(self):
         ref = RNG.normal(size=(12, 5))
@@ -463,20 +490,25 @@ class TestBatchedMonteCarlo:
 
     def test_trial_partition_is_deterministic_and_complete(self, monkeypatch):
         # Every study runs in fixed, contiguous chunks of at most
-        # _TRIAL_CHUNK_CAP trials, folded in trial order.
+        # _TRIAL_CHUNK_CAP trials, folded in trial order; each chunk reads
+        # its own rows of the study's draw slab.
+        request = self.request(trials=150)
+        slab = montecarlo.draw_slab(montecarlo.draw_slab_key(request))
         seen = []
         original = montecarlo._run_trial_chunk
 
-        def spy(shared, trials):
+        def spy(shared, trials, draws):
             seen.append(list(trials))
-            return original(shared, trials)
+            assert np.array_equal(draws, slab[trials[0] : trials[-1] + 1])
+            return original(shared, trials, draws)
 
         monkeypatch.setattr(montecarlo, "_run_trial_chunk", spy)
-        report = run_monte_carlo(self.request(trials=150))
+        report = run_monte_carlo(request)
         cap = montecarlo._TRIAL_CHUNK_CAP
         assert cap == 64
         assert seen == [list(range(0, 64)), list(range(64, 128)), list(range(128, 150))]
         assert report.trials == len(report.accuracies) == 150
+        assert report == loop_monte_carlo(request)
 
     def test_observed_study_emits_only_compute_stages(self):
         accumulator = StageAccumulator()
@@ -596,8 +628,11 @@ class TestScenarioTablesUnchanged:
         fast = REGISTRY.run("variation_robustness", store=None, force=True)
         monkeypatch.setattr(Conv2d, "_im2col", im2col_loop)
         # The engine's mc_accuracy pass resolves run_monte_carlo at call time.
-        monkeypatch.setattr(
-            "repro.variation.montecarlo.run_monte_carlo", loop_monte_carlo
-        )
+        # The loop draws each trial from its own generator, so it ignores the
+        # request's memoized draw slab.
+        def loop(request, draws=None, **kwargs):
+            return loop_monte_carlo(request, **kwargs)
+
+        monkeypatch.setattr("repro.variation.montecarlo.run_monte_carlo", loop)
         legacy = REGISTRY.run("variation_robustness", store=None, force=True)
         assert fast.table == legacy.table
