@@ -25,9 +25,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.report import format_table, save_result_text
-from repro.exec import BACKENDS
-# Importing the cluster module registers the task-shipping --backend choices.
-from repro.exec.cluster import parse_address, run_worker
+from repro.exec import BACKEND_NAMES
 from repro.scenarios import (
     REGISTRY,
     BatchRunner,
@@ -201,6 +199,8 @@ def _parse_fail_below(pairs: Sequence[str]) -> Dict[str, float]:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
+    from repro.exec.cluster import parse_address, run_worker
+
     try:
         host, port = parse_address(args.connect)
     except ValueError as exc:
@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--jobs", type=_positive_int, default=None, metavar="N",
                          help="number of workers of a parallel --backend "
                               "(default: all cores); it never picks a backend")
-    p_batch.add_argument("--backend", choices=sorted(BACKENDS), default=None,
+    p_batch.add_argument("--backend", choices=BACKEND_NAMES, default=None,
                          help="execution backend for fresh scenarios: 'serial' "
                               "(the default), 'processes' (GIL-free forked "
                               "workers) or 'cluster' (TCP workers started with "

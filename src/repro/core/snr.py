@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Iterable, List
 
 from repro.arch.architecture import Architecture
 from repro.core.constants import BOLTZMANN_J_PER_K, ELECTRON_CHARGE_C
@@ -108,38 +107,40 @@ class SNRAnalyzer:
         )
 
     def effective_bits_for_power(
-        self, received_power_mw: np.ndarray, bandwidth_ghz: float
-    ) -> np.ndarray:
-        """Vectorized effective receiver bits for an array of received powers.
+        self, received_power_mw: Iterable[float], bandwidth_ghz: float
+    ) -> List[float]:
+        """Effective receiver bits for each of many received powers.
 
-        The elementwise arithmetic mirrors :meth:`analyze_received_power` +
-        :attr:`SNRReport.effective_bits` term for term; use it where many
-        per-trial operating points need pricing and the full per-point report
-        is not (e.g. the Monte Carlo throughput paths).  Zero received power
-        maps to 0 effective bits, matching the scalar path's ``-inf`` dB floor.
+        Repeats :meth:`analyze_received_power` + :attr:`SNRReport.effective_bits`
+        term for term in plain float arithmetic -- same operation order, same
+        ``**``/``math.log10`` -- so every value equals the report's bit for
+        bit, without building one.  The power-independent terms (thermal
+        noise, the linear RIN) are computed once.  This is how Monte Carlo
+        trials price their drifted links.
         """
         if bandwidth_ghz <= 0:
             raise ValueError("bandwidth must be positive")
-        power_w = np.asarray(received_power_mw, dtype=float) * 1e-3
-        if np.any(power_w < 0):
-            raise ValueError("received power must be non-negative")
         bandwidth_hz = bandwidth_ghz * 1e9
-        photocurrent_a = self.responsivity_a_per_w * power_w
-        shot_a2 = 2.0 * ELECTRON_CHARGE_C * photocurrent_a * bandwidth_hz
         thermal_a2 = (
             4.0 * BOLTZMANN_J_PER_K * self.temperature_k * bandwidth_hz
             / self.load_resistance_ohm
         )
-        rin_a2 = (photocurrent_a**2) * 10.0 ** (self.rin_db_per_hz / 10.0) * bandwidth_hz
-        noise_a2 = shot_a2 + thermal_a2 + rin_a2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            snr = np.where(
-                noise_a2 > 0,
-                (photocurrent_a**2) / np.where(noise_a2 > 0, noise_a2, 1.0),
-                np.inf,
+        rin_linear = 10.0 ** (self.rin_db_per_hz / 10.0)
+        bits = []
+        for power_mw in received_power_mw:
+            if power_mw < 0:
+                raise ValueError("received power must be non-negative")
+            photocurrent_a = self.responsivity_a_per_w * (power_mw * 1e-3)
+            signal_a2 = photocurrent_a**2
+            noise_a2 = (
+                2.0 * ELECTRON_CHARGE_C * photocurrent_a * bandwidth_hz
+                + thermal_a2
+                + signal_a2 * rin_linear * bandwidth_hz
             )
-            snr_db = 10.0 * np.log10(snr)
-        return np.maximum(0.0, (snr_db - 1.76) / 6.02)
+            snr = signal_a2 / noise_a2 if noise_a2 > 0 else math.inf
+            snr_db = 10.0 * math.log10(snr) if snr > 0 else -math.inf
+            bits.append(max(0.0, (snr_db - 1.76) / 6.02))
+        return bits
 
     def analyze(
         self,

@@ -23,6 +23,7 @@ import the submodule they need, so a serial run never loads them.
 """
 
 from repro.exec.backends import (
+    BACKEND_NAMES,
     BACKENDS,
     ExecutionBackend,
     SerialBackend,
@@ -45,6 +46,7 @@ from repro.exec.telemetry import (
 )
 
 __all__ = [
+    "BACKEND_NAMES",
     "BACKENDS",
     "ExecutionBackend",
     "PassTiming",

@@ -191,9 +191,13 @@ class SerialBackend(ExecutionBackend):
         return [fn(shared, task) for task in tasks]
 
 
-#: Backends constructible by name (the CLI's ``--backend`` values);
-#: :mod:`repro.exec.cluster` registers ``processes`` and ``cluster`` when it
-#: is imported, which :func:`resolve_backend` does on the first name it lacks.
+#: Every backend name, sorted: the CLI's ``--backend`` choices, known
+#: without importing the task-shipping module that registers most of them.
+BACKEND_NAMES = ("cluster", "processes", "serial")
+
+#: Backends constructible by name; :mod:`repro.exec.cluster` registers
+#: ``processes`` and ``cluster`` when it is imported, which
+#: :func:`resolve_backend` does on the first name it lacks.
 BACKENDS: Dict[str, Type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
 }

@@ -26,7 +26,6 @@ objectives); registered scenarios in :mod:`repro.scenarios.catalog`
 
 from repro.variation.accuracy import (
     AccuracyReport,
-    TrialResult,
     classification_agreement,
     classification_agreement_batch,
     model_fingerprint,
@@ -77,7 +76,6 @@ __all__ = [
     "LinkOperatingPoint",
     "NoiseSpec",
     "PhaseError",
-    "TrialResult",
     "VariationModel",
     "WeightEncodingError",
     "STAGE_NAMES",

@@ -419,17 +419,6 @@ def output_rmse_batch(outputs: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    """Picklable outcome of one Monte Carlo trial."""
-
-    trial: int
-    accuracy: float
-    rmse: float
-    effective_bits: float
-    extra_loss_db: float
-
-
-@dataclass(frozen=True)
 class AccuracyReport:
     """Aggregated Monte Carlo accuracy under a noise spec.
 
@@ -460,18 +449,17 @@ class AccuracyReport:
 
 
 def aggregate_trials(
-    results: Tuple[TrialResult, ...],
+    accuracies: np.ndarray,
+    rmses: np.ndarray,
+    effective_bits: np.ndarray,
     seed: int,
     effective_bits_nominal: float,
 ) -> AccuracyReport:
-    """Fold per-trial results (in trial order) into an :class:`AccuracyReport`."""
-    if not results:
+    """Fold per-trial arrays (in trial order) into an :class:`AccuracyReport`."""
+    if not accuracies.size:
         raise ValueError("cannot aggregate zero Monte Carlo trials")
-    accuracies = np.array([r.accuracy for r in results])
-    rmses = np.array([r.rmse for r in results])
-    eff_bits = np.array([r.effective_bits for r in results])
     return AccuracyReport(
-        trials=len(results),
+        trials=accuracies.size,
         seed=seed,
         accuracy_mean=float(accuracies.mean()),
         accuracy_std=float(accuracies.std()),
@@ -480,6 +468,6 @@ def aggregate_trials(
         rmse_mean=float(rmses.mean()),
         rmse_max=float(rmses.max()),
         effective_bits_nominal=float(effective_bits_nominal),
-        effective_bits_mean=float(eff_bits.mean()),
-        accuracies=tuple(float(a) for a in accuracies),
+        effective_bits_mean=float(effective_bits.mean()),
+        accuracies=tuple(accuracies.tolist()),
     )

@@ -112,6 +112,10 @@ class VariationModel:
         """Per-trial loss (dB) from a ``(trials, loss_draw_count)`` draw block."""
         return np.full(z.shape[0], self.static_loss_db())
 
+    def is_deterministic(self) -> bool:
+        """Whether every trial sees the same perturbation (zero spread)."""
+        return True
+
     def scaled(self, factor: float) -> "VariationModel":
         """This model with every magnitude parameter scaled by ``factor``."""
         return self
@@ -157,6 +161,9 @@ class WeightEncodingError(VariationModel):
     def weight_draw_count(self, size: int) -> int:
         return size
 
+    def is_deterministic(self) -> bool:
+        return self.sigma == 0
+
     def apply_weight_noise(self, weights: np.ndarray, z: np.ndarray) -> np.ndarray:
         noise = self.sigma * z.reshape(weights.shape)
         if self.relative:
@@ -194,6 +201,9 @@ class PhaseError(VariationModel):
 
     def weight_draw_count(self, size: int) -> int:
         return size
+
+    def is_deterministic(self) -> bool:
+        return self.sigma_rad == 0
 
     def apply_weight_noise(self, weights: np.ndarray, z: np.ndarray) -> np.ndarray:
         return weights * np.cos(self.sigma_rad * z.reshape(weights.shape))
@@ -282,6 +292,9 @@ class LinkLossDrift(VariationModel):
     def loss_draw_count(self) -> int:
         return 1
 
+    def is_deterministic(self) -> bool:
+        return self.sigma_db == 0
+
     def loss_db_from_draws(self, z: np.ndarray) -> np.ndarray:
         # rng.normal(0, sigma) == sigma * standard_normal() at the same stream
         # position, so the pre-drawn form matches sample_loss_db's arithmetic.
@@ -363,6 +376,19 @@ class NoiseSpec:
         batch path instead.
         """
         return all(type(model) in _FUSED_DRAW_TYPES for model in self.models)
+
+    def is_deterministic(self) -> bool:
+        """Whether every trial of a study under this spec is the same trial.
+
+        True only for fused-sampling specs (exact built-in types: a custom
+        subclass's draws are opaque) whose every model has zero spread --
+        zero ``sigma``/``sigma_rad``/``sigma_db``; a ``mean_db`` penalty and
+        crosstalk are deterministic.  Such a study's trials all read
+        zero-scaled draws, so one trial stands for all of them.
+        """
+        return self.supports_fused_sampling() and all(
+            model.is_deterministic() for model in self.models
+        )
 
     def weight_draw_count(self, size: int) -> int:
         """Standard-normal draws one trial's weight perturbation consumes."""

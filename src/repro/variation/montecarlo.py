@@ -18,6 +18,13 @@ the engine memoizes it per request and a noise-magnitude or precision sweep
 at a fixed seed draws its normals once.  Only custom noise models fall back
 to per-trial generators.
 
+A spec with zero spread (:meth:`NoiseSpec.is_deterministic`) perturbs every
+trial identically, so its study runs trial 0 alone -- on row 0 of the same
+slab -- and reports that trial for all of them.  Each trial's drifted link
+is priced by one scalar loop (:meth:`SNRAnalyzer.effective_bits_for_power`)
+in either RNG mode, and per-trial results stay numpy arrays from the chunk
+to the report.
+
 :func:`evaluate_accuracy` is the one-call entry point: it routes the request
 through :meth:`repro.core.engine.EvaluationEngine.run_accuracy`, whose
 ``receiver_precision`` and ``mc_accuracy`` passes memoize the link-derived
@@ -37,7 +44,6 @@ from repro.core.snr import SNRAnalyzer, SNRReport
 from repro.onn.layers import Module, dtype_mode, pinned_modes, scratch_workspace
 from repro.variation.accuracy import (
     AccuracyReport,
-    TrialResult,
     aggregate_trials,
     classification_agreement_batch,
     fused_draw_count,
@@ -80,31 +86,23 @@ class LinkOperatingPoint:
     bandwidth_ghz: float
     analyzer: Optional[SNRAnalyzer] = None
 
-    def snr(self, extra_loss_db: float = 0.0) -> SNRReport:
-        received_mw = self.optical_power_mw * 10.0 ** (
+    def received_power_mw(self, extra_loss_db: float = 0.0) -> float:
+        """Optical power at the detector with ``extra_loss_db`` of drift."""
+        return self.optical_power_mw * 10.0 ** (
             -(self.insertion_loss_db + extra_loss_db) / 10.0
         )
-        analyzer = self.analyzer if self.analyzer is not None else SNRAnalyzer()
-        return analyzer.analyze_received_power(received_mw, self.bandwidth_ghz)
+
+    def receiver(self) -> SNRAnalyzer:
+        """The receiver-chain noise model (the default receiver if unset)."""
+        return self.analyzer if self.analyzer is not None else SNRAnalyzer()
+
+    def snr(self, extra_loss_db: float = 0.0) -> SNRReport:
+        return self.receiver().analyze_received_power(
+            self.received_power_mw(extra_loss_db), self.bandwidth_ghz
+        )
 
     def effective_bits(self, extra_loss_db: float = 0.0) -> float:
         return self.snr(extra_loss_db).effective_bits
-
-    def effective_bits_batch(self, extra_loss_db: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`effective_bits` over an array of drift losses.
-
-        One numpy pass instead of a Python SNR evaluation per trial; used by
-        ``REPRO_RNG=philox`` studies.  Reference-mode studies keep the scalar
-        call, because numpy's vectorized ``pow``/``log`` may differ from the
-        scalar ones in the last ulp on some hosts and committed tables must
-        stay byte-stable.
-        """
-        losses = np.asarray(extra_loss_db, dtype=float)
-        received_mw = self.optical_power_mw * 10.0 ** (
-            -(self.insertion_loss_db + losses) / 10.0
-        )
-        analyzer = self.analyzer if self.analyzer is not None else SNRAnalyzer()
-        return analyzer.effective_bits_for_power(received_mw, self.bandwidth_ghz)
 
 
 @dataclass(frozen=True)
@@ -186,7 +184,7 @@ class _TrialContext:
 
 def _run_trial_chunk(
     shared: _TrialContext, trials: List[int], draws: Optional[np.ndarray] = None
-) -> List[TrialResult]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A contiguous chunk of trials as one batched forward.
 
     ``draws`` holds the chunk's rows of the study's draw slab: the leading
@@ -198,6 +196,7 @@ def _run_trial_chunk(
     per-trial order: link loss first, then per-layer weight noise.  The
     forwards run stacked -- one batched numpy pass per layer per
     resolved-bits group instead of ``len(trials)`` full model clones.
+    Returns the per-trial ``(accuracies, rmses, effective_bits)`` arrays.
     """
     spec = shared.spec
     with pinned_modes(shared.dtype_mode):
@@ -226,30 +225,12 @@ def _run_trial_chunk(
                 effective_bits=effective,
                 weight_draws=weight_draws,
             )
-        return _trial_results(shared, trials, outputs, effective, losses)
-
-
-def _trial_results(
-    shared: _TrialContext,
-    trials: Sequence[int],
-    outputs: np.ndarray,
-    effective: Sequence[float],
-    losses: Sequence[float],
-) -> List[TrialResult]:
-    """Score a chunk's stacked outputs against the reference, one record per trial."""
-    with stage("metrics"):
-        accuracies = classification_agreement_batch(outputs, shared.reference)
-        rmses = output_rmse_batch(outputs, shared.reference)
-        return [
-            TrialResult(
-                trial=trial,
-                accuracy=float(accuracies[i]),
-                rmse=float(rmses[i]),
-                effective_bits=float(effective[i]),
-                extra_loss_db=float(losses[i]),
+        with stage("metrics"):
+            return (
+                classification_agreement_batch(outputs, shared.reference),
+                output_rmse_batch(outputs, shared.reference),
+                np.array(effective, dtype=float),
             )
-            for i, trial in enumerate(trials)
-        ]
 
 
 def _effective_bits_for(
@@ -257,23 +238,17 @@ def _effective_bits_for(
 ) -> List[float]:
     """Per-trial receiver precision for the chunk's sampled link penalties.
 
-    Philox studies price the whole chunk in one vectorized pass.  Reference
-    studies keep the scalar SNR call (see
-    :meth:`LinkOperatingPoint.effective_bits_batch`), one per distinct loss:
-    drift-free specs collapse every trial onto one receiver computation.
+    One scalar pricing pass in either RNG mode:
+    :meth:`SNRAnalyzer.effective_bits_for_power` equals
+    :meth:`LinkOperatingPoint.effective_bits` bit for bit, without building
+    a report per trial.
     """
-    if shared.link is None:
+    link = shared.link
+    if link is None:
         return [math.inf] * len(losses)
-    if shared.rng_mode == "philox":
-        return shared.link.effective_bits_batch(np.asarray(losses)).tolist()
-    by_loss: dict = {}
-    effective = []
-    for loss in losses:
-        bits = by_loss.get(loss)
-        if bits is None:
-            bits = by_loss[loss] = shared.link.effective_bits(loss)
-        effective.append(bits)
-    return effective
+    return link.receiver().effective_bits_for_power(
+        [link.received_power_mw(loss) for loss in losses], link.bandwidth_ghz
+    )
 
 
 def draw_slab_key(request: AccuracyRequest) -> Optional[Tuple[str, str, int, int, int]]:
@@ -317,7 +292,9 @@ def run_monte_carlo(
 
     The reference (noise-free, quantized at the *static* link penalty) is
     computed once; the trials then run in contiguous chunks and are
-    aggregated in trial order.  When the caller already holds the receiver's
+    aggregated in trial order.  A deterministic spec
+    (:meth:`NoiseSpec.is_deterministic`) runs trial 0 alone and reports it
+    for every trial.  When the caller already holds the receiver's
     nominal :class:`SNRReport` (the engine's memoized ``receiver_precision``
     pass), passing it as ``nominal_snr`` skips re-deriving it from the link.
     ``draws`` is the study's :func:`draw_slab` when the caller memoizes it
@@ -364,16 +341,30 @@ def run_monte_carlo(
         raise ValueError(
             f"draw slab has shape {draws.shape}, the study needs {key[3:]}"
         )
+    # A zero-spread spec perturbs every trial identically: trial 0, run
+    # through the same slab path, stands for the whole study.
+    computed = 1 if request.noise.is_deterministic() else request.trials
     # Contiguous chunks of at most _TRIAL_CHUNK_CAP trials keep the stacked
     # per-layer temporaries cache-resident; slab rows (or per-trial seeds)
     # make the results chunking-invariant anyway.
-    results: List[TrialResult] = []
-    for start in range(0, request.trials, _TRIAL_CHUNK_CAP):
-        stop = min(start + _TRIAL_CHUNK_CAP, request.trials)
+    accuracies = np.empty(request.trials)
+    rmses = np.empty(request.trials)
+    effective = np.empty(request.trials)
+    for start in range(0, computed, _TRIAL_CHUNK_CAP):
+        stop = min(start + _TRIAL_CHUNK_CAP, computed)
         rows = None if draws is None else draws[start:stop]
-        results += _run_trial_chunk(shared, list(range(start, stop)), rows)
+        (
+            accuracies[start:stop],
+            rmses[start:stop],
+            effective[start:stop],
+        ) = _run_trial_chunk(shared, list(range(start, stop)), rows)
+    if computed == 1:
+        for values in (accuracies, rmses, effective):
+            values[1:] = values[0]
     return aggregate_trials(
-        tuple(results),
+        accuracies,
+        rmses,
+        effective,
         seed=request.seed,
         effective_bits_nominal=float(nominal_bits),
     )

@@ -54,7 +54,6 @@ from repro.onn.layers import Conv2d
 from repro.onn.quantize import receiver_limited_bits
 from repro.variation.accuracy import (
     AccuracyReport,
-    TrialResult,
     aggregate_trials,
     classification_agreement,
     noisy_forward,
@@ -114,7 +113,9 @@ def loop_monte_carlo(
             effective_bits=nominal_bits,
         )
     mode = rng_mode()
-    results = []
+    accuracies = np.empty(request.trials)
+    rmses = np.empty(request.trials)
+    effective = np.empty(request.trials)
     for trial in range(request.trials):
         rng = make_trial_rng(request.seed, trial, mode)
         extra_loss_db = request.noise.sample_loss_db(rng)
@@ -131,17 +132,15 @@ def loop_monte_carlo(
             output_bits=output_bits,
             effective_bits=effective_bits,
         )
-        results.append(
-            TrialResult(
-                trial=trial,
-                accuracy=classification_agreement(outputs, reference),
-                rmse=output_rmse(outputs, reference),
-                effective_bits=float(effective_bits),
-                extra_loss_db=float(extra_loss_db),
-            )
-        )
+        accuracies[trial] = classification_agreement(outputs, reference)
+        rmses[trial] = output_rmse(outputs, reference)
+        effective[trial] = effective_bits
     return aggregate_trials(
-        tuple(results), seed=request.seed, effective_bits_nominal=float(nominal_bits)
+        accuracies,
+        rmses,
+        effective,
+        seed=request.seed,
+        effective_bits_nominal=float(nominal_bits),
     )
 
 

@@ -334,6 +334,22 @@ sys.exit(main(["run", "dse_large_grid", "--no-store", "--param", "backend=proces
     assert out == "=== dse_large_grid ===\n" + reference
 
 
+def test_cli_import_and_list_leave_task_shipping_machinery_unloaded(tmp_path):
+    # The --backend choices are declared statically; the worker command
+    # imports the cluster module only when it runs.
+    _run_cold(tmp_path, """
+import sys
+from repro.cli import main
+assert main(["list"]) == 0
+heavy = ("repro.exec.cluster", "repro.exec.shm", "repro.exec.pool")
+loaded = [name for name in heavy if name in sys.modules]
+assert not loaded, f"the CLI loaded {loaded}"
+from repro.exec import BACKEND_NAMES, BACKENDS
+import repro.exec.cluster
+assert BACKEND_NAMES == tuple(sorted(BACKENDS)), (BACKEND_NAMES, sorted(BACKENDS))
+""")
+
+
 def test_cold_resolve_errors_name_every_backend(tmp_path):
     out = _run_cold(tmp_path, """
 from repro.exec import resolve_backend

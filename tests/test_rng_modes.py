@@ -32,6 +32,7 @@ from repro.onn.quantize import quantize_uniform_batch
 from repro.scenarios.bench import bench_scenarios, check_speedups
 from repro.variation import (
     AccuracyRequest,
+    Crosstalk,
     LinkLossDrift,
     LinkOperatingPoint,
     NoiseSpec,
@@ -46,6 +47,7 @@ from repro.variation import (
     standard_noise,
     trial_rng,
 )
+from repro.variation import montecarlo
 from repro.variation.accuracy import _weighted_layer_sizes, fused_draw_count
 from oracles import loop_monte_carlo
 
@@ -357,6 +359,66 @@ class TestDrawSlabs:
         fresh = sweep(mc_model, mc_inputs, lambda i: EvaluationCache())
         assert cache.stats["mc_draws"].hits == len(MAGNITUDES) - 1
         assert shared == fresh
+
+
+# -- deterministic-spec collapse -------------------------------------------------------
+
+
+MODES = [
+    (rng, dtype) for rng in ("seedseq", "philox") for dtype in ("float64", "float32")
+]
+DETERMINISTIC_SPECS = {
+    "zero-magnitude": standard_noise().scaled(0.0),
+    "static-penalties": NoiseSpec(
+        (
+            Crosstalk(1e-2),
+            LinkLossDrift(3.0, 0.0),
+            WeightEncodingError(sigma=0.0, relative=False),
+            PhaseError(0.0),
+        )
+    ),
+}
+LINK = LinkOperatingPoint(optical_power_mw=1.2, insertion_loss_db=6.0, bandwidth_ghz=5.0)
+
+
+class TestDeterministicCollapse:
+    """A zero-spread study runs trial 0 alone; the report must equal the one
+    every chunk of the study would have produced."""
+
+    @pytest.mark.parametrize("rng, dtype", MODES, ids=["-".join(m) for m in MODES])
+    @pytest.mark.parametrize("spec_name", sorted(DETERMINISTIC_SPECS))
+    @pytest.mark.parametrize("reference", ["quantized", "float"])
+    @pytest.mark.parametrize("trials", [1, 70, 256])
+    def test_collapsed_study_equals_every_chunk(
+        self, mc_model, mc_inputs, monkeypatch, rng, dtype, spec_name, reference, trials
+    ):
+        monkeypatch.setenv("REPRO_RNG", rng)
+        monkeypatch.setenv("REPRO_DTYPE", dtype)
+        request = make_request(
+            mc_model,
+            mc_inputs,
+            noise=DETERMINISTIC_SPECS[spec_name],
+            trials=trials,
+            reference=reference,
+        )
+        slab = montecarlo.draw_slab(montecarlo.draw_slab_key(request))
+        chunks = []
+        original = montecarlo._run_trial_chunk
+
+        def spy(shared, trial_indices, draws):
+            chunks.append((list(trial_indices), draws))
+            return original(shared, trial_indices, draws)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(montecarlo, "_run_trial_chunk", spy)
+            collapsed = run_monte_carlo(request, link=LINK, draws=slab)
+        assert [indices for indices, _ in chunks] == [[0]]
+        assert np.array_equal(chunks[0][1], slab[:1])
+        with monkeypatch.context() as patched:
+            patched.setattr(NoiseSpec, "is_deterministic", lambda spec: False)
+            uncollapsed = run_monte_carlo(request, link=LINK, draws=slab)
+        assert collapsed == uncollapsed
+        assert collapsed.trials == len(collapsed.accuracies) == trials
 
 
 # -- no-copy dtype helpers --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the optical receiver SNR analysis."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -106,6 +107,49 @@ class TestEffectiveBitsEdgeCases:
         # A quieter laser at the same power resolves strictly more bits.
         quiet = SNRAnalyzer(rin_db_per_hz=-155.0).analyze_received_power(10.0, 5.0)
         assert quiet.effective_bits > report.effective_bits
+
+
+class TestEffectiveBitsForPower:
+    """The report-free pricing loop Monte Carlo trials use must equal the
+    full report's effective bits bit for bit."""
+
+    @pytest.mark.parametrize(
+        "analyzer",
+        [
+            SNRAnalyzer(),
+            SNRAnalyzer(
+                responsivity_a_per_w=0.8,
+                load_resistance_ohm=1000.0,
+                temperature_k=350.0,
+                rin_db_per_hz=-135.0,
+            ),
+        ],
+        ids=["default", "custom"],
+    )
+    def test_matches_the_report_on_random_losses(self, analyzer):
+        rng = np.random.default_rng(2024)
+        losses_db = np.concatenate(
+            [rng.uniform(0.0, 40.0, 4000), rng.uniform(40.0, 4000.0, 200)]
+        ).tolist()
+        powers_mw = [1.2 * 10.0 ** (-(6.0 + loss) / 10.0) for loss in losses_db]
+        # Very large losses underflow the received power to exactly zero.
+        powers_mw += [0.0, 1.2 * 10.0 ** (-(6.0 + 1e4) / 10.0), 5e3]
+        for bandwidth_ghz in (0.5, 5.0, 25.0):
+            expected = [
+                analyzer.analyze_received_power(power, bandwidth_ghz).effective_bits
+                for power in powers_mw
+            ]
+            priced = analyzer.effective_bits_for_power(powers_mw, bandwidth_ghz)
+            assert priced == expected
+            assert priced[-3:-1] == [0.0, 0.0]  # no light, no bits
+
+    def test_invalid_inputs_raise(self):
+        analyzer = SNRAnalyzer()
+        for bandwidth_ghz in (0.0, -5.0):
+            with pytest.raises(ValueError, match="bandwidth"):
+                analyzer.effective_bits_for_power([1.0], bandwidth_ghz)
+        with pytest.raises(ValueError, match="non-negative"):
+            analyzer.effective_bits_for_power([1.0, -1e-9], 5.0)
 
 
 class TestMinimumPower:

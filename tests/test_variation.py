@@ -21,6 +21,7 @@ from repro.variation import (
     LinkLossDrift,
     NoiseSpec,
     PhaseError,
+    VariationModel,
     WeightEncodingError,
     model_fingerprint,
     noisy_forward,
@@ -127,6 +128,42 @@ class TestVariationModels:
         assert phase.sigma_rad == pytest.approx(0.04)
         assert drift.mean_db == pytest.approx(1.0)
         assert xtalk.coupling == pytest.approx(2 * 10 ** (-2.7))
+
+    def test_zero_spread_specs_are_deterministic(self):
+        assert IDEAL.is_deterministic()
+        assert standard_noise().scaled(0.0).is_deterministic()
+        assert NoiseSpec((VariationModel(), Crosstalk(0.3))).is_deterministic()
+        assert NoiseSpec(
+            (
+                Crosstalk(1e-2),
+                LinkLossDrift(mean_db=3.0, sigma_db=0.0),
+                WeightEncodingError(sigma=0.0, relative=False),
+                PhaseError(sigma_rad=0.0),
+            )
+        ).is_deterministic()
+
+    @pytest.mark.parametrize(
+        "spread",
+        [
+            WeightEncodingError(sigma=0.01),
+            WeightEncodingError(sigma=0.01, relative=False),
+            PhaseError(sigma_rad=0.01),
+            LinkLossDrift(mean_db=0.0, sigma_db=0.1),
+        ],
+        ids=["relative", "additive", "phase", "drift"],
+    )
+    def test_one_nonzero_sigma_is_not_deterministic(self, spread):
+        quiet = standard_noise().scaled(0.0)
+        assert not NoiseSpec(quiet.models + (spread,)).is_deterministic()
+        assert not spread.is_deterministic()
+
+    def test_custom_models_are_never_deterministic(self):
+        class Quiet(VariationModel):
+            pass
+
+        assert Quiet().is_deterministic()  # inherited, but the spec refuses it
+        assert not NoiseSpec((Quiet(),)).is_deterministic()
+        assert not NoiseSpec((Crosstalk(0.1), Quiet())).is_deterministic()
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):
