@@ -220,18 +220,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("no scenarios selected", file=sys.stderr)
         return 1
     ref_thresholds = _parse_fail_below(args.fail_below_ref)
-    reference_mode = (args.rng or "seedseq", args.dtype or "float64")
-    if ref_thresholds and reference_mode == ("seedseq", "float64"):
+    if ref_thresholds and args.dtype != "float32":
         raise SystemExit(
             "error: --fail-below-ref needs a non-reference mode; add "
-            "--rng philox and/or --dtype float32"
+            "--dtype float32"
         )
     payload = bench_scenarios(
         names,
         repeats=args.repeats,
         warmup=args.warmup,
         params=_parse_params(args.param),
-        rng=args.rng,
         dtype=args.dtype,
     )
     rows = []
@@ -273,34 +271,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for failure in failures:
         print(f"SPEEDUP CHECK FAILED {failure}", file=sys.stderr)
     return 1 if failures else 0
-
-
-def _cmd_pool(args: argparse.Namespace) -> int:
-    from repro.exec.pool import pool_status, stop_pools
-
-    if args.action == "stop":
-        stopped = stop_pools()
-        print(f"stopped {stopped} warm pool(s)")
-        return 0
-    pools = pool_status()
-    if not pools:
-        print("no live warm pools in this process")
-        return 0
-    rows = [
-        (
-            str(pool["jobs"]),
-            str(pool["leases"]),
-            str(pool["dispatches"]),
-            str(pool["restarts"]),
-            f"{pool['age_s']:.1f}",
-            f"{pool['idle_s']:.1f}",
-        )
-        for pool in pools
-    ]
-    print(format_table(
-        ["jobs", "leases", "dispatches", "restarts", "age (s)", "idle (s)"], rows
-    ))
-    return 0
 
 
 def _artifact_payload(entry: Dict[str, object]) -> Dict[str, object]:
@@ -491,20 +461,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="timed repeats per scenario (default: 3)")
     p_bench.add_argument("--warmup", type=_non_negative_int, default=1, metavar="N",
                          help="untimed warmup runs per scenario (default: 1)")
-    p_bench.add_argument("--rng", choices=("seedseq", "philox"), default=None,
-                         help="time the headline runs under this REPRO_RNG mode "
-                              "(default: ambient environment; non-reference "
-                              "modes also time the bit-exact reference and "
-                              "record speedup_vs_reference_median)")
     p_bench.add_argument("--dtype", choices=("float64", "float32"), default=None,
                          help="time the headline runs under this REPRO_DTYPE "
-                              "mode (default: ambient environment)")
+                              "mode (default: ambient environment; float32 "
+                              "also times the float64 reference and records "
+                              "speedup_vs_reference_median)")
     p_bench.add_argument("--fail-below-ref", action="append", default=[],
                          metavar="SCENARIO=FACTOR",
                          help="exit non-zero when SCENARIO's speedup over the "
                               "bit-exact reference mode is below FACTOR "
-                              "(repeatable; requires --rng/--dtype selecting a "
-                              "non-reference mode)")
+                              "(repeatable; requires --dtype float32)")
     p_bench.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                          help="override a scenario parameter for every "
                               "benchmarked scenario (repeatable)")
@@ -532,21 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--quiet", action="store_true",
                           help="suppress per-session log lines on stderr")
     p_worker.set_defaults(func=_cmd_worker, no_store=False)
-
-    p_pool = sub.add_parser(
-        "pool",
-        help="inspect or stop this process's warm worker pools "
-             "(REPRO_POOL=warm keeps process pools alive between batches)",
-    )
-    p_pool.add_argument("action", nargs="?", choices=("status", "stop"),
-                        default="status",
-                        help="'status' (default) lists live pools (jobs, leases, "
-                             "dispatches, age); 'stop' shuts them down. Pools "
-                             "are per-process: from a fresh CLI process this "
-                             "reports the pools that process created (embedded "
-                             "callers and long-lived daemons hold warm pools "
-                             "worth inspecting/stopping)")
-    p_pool.set_defaults(func=_cmd_pool, no_store=True)
 
     p_report = sub.add_parser("report", help="inspect the persistent result store")
     p_report.add_argument("names", nargs="*",

@@ -664,7 +664,6 @@ class MonteCarloAccuracyPass(EnginePass):
             draw_slab_key,
             run_monte_carlo,
         )
-        from repro.variation.sampler import rng_mode
 
         archs = ReceiverPrecisionPass._target_archs(ctx)
         if not archs:
@@ -705,10 +704,10 @@ class MonteCarloAccuracyPass(EnginePass):
         if not cache.enabled:
             ctx.accuracy_report = compute()
             return
-        # Every active numerics mode is part of the key: philox streams differ
-        # from the SeedSequence contract by construction, and float32 studies
-        # round differently -- so an A/B comparison within one process must
-        # never serve one mode's memoized study to another.  nominal_snr is in
+        # The dtype mode is part of the key: float32 studies round
+        # differently from float64 ones (though both read the same float64
+        # draw slab), so an A/B comparison within one process must never
+        # serve one mode's memoized study to the other.  nominal_snr is in
         # the key because compute() reads it: two contexts with identical
         # request/bits/link but different SNR reports (e.g. divergent receiver
         # sweeps sharing one cache) must not serve each other's studies.
@@ -717,7 +716,6 @@ class MonteCarloAccuracyPass(EnginePass):
             bits,
             link,
             nominal_snr,
-            rng_mode(),
             dtype_mode(),
         )
         ctx.accuracy_report = cache.get_or_compute(self.name, key, compute)

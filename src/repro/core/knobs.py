@@ -238,14 +238,6 @@ register(
     "throughput mode.",
 )
 register(
-    "REPRO_RNG",
-    default="seedseq",
-    choices=("seedseq", "philox"),
-    affects_numerics=True,
-    description="Monte Carlo trial RNG derivation: the bit-exact SeedSequence "
-    "contract or counter-based Philox throughput mode.",
-)
-register(
     "REPRO_MC_TRIALS",
     type="int",
     affects_numerics=True,
@@ -261,7 +253,7 @@ register(
     choices=("warm", "cold"),
     description="Process-pool lifecycle: cold (default) builds and tears down "
     "a pool per session, warm keeps a named reusable pool alive across "
-    "dispatches (stop it with `repro pool stop`).",
+    "dispatches until it idles out or the process exits.",
 )
 register(
     "REPRO_POOL_IDLE_S",

@@ -23,9 +23,9 @@ Correctness guards of warm fleets:
   private single-use fleet instead -- cold semantics, never a stale fleet.
 - **idle reaping** -- a released fleet schedules its own shutdown after
   ``REPRO_POOL_IDLE_S`` seconds without a lease, bounding resident workers.
-- **explicit stop** -- ``repro pool stop`` (and ``atexit``) tears everything
-  down; a forked child starts with an empty registry, so workers never shut
-  down the parent's fleets.
+- **explicit stop** -- :func:`stop_pools` (registered with ``atexit``) tears
+  everything down; a forked child starts with an empty registry, so workers
+  never shut down the parent's fleets.
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ def stop_pools(wait: bool = True) -> int:
 
 
 def pool_status() -> List[Dict[str, object]]:
-    """One record per live warm fleet (the ``repro pool status`` payload)."""
+    """One record per live warm fleet in this process."""
     now = time.monotonic()
     with _LOCK:
         return [

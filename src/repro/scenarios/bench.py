@@ -7,9 +7,9 @@ versioned JSON report (``bench.json`` in the working directory by default,
 an untracked scratch name; committed ``BENCH_*.json`` files are written only
 on purpose with ``--output``).
 
-Schema ``repro-bench/2`` makes every timing block self-describing:
+Schema ``repro-bench/3`` makes every timing block self-describing:
 
-- ``knobs`` records the active perf knobs (``REPRO_RNG``, ``REPRO_DTYPE``,
+- ``knobs`` records the active perf knobs (``REPRO_DTYPE``,
   ``REPRO_MC_TRIALS``) so entries from different modes are never compared
   apples-to-oranges;
 - ``stages_s`` / ``stage_fractions`` attribute the Monte Carlo wall-clock to
@@ -17,10 +17,9 @@ Schema ``repro-bench/2`` makes every timing block self-describing:
   (:mod:`repro.variation.stages`), recording where the *next* ceiling is.
 
 A scenario's headline timing (the ``vectorized`` block) runs on the selected
-``rng`` / ``dtype`` throughput modes.  When a non-reference rng or dtype is
-selected, the bit-exact reference mode (``seedseq`` + ``float64``) is timed
-alongside and ``speedup_vs_reference_median`` records the additional speedup
-the fast path buys over it.
+``dtype`` mode.  When ``float32`` is selected, the bit-exact ``float64``
+reference is timed alongside and ``speedup_vs_reference_median`` records the
+additional speedup the single-precision path buys over it.
 """
 
 from __future__ import annotations
@@ -43,11 +42,10 @@ from repro.core.knobs import raw_value as _knob_raw
 from repro.exec.backends import available_cpus
 from repro.onn.layers import DTYPE_MODE_ENV, dtype_mode
 from repro.scenarios.registry import REGISTRY
-from repro.variation.sampler import RNG_MODE_ENV, rng_mode
 from repro.variation.stages import StageAccumulator, observe_stages
 
 #: Schema tag embedded in every report, bumped on incompatible layout changes.
-BENCH_SCHEMA = "repro-bench/2"
+BENCH_SCHEMA = "repro-bench/3"
 
 #: Default output path: an untracked (gitignored) scratch report, so a plain
 #: ``repro bench`` never overwrites a committed ``BENCH_*.json``.
@@ -55,7 +53,7 @@ DEFAULT_BENCH_PATH = "bench.json"
 
 #: The bit-exact reference mode: the only mode committed scenario tables
 #: reproduce under, and the baseline ``speedup_vs_reference_median`` divides by.
-REFERENCE_MODE = ("seedseq", "float64")
+REFERENCE_MODE = "float64"
 
 
 def _percentile(sorted_times: Sequence[float], fraction: float) -> float:
@@ -68,7 +66,7 @@ def _percentile(sorted_times: Sequence[float], fraction: float) -> float:
 
 @dataclass
 class BenchTiming:
-    """Timed repeats of one scenario on one (rng, dtype) mode."""
+    """Timed repeats of one scenario on one dtype mode."""
 
     mode: str
     repeats: int
@@ -123,7 +121,6 @@ class BenchTiming:
 def _active_knobs() -> Dict[str, Optional[str]]:
     """The resolved perf modes plus the raw trial-count override."""
     return {
-        RNG_MODE_ENV: rng_mode(),
         DTYPE_MODE_ENV: dtype_mode(),
         "REPRO_MC_TRIALS": _knob_raw("REPRO_MC_TRIALS"),
     }
@@ -134,7 +131,6 @@ def time_scenario(
     repeats: int = 3,
     warmup: int = 1,
     params: Optional[Mapping[str, Any]] = None,
-    rng: Optional[str] = None,
     dtype: Optional[str] = None,
 ) -> BenchTiming:
     """Time ``repeats`` fresh runs of one scenario (after ``warmup`` discards).
@@ -145,8 +141,8 @@ def time_scenario(
     variation pipeline's per-stage wall-clock are recorded alongside the
     timings (scenarios with internal sweeps legitimately hit their own cache).
 
-    ``rng`` / ``dtype`` pin ``$REPRO_RNG`` / ``$REPRO_DTYPE`` for the
-    measurement; ``None`` leaves the ambient value.
+    ``dtype`` pins ``$REPRO_DTYPE`` for the measurement; ``None`` leaves the
+    ambient value.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be positive, got {repeats}")
@@ -156,9 +152,9 @@ def time_scenario(
     passes = 0
     stats: Dict[str, Dict[str, float]] = {}
     stage_seconds = StageAccumulator()
-    with _forced_env(RNG_MODE_ENV, rng), _forced_env(DTYPE_MODE_ENV, dtype):
+    with _forced_env(DTYPE_MODE_ENV, dtype):
         knobs = _active_knobs()
-        mode_label = f"{knobs[RNG_MODE_ENV]}/{knobs[DTYPE_MODE_ENV]}"
+        mode_label = knobs[DTYPE_MODE_ENV]
         for round_index in range(warmup + repeats):
             cache = EvaluationCache()
             pass_count = 0
@@ -200,39 +196,36 @@ def bench_scenarios(
     repeats: int = 3,
     warmup: int = 1,
     params: Optional[Mapping[str, Any]] = None,
-    rng: Optional[str] = None,
     dtype: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Benchmark ``names`` and return the JSON-ready report payload.
 
-    The headline ``vectorized`` timing runs on the requested ``rng`` / ``dtype``
-    modes (defaults: the ambient environment, normally the bit-exact reference).
-    When the requested rng/dtype differ from the reference mode, each scenario
-    is *also* timed on the reference mode (``reference`` block) and
+    The headline ``vectorized`` timing runs on the requested ``dtype`` mode
+    (default: the ambient environment, normally the bit-exact ``float64``
+    reference).  When that is not the reference mode, each scenario is *also*
+    timed on the reference mode (``reference`` block) and
     ``speedup_vs_reference_median`` records reference median / headline
-    median -- the additional speedup the selected throughput mode buys over
-    the bit-exact contract.
+    median -- the additional speedup float32 buys over the bit-exact contract.
     """
     scenarios: Dict[str, Any] = {}
     for name in names:
         vectorized = time_scenario(
-            name, repeats=repeats, warmup=warmup, params=params, rng=rng, dtype=dtype,
+            name, repeats=repeats, warmup=warmup, params=params, dtype=dtype,
         )
         entry: Dict[str, Any] = {"vectorized": asdict(vectorized)}
         # Scenarios that never enter the Monte Carlo pipeline (no rng/forward/
         # quantize/metrics stage time) are pure analytic table computations:
-        # the rng/dtype throughput modes cannot change their wall-clock, so a
+        # the dtype throughput mode cannot change their wall-clock, so a
         # "reference comparison" would only record sub-millisecond timer
         # jitter as a fake speedup (BENCH_PR6 recorded 0.88-0.95x noise for
         # fig10a/fig6/fig7/table1).  Mark them instead of timing a
         # meaningless baseline.
         analytic_only = not vectorized.stages_s
         entry["analytic_only"] = analytic_only
-        selected = (vectorized.knobs[RNG_MODE_ENV], vectorized.knobs[DTYPE_MODE_ENV])
-        if selected != REFERENCE_MODE and not analytic_only:
+        if vectorized.mode != REFERENCE_MODE and not analytic_only:
             reference = time_scenario(
                 name, repeats=repeats, warmup=warmup, params=params,
-                rng="seedseq", dtype="float64",
+                dtype=REFERENCE_MODE,
             )
             entry["reference"] = asdict(reference)
             entry["speedup_vs_reference_median"] = (
@@ -254,9 +247,7 @@ def bench_scenarios(
             "repeats": repeats,
             "warmup": warmup,
             "params": dict(params or {}),
-            "rng_env": RNG_MODE_ENV,
             "dtype_env": DTYPE_MODE_ENV,
-            "rng": rng,
             "dtype": dtype,
         },
         "scenarios": scenarios,
@@ -296,7 +287,7 @@ def check_speedups(
             if entry.get("analytic_only"):
                 # Deterministic config error, not a jitter-dependent flake: an
                 # analytic scenario has no Monte Carlo stage work for the
-                # throughput modes to speed up, so no ratio is recorded.
+                # throughput mode to speed up, so no ratio is recorded.
                 failures.append(
                     f"{name}: analytic-only scenario (no Monte Carlo stage "
                     "work), no reference ratio is recorded -- drop this "

@@ -8,7 +8,7 @@ store root.  The fingerprint is a SHA-1 over
 - the resolved per-run parameters,
 - the numerics knobs that are set (the ``affects_numerics`` slice of
   :func:`~repro.core.knobs.repro_env_snapshot`), so a throughput-mode run
-  (say ``REPRO_RNG=philox``) can never serve its table to a default-mode run,
+  (say ``REPRO_DTYPE=float32``) can never serve its table to a default-mode run,
 - a *code hash* of everything that can change the numbers: the source of every
   module in the ``repro`` package (plus, for externally registered scenarios,
   the module defining the build function) and the package version.
@@ -112,7 +112,12 @@ class ResultStore:
 
     # -- read ------------------------------------------------------------------------
     def load(self, name: str, fingerprint: str) -> Optional[ScenarioResult]:
-        """The stored result for this exact fingerprint, or None on a miss."""
+        """The stored result for this exact fingerprint, or None on a miss.
+
+        An unreadable or malformed artifact (truncated, not JSON, not an
+        object, missing fields) is a miss too: the caller recomputes and
+        :meth:`save` overwrites it.
+        """
         path = self.path_for(name, fingerprint)
         if not path.exists():
             return None
@@ -120,9 +125,12 @@ class ResultStore:
             payload = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
-        if payload.get("fingerprint") != fingerprint:
-            return None  # truncated-prefix collision; treat as a miss
-        return ScenarioResult.from_payload(payload)
+        if not isinstance(payload, dict) or payload.get("fingerprint") != fingerprint:
+            return None  # malformed, or a truncated-prefix collision
+        try:
+            return ScenarioResult.from_payload(payload)
+        except (KeyError, TypeError, ValueError):
+            return None
 
     def entries(self) -> List[Dict[str, Any]]:
         """Metadata of every artifact in the store, newest first."""
@@ -133,6 +141,8 @@ class ResultStore:
             try:
                 payload = json.loads(path.read_text())
             except (OSError, ValueError):
+                continue
+            if not isinstance(payload, dict):
                 continue
             records.append(
                 {

@@ -8,8 +8,7 @@ then stands next to energy / latency / area as a first-class objective:
 
 - :mod:`repro.variation.models`     -- composable :class:`NoiseSpec` variation models;
 - :mod:`repro.variation.sampler`    -- deterministic per-trial seeding and per-study
-  draw slabs, chunking-invariant, in two modes: the bit-exact SeedSequence
-  contract (default) and the counter-based ``REPRO_RNG=philox`` throughput mode;
+  draw slabs, chunking-invariant and bit-exact (the SeedSequence contract);
 - :mod:`repro.variation.accuracy`   -- noisy functional forward + accuracy/error metrics;
 - :mod:`repro.variation.stages`     -- per-stage (rng/forward/quantize/metrics)
   wall-clock attribution for the bench harness;
@@ -52,10 +51,6 @@ from repro.variation.montecarlo import (
     run_monte_carlo,
 )
 from repro.variation.sampler import (
-    make_trial_rng,
-    philox_fused_normals,
-    philox_trial_rng,
-    rng_mode,
     seedseq_fused_normals,
     trial_rng,
     trial_seed_sequence,
@@ -83,17 +78,13 @@ __all__ = [
     "classification_agreement",
     "classification_agreement_batch",
     "evaluate_accuracy",
-    "make_trial_rng",
     "model_fingerprint",
     "noisy_forward",
     "noisy_forward_batch",
     "observe_stages",
     "output_rmse",
     "output_rmse_batch",
-    "philox_fused_normals",
-    "philox_trial_rng",
     "reference_forward",
-    "rng_mode",
     "run_monte_carlo",
     "seedseq_fused_normals",
     "stage",

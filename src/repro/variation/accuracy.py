@@ -290,8 +290,8 @@ def noisy_forward_batch(
     the streams bit-identical to the per-trial loop.
 
     ``weight_draws`` is the pre-drawn alternative (what
-    :func:`~repro.variation.montecarlo.run_monte_carlo` passes in both RNG
-    modes): a ``(trials, total_draws)`` standard-normal slab whose row ``i``
+    :func:`~repro.variation.montecarlo.run_monte_carlo` passes for every
+    built-in spec): a ``(trials, total_draws)`` standard-normal slab whose row ``i``
     is trial ``i``'s fused weight block.  It requires a spec with a
     statically known draw layout (:meth:`NoiseSpec.supports_fused_sampling`);
     ``rngs`` may then be ``None``.
@@ -455,19 +455,32 @@ def aggregate_trials(
     seed: int,
     effective_bits_nominal: float,
 ) -> AccuracyReport:
-    """Fold per-trial arrays (in trial order) into an :class:`AccuracyReport`."""
+    """Fold per-trial arrays (in trial order) into an :class:`AccuracyReport`.
+
+    Summed in floating point, the mean of a constant array can land one ulp
+    outside it (``np.full(64, 47 / 48).mean() > 47 / 48``), so every mean is
+    clamped into its array's ``[min, max]`` and a constant accuracy array
+    reports a spread of exactly zero.
+    """
     if not accuracies.size:
         raise ValueError("cannot aggregate zero Monte Carlo trials")
+    accuracy_min = float(accuracies.min())
+    accuracy_max = float(accuracies.max())
     return AccuracyReport(
         trials=accuracies.size,
         seed=seed,
-        accuracy_mean=float(accuracies.mean()),
-        accuracy_std=float(accuracies.std()),
-        accuracy_min=float(accuracies.min()),
-        accuracy_max=float(accuracies.max()),
-        rmse_mean=float(rmses.mean()),
+        accuracy_mean=_bounded_mean(accuracies),
+        accuracy_std=0.0 if accuracy_min == accuracy_max else float(accuracies.std()),
+        accuracy_min=accuracy_min,
+        accuracy_max=accuracy_max,
+        rmse_mean=_bounded_mean(rmses),
         rmse_max=float(rmses.max()),
         effective_bits_nominal=float(effective_bits_nominal),
-        effective_bits_mean=float(effective_bits.mean()),
+        effective_bits_mean=_bounded_mean(effective_bits),
         accuracies=tuple(accuracies.tolist()),
     )
+
+
+def _bounded_mean(values: np.ndarray) -> float:
+    """``values.mean()``, clamped into ``[values.min(), values.max()]``."""
+    return float(np.clip(values.mean(), values.min(), values.max()))

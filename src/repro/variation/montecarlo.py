@@ -12,18 +12,17 @@ go to workers and each runs its studies in place.
 
 A spec whose noise models all have a statically known draw layout (every
 built-in model) draws its random numbers as one ``(trials, draws)``
-standard-normal slab (:func:`draw_slab`), in either RNG mode; each chunk
-reads its rows.  The slab is a pure function of :func:`draw_slab_key`, so
-the engine memoizes it per request and a noise-magnitude or precision sweep
-at a fixed seed draws its normals once.  Only custom noise models fall back
+standard-normal slab (:func:`draw_slab`) whose row ``i`` is trial ``i``'s
+own stream; each chunk reads its rows.  The slab is a pure function of
+:func:`draw_slab_key`, so the engine memoizes it per request and a
+noise-magnitude or precision sweep at a fixed seed draws its normals once.  Only custom noise models fall back
 to per-trial generators.
 
 A spec with zero spread (:meth:`NoiseSpec.is_deterministic`) perturbs every
 trial identically, so its study runs trial 0 alone -- on row 0 of the same
 slab -- and reports that trial for all of them.  Each trial's drifted link
-is priced by one scalar loop (:meth:`SNRAnalyzer.effective_bits_for_power`)
-in either RNG mode, and per-trial results stay numpy arrays from the chunk
-to the report.
+is priced by one scalar loop (:meth:`SNRAnalyzer.effective_bits_for_power`),
+and per-trial results stay numpy arrays from the chunk to the report.
 
 :func:`evaluate_accuracy` is the one-call entry point: it routes the request
 through :meth:`repro.core.engine.EvaluationEngine.run_accuracy`, whose
@@ -53,12 +52,7 @@ from repro.variation.accuracy import (
     reference_forward,
 )
 from repro.variation.models import NoiseSpec
-from repro.variation.sampler import (
-    make_trial_rng,
-    philox_fused_normals,
-    seedseq_fused_normals,
-)
-from repro.variation.sampler import rng_mode as active_rng_mode
+from repro.variation.sampler import seedseq_fused_normals, trial_rng
 from repro.variation.stages import stage
 
 
@@ -174,8 +168,6 @@ class _TrialContext:
     output_bits: int
     seed: int
     link: Optional[LinkOperatingPoint]
-    #: The RNG mode the study resolved when it started.
-    rng_mode: str = "seedseq"
     #: The compute-precision mode, resolved when the study started and pinned
     #: around each chunk via :func:`repro.onn.layers.pinned_modes`, so
     #: flipping ``REPRO_DTYPE`` mid-study cannot change results.
@@ -203,10 +195,7 @@ def _run_trial_chunk(
         rngs = weight_draws = None
         with stage("rng"):
             if draws is None:
-                rngs = [
-                    make_trial_rng(shared.seed, trial, shared.rng_mode)
-                    for trial in trials
-                ]
+                rngs = [trial_rng(shared.seed, trial) for trial in trials]
                 losses = [spec.sample_loss_db(rng) for rng in rngs]
             else:
                 loss_columns = spec.loss_draw_count()
@@ -238,7 +227,7 @@ def _effective_bits_for(
 ) -> List[float]:
     """Per-trial receiver precision for the chunk's sampled link penalties.
 
-    One scalar pricing pass in either RNG mode:
+    One scalar pricing pass:
     :meth:`SNRAnalyzer.effective_bits_for_power` equals
     :meth:`LinkOperatingPoint.effective_bits` bit for bit, without building
     a report per trial.
@@ -251,32 +240,28 @@ def _effective_bits_for(
     )
 
 
-def draw_slab_key(request: AccuracyRequest) -> Optional[Tuple[str, str, int, int, int]]:
-    """What a study's draw slab is a pure function of, under the active modes.
+def draw_slab_key(request: AccuracyRequest) -> Optional[Tuple[int, int, int]]:
+    """What a study's draw slab is a pure function of.
 
-    ``(rng mode, dtype mode, seed, trials, draws per trial)`` -- nothing
-    about noise magnitudes, weights or inputs, so every study of a sweep
+    ``(seed, trials, draws per trial)`` -- nothing about noise magnitudes,
+    weights, inputs or the compute-precision mode, so every study of a sweep
     with the same seed, trial count and draw layout shares one slab.
     ``None`` when the spec has no fused draw layout.
     """
     draws = fused_draw_count(request.noise, request.model)
     if draws is None:
         return None
-    return (active_rng_mode(), dtype_mode(), request.seed, request.trials, draws)
+    return (request.seed, request.trials, draws)
 
 
-def draw_slab(key: Tuple[str, str, int, int, int]) -> np.ndarray:
-    """The read-only ``(trials, draws)`` standard-normal slab for ``key``.
+def draw_slab(key: Tuple[int, int, int]) -> np.ndarray:
+    """The read-only float64 ``(trials, draws)`` standard-normal slab for ``key``.
 
-    The dtype mode applies to philox slabs only: the reference contract
-    draws float64, and a float32 study casts its rows where the forward
-    reads them.
+    A float32 study casts its rows where the forward reads them, so the
+    slab's bytes do not depend on the dtype mode.
     """
-    mode, dtype, seed, trials, draws = key
     with stage("rng"):
-        if mode == "philox":
-            return philox_fused_normals(seed, trials, draws, np.dtype(dtype).type)
-        return seedseq_fused_normals(seed, trials, draws)
+        return seedseq_fused_normals(*key)
 
 
 def run_monte_carlo(
@@ -318,7 +303,6 @@ def run_monte_carlo(
             output_bits=output_bits,
             effective_bits=nominal_bits,
         )
-    mode = active_rng_mode()
     shared = _TrialContext(
         model=request.model,
         inputs=request.inputs,
@@ -329,7 +313,6 @@ def run_monte_carlo(
         output_bits=output_bits,
         seed=request.seed,
         link=link,
-        rng_mode=mode,
         dtype_mode=dtype_mode(),
     )
     key = draw_slab_key(request)
@@ -337,9 +320,9 @@ def run_monte_carlo(
         draws = None
     elif draws is None:
         draws = draw_slab(key)
-    elif draws.shape != key[3:]:
+    elif draws.shape != key[1:]:
         raise ValueError(
-            f"draw slab has shape {draws.shape}, the study needs {key[3:]}"
+            f"draw slab has shape {draws.shape}, the study needs {key[1:]}"
         )
     # A zero-spread spec perturbs every trial identically: trial 0, run
     # through the same slab path, stands for the whole study.

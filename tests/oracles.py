@@ -61,7 +61,7 @@ from repro.variation.accuracy import (
     reference_forward,
 )
 from repro.variation.montecarlo import AccuracyRequest, LinkOperatingPoint
-from repro.variation.sampler import make_trial_rng, rng_mode
+from repro.variation.sampler import trial_rng
 
 
 def im2col_loop(conv: Conv2d, x: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
@@ -112,12 +112,11 @@ def loop_monte_carlo(
             output_bits=output_bits,
             effective_bits=nominal_bits,
         )
-    mode = rng_mode()
     accuracies = np.empty(request.trials)
     rmses = np.empty(request.trials)
     effective = np.empty(request.trials)
     for trial in range(request.trials):
-        rng = make_trial_rng(request.seed, trial, mode)
+        rng = trial_rng(request.seed, trial)
         extra_loss_db = request.noise.sample_loss_db(rng)
         effective_bits = (
             link.effective_bits(extra_loss_db) if link is not None else math.inf

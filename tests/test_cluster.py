@@ -321,7 +321,6 @@ def _trial_context(model, inputs, **overrides):
         output_bits=8,
         seed=7,
         link=None,
-        rng_mode="seedseq",
         dtype_mode="float64",
     )
     fields.update(overrides)

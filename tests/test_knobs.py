@@ -27,7 +27,6 @@ def test_every_mode_knob_is_declared():
     names = knob_names()
     for name in (
         "REPRO_DTYPE",
-        "REPRO_RNG",
         "REPRO_MC_TRIALS",
         "REPRO_POOL",
         "REPRO_STORE",
@@ -40,7 +39,7 @@ def test_every_mode_knob_is_declared():
 def test_one_knob_per_concern():
     # Scenario parameters are set with --param; the one env override left is
     # the trial count CI's smoke bench cannot pass per scenario.
-    assert len(knob_names()) == 12
+    assert len(knob_names()) == 11
     from repro.scenarios import REGISTRY
 
     overrides = {
@@ -53,7 +52,7 @@ def test_one_knob_per_concern():
 
 def test_numeric_knobs_cover_the_result_affecting_surface():
     numeric = set(numeric_knob_names())
-    assert {"REPRO_DTYPE", "REPRO_RNG", "REPRO_MC_TRIALS"} <= numeric
+    assert {"REPRO_DTYPE", "REPRO_MC_TRIALS"} <= numeric
     # Execution shape must never be classified as numerics.
     assert "REPRO_CLUSTER_WORKERS" not in numeric
     assert "REPRO_POOL" not in numeric
@@ -137,9 +136,9 @@ def test_forced_env_restores_previous_state():
 
 
 def test_snapshot_contains_every_set_registered_knob():
-    with forced_env("REPRO_RNG", "philox"), forced_env("REPRO_MC_TRIALS", "5"):
+    with forced_env("REPRO_DTYPE", "float32"), forced_env("REPRO_MC_TRIALS", "5"):
         snapshot = repro_env_snapshot()
-        assert snapshot["REPRO_RNG"] == "philox"
+        assert snapshot["REPRO_DTYPE"] == "float32"
         assert snapshot["REPRO_MC_TRIALS"] == "5"
     assert all(key.startswith(REPRO_ENV_PREFIX) for key in repro_env_snapshot())
 

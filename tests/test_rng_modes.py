@@ -1,11 +1,10 @@
-"""RNG modes, dtype modes, and the perf fast paths behind them.
+"""The dtype mode, the draw slab, and the perf fast paths behind them.
 
-Covers the ``REPRO_RNG=philox`` counter-based sampling mode and the
-``REPRO_DTYPE=float32`` throughput mode: stream determinism and chunk
-invariance of the fused slab, statistical equivalence to the bit-exact
-SeedSequence contract, engine cache keying by both modes, the per-request
-draw-slab memo, the no-copy dtype coercion helpers, and the aligned scratch
-workspace behind the fused GEMM paths.
+Covers the ``REPRO_DTYPE=float32`` throughput mode (statistical agreement
+with float64, engine cache keying), the per-request draw-slab memo that both
+dtype modes share, the deterministic-spec collapse, the no-copy dtype
+coercion helpers, and the aligned scratch workspace behind the fused GEMM
+paths.
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ from repro.variation import (
     NoiseSpec,
     PhaseError,
     WeightEncodingError,
-    make_trial_rng,
-    philox_fused_normals,
-    philox_trial_rng,
-    rng_mode,
     run_monte_carlo,
     seedseq_fused_normals,
     standard_noise,
@@ -74,124 +69,28 @@ def make_request(mc_model, mc_inputs, **kwargs):
 
 class TestModeEnvs:
     def test_default_modes_are_the_reference_contract(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RNG", raising=False)
         monkeypatch.delenv("REPRO_DTYPE", raising=False)
-        assert rng_mode() == "seedseq"
         assert dtype_mode() == "float64"
         assert compute_dtype() == np.dtype(np.float64)
 
     def test_env_selects_throughput_modes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RNG", "philox")
         monkeypatch.setenv("REPRO_DTYPE", "float32")
-        assert rng_mode() == "philox"
         assert dtype_mode() == "float32"
         assert compute_dtype() == np.dtype(np.float32)
 
     def test_unknown_modes_fail_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RNG", "xoshiro")
-        with pytest.raises(ValueError, match="REPRO_RNG"):
-            rng_mode()
         monkeypatch.setenv("REPRO_DTYPE", "float16")
         with pytest.raises(ValueError, match="REPRO_DTYPE"):
             dtype_mode()
 
 
-# -- counter-based streams --------------------------------------------------------------
+# -- Monte Carlo under float32 ---------------------------------------------------------
 
 
-class TestPhiloxStreams:
-    def test_fused_slab_is_deterministic(self):
-        a = philox_fused_normals(42, trials=6, draws=33)
-        b = philox_fused_normals(42, trials=6, draws=33)
-        assert a.shape == (6, 33)
-        assert np.array_equal(a, b)
-
-    def test_rows_are_pure_functions_of_seed_trial_draws(self):
-        """Any chunking of the trial axis slices the same per-trial blocks."""
-        full = philox_fused_normals(42, trials=8, draws=33)
-        prefix = philox_fused_normals(42, trials=3, draws=33)
-        assert np.array_equal(full[:3], prefix)
-
-    def test_seeds_give_independent_slabs(self):
-        a = philox_fused_normals(1, trials=4, draws=16)
-        b = philox_fused_normals(2, trials=4, draws=16)
-        assert not np.array_equal(a, b)
-
-    def test_native_float32_generation(self):
-        slab = philox_fused_normals(42, trials=4, draws=16, dtype=np.float32)
-        assert slab.dtype == np.float32
-
-    def test_trial_rng_streams_are_deterministic_and_independent(self):
-        assert np.array_equal(
-            philox_trial_rng(5, 3).normal(size=8), philox_trial_rng(5, 3).normal(size=8)
-        )
-        assert not np.array_equal(
-            philox_trial_rng(5, 0).normal(size=8), philox_trial_rng(5, 1).normal(size=8)
-        )
-        with pytest.raises(ValueError, match="non-negative"):
-            philox_trial_rng(5, -1)
-
-    def test_make_trial_rng_dispatches_by_mode(self):
-        seedseq = make_trial_rng(5, 2, "seedseq").normal(size=8)
-        assert np.array_equal(seedseq, trial_rng(5, 2).normal(size=8))
-        philox = make_trial_rng(5, 2, "philox").normal(size=8)
-        assert np.array_equal(philox, philox_trial_rng(5, 2).normal(size=8))
-        with pytest.raises(ValueError, match="unknown RNG mode"):
-            make_trial_rng(5, 2, "pcg")
-
-    def test_per_trial_blocks_are_standard_normal(self):
-        """Satellite: each trial's fused block passes mean/std sanity bounds."""
-        slab = philox_fused_normals(2024, trials=64, draws=4096)
-        means = slab.mean(axis=1)
-        stds = slab.std(axis=1)
-        # 1/sqrt(4096) = 0.015625 per-row standard error; 0.1 is > 6 sigma.
-        assert np.all(np.abs(means) < 0.1)
-        assert np.all(np.abs(stds - 1.0) < 0.1)
-
-
-# -- Monte Carlo under philox -----------------------------------------------------------
-
-
-class TestPhiloxMonteCarlo:
-    def test_reports_are_deterministic(self, mc_model, mc_inputs, monkeypatch):
-        monkeypatch.setenv("REPRO_RNG", "philox")
-        link = LinkOperatingPoint(
-            optical_power_mw=1.2, insertion_loss_db=6.0, bandwidth_ghz=5.0
-        )
-        first = run_monte_carlo(make_request(mc_model, mc_inputs), link=link)
-        again = run_monte_carlo(make_request(mc_model, mc_inputs), link=link)
-        assert first == again
-        assert first.accuracies
-
-    def test_trial_prefix_is_invariant_to_trial_count(
-        self, mc_model, mc_inputs, monkeypatch
-    ):
-        """Satellite: trial i's outcome is a pure function of (seed, i).
-
-        Growing the study must extend -- not reshuffle -- the per-trial
-        results, which is what makes the fused slab's chunking irrelevant.
-        """
-        monkeypatch.setenv("REPRO_RNG", "philox")
-        short = run_monte_carlo(make_request(mc_model, mc_inputs, trials=6))
-        long = run_monte_carlo(make_request(mc_model, mc_inputs, trials=12))
-        assert long.accuracies[:6] == short.accuracies
-
-    def test_philox_is_statistically_equivalent_to_seedseq(
-        self, mc_model, mc_inputs, monkeypatch
-    ):
-        """Different streams, same distribution: aggregate metrics agree."""
-        monkeypatch.delenv("REPRO_RNG", raising=False)
-        reference = run_monte_carlo(make_request(mc_model, mc_inputs, trials=24))
-        monkeypatch.setenv("REPRO_RNG", "philox")
-        fast = run_monte_carlo(make_request(mc_model, mc_inputs, trials=24))
-        assert fast.accuracies != reference.accuracies  # genuinely different draws
-        assert fast.accuracy_mean == pytest.approx(reference.accuracy_mean, abs=0.15)
-        assert fast.rmse_mean == pytest.approx(reference.rmse_mean, rel=0.5, abs=0.05)
-
+class TestFloat32MonteCarlo:
     def test_float32_mode_tracks_float64_statistics(
         self, mc_model, mc_inputs, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_RNG", "philox")
         monkeypatch.delenv("REPRO_DTYPE", raising=False)
         f64 = run_monte_carlo(make_request(mc_model, mc_inputs, trials=24))
         monkeypatch.setenv("REPRO_DTYPE", "float32")
@@ -199,37 +98,11 @@ class TestPhiloxMonteCarlo:
         assert all(np.isfinite(a) for a in f32.accuracies)
         assert f32.accuracy_mean == pytest.approx(f64.accuracy_mean, abs=0.15)
 
-    def test_seedseq_default_is_untouched_by_the_fast_path(
-        self, mc_model, mc_inputs, monkeypatch
-    ):
-        """The bit-exact contract survives a philox run in the same process."""
-        monkeypatch.delenv("REPRO_RNG", raising=False)
-        before = run_monte_carlo(make_request(mc_model, mc_inputs))
-        monkeypatch.setenv("REPRO_RNG", "philox")
-        run_monte_carlo(make_request(mc_model, mc_inputs))
-        monkeypatch.delenv("REPRO_RNG", raising=False)
-        after = run_monte_carlo(make_request(mc_model, mc_inputs))
-        assert after.accuracies == before.accuracies
-        assert after.rmse_mean == before.rmse_mean
-
 
 # -- engine cache keying ----------------------------------------------------------------
 
 
 class TestEngineCacheKeying:
-    def test_rng_mode_keys_the_accuracy_cache(self, mc_model, mc_inputs, monkeypatch):
-        monkeypatch.delenv("REPRO_RNG", raising=False)
-        engine = EvaluationEngine(build_tempo())
-        request = make_request(mc_model, mc_inputs)
-        reference = engine.run_accuracy(request)
-        monkeypatch.setenv("REPRO_RNG", "philox")
-        fast = engine.run_accuracy(request)
-        assert fast is not reference
-        monkeypatch.delenv("REPRO_RNG", raising=False)
-        assert engine.run_accuracy(request) is reference
-        monkeypatch.setenv("REPRO_RNG", "philox")
-        assert engine.run_accuracy(request) is fast
-
     def test_dtype_mode_keys_the_accuracy_cache(self, mc_model, mc_inputs, monkeypatch):
         monkeypatch.delenv("REPRO_DTYPE", raising=False)
         engine = EvaluationEngine(build_tempo())
@@ -290,7 +163,6 @@ class TestDrawSlabs:
     def test_sweep_shares_one_slab_and_matches_the_loop(
         self, mc_model, mc_inputs, monkeypatch
     ):
-        monkeypatch.delenv("REPRO_RNG", raising=False)
         monkeypatch.delenv("REPRO_DTYPE", raising=False)
         calls = []
 
@@ -323,15 +195,12 @@ class TestDrawSlabs:
             {"seed": 8},
             {"trials": 9},
             {"noise": NoiseSpec((WeightEncodingError(sigma=0.02),))},
-            {"env": ("REPRO_RNG", "philox")},
-            {"env": ("REPRO_DTYPE", "float32")},
         ],
-        ids=["seed", "trials", "layout", "rng", "dtype"],
+        ids=["seed", "trials", "layout"],
     )
     def test_any_key_change_misses_the_memo(
         self, mc_model, mc_inputs, monkeypatch, change
     ):
-        monkeypatch.delenv("REPRO_RNG", raising=False)
         monkeypatch.delenv("REPRO_DTYPE", raising=False)
         engine = EvaluationEngine(build_tempo(), cache=EvaluationCache())
         engine.run_accuracy(make_request(mc_model, mc_inputs))
@@ -339,20 +208,39 @@ class TestDrawSlabs:
         engine.run_accuracy(
             make_request(mc_model, mc_inputs, noise=standard_noise().scaled(2.0))
         )
-        change = dict(change)
-        if "env" in change:
-            monkeypatch.setenv(*change.pop("env"))
         engine.run_accuracy(make_request(mc_model, mc_inputs, **change))
         stats = engine.cache.stats["mc_draws"]
         assert (stats.misses, stats.hits) == (2, 1)
 
-    @pytest.mark.parametrize(
-        "rng, dtype", [("philox", "float64"), ("seedseq", "float32"), ("philox", "float32")]
-    )
-    def test_shared_and_fresh_caches_agree(
-        self, mc_model, mc_inputs, monkeypatch, rng, dtype
+    def test_float64_and_float32_studies_share_one_slab(
+        self, mc_model, mc_inputs, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_RNG", rng)
+        """The slab is float64 in both dtype modes, so a float32 study of the
+        same ``(seed, trials, draws)`` is served the float64 study's slab --
+        while the studies themselves stay apart in the ``mc_accuracy`` memo."""
+        calls = []
+
+        def spy(request, **kwargs):
+            calls.append(kwargs["draws"])
+            return run_monte_carlo(request, **kwargs)
+
+        monkeypatch.setattr("repro.variation.montecarlo.run_monte_carlo", spy)
+        engine = EvaluationEngine(build_tempo(), cache=EvaluationCache())
+        request = make_request(mc_model, mc_inputs)
+        monkeypatch.delenv("REPRO_DTYPE", raising=False)
+        f64 = engine.run_accuracy(request)
+        monkeypatch.setenv("REPRO_DTYPE", "float32")
+        f32 = engine.run_accuracy(request)
+        stats = engine.cache.stats["mc_draws"]
+        assert (stats.misses, stats.hits) == (1, 1)
+        assert len(calls) == 2 and calls[1] is calls[0]
+        assert calls[0].dtype == np.float64
+        assert f32 is not f64
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_shared_and_fresh_caches_agree(
+        self, mc_model, mc_inputs, monkeypatch, dtype
+    ):
         monkeypatch.setenv("REPRO_DTYPE", dtype)
         cache = EvaluationCache()
         shared = sweep(mc_model, mc_inputs, lambda i: cache)
@@ -364,9 +252,6 @@ class TestDrawSlabs:
 # -- deterministic-spec collapse -------------------------------------------------------
 
 
-MODES = [
-    (rng, dtype) for rng in ("seedseq", "philox") for dtype in ("float64", "float32")
-]
 DETERMINISTIC_SPECS = {
     "zero-magnitude": standard_noise().scaled(0.0),
     "static-penalties": NoiseSpec(
@@ -385,14 +270,13 @@ class TestDeterministicCollapse:
     """A zero-spread study runs trial 0 alone; the report must equal the one
     every chunk of the study would have produced."""
 
-    @pytest.mark.parametrize("rng, dtype", MODES, ids=["-".join(m) for m in MODES])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("spec_name", sorted(DETERMINISTIC_SPECS))
     @pytest.mark.parametrize("reference", ["quantized", "float"])
     @pytest.mark.parametrize("trials", [1, 70, 256])
     def test_collapsed_study_equals_every_chunk(
-        self, mc_model, mc_inputs, monkeypatch, rng, dtype, spec_name, reference, trials
+        self, mc_model, mc_inputs, monkeypatch, dtype, spec_name, reference, trials
     ):
-        monkeypatch.setenv("REPRO_RNG", rng)
         monkeypatch.setenv("REPRO_DTYPE", dtype)
         request = make_request(
             mc_model,
@@ -489,15 +373,11 @@ class TestScratchWorkspace:
 
 
 class TestScenarioChecksAcrossModes:
-    @pytest.mark.parametrize(
-        "rng, dtype",
-        [("seedseq", "float64"), ("philox", "float64"), ("philox", "float32")],
-    )
-    def test_robustness_check_passes_in_every_mode(self, monkeypatch, rng, dtype):
-        """``repro run --check`` must hold in the throughput modes too."""
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_robustness_check_passes_in_every_mode(self, monkeypatch, dtype):
+        """``repro run --check`` must hold in the throughput mode too."""
         from repro.scenarios import REGISTRY
 
-        monkeypatch.setenv("REPRO_RNG", rng)
         monkeypatch.setenv("REPRO_DTYPE", dtype)
         result = REGISTRY.run("variation_robustness", store=None, force=True)
         REGISTRY.verify("variation_robustness", result)
@@ -509,17 +389,16 @@ class TestScenarioChecksAcrossModes:
 class TestBenchModeMatrix:
     def test_non_reference_mode_records_reference_comparison(self):
         # variation_robustness has Monte Carlo stage work, so the non-default
-        # modes actually diverge from the reference and the comparison is
+        # mode actually diverges from the reference and the comparison is
         # meaningful (analytic-only scenarios skip it -- see below).
         payload = bench_scenarios(
-            ["variation_robustness"], repeats=1, warmup=0, rng="philox",
-            dtype="float32",
+            ["variation_robustness"], repeats=1, warmup=0, dtype="float32"
         )
         entry = payload["scenarios"]["variation_robustness"]
         assert entry["analytic_only"] is False
-        assert entry["vectorized"]["knobs"]["REPRO_RNG"] == "philox"
+        assert entry["vectorized"]["mode"] == "float32"
         assert entry["vectorized"]["knobs"]["REPRO_DTYPE"] == "float32"
-        assert entry["reference"]["knobs"]["REPRO_RNG"] == "seedseq"
+        assert entry["reference"]["mode"] == "float64"
         assert entry["reference"]["knobs"]["REPRO_DTYPE"] == "float64"
         assert entry["speedup_vs_reference_median"] > 0
         assert check_speedups(payload, {"variation_robustness": 0.0}) == []
@@ -532,7 +411,7 @@ class TestBenchModeMatrix:
         # analytic_only, no reference block or ratio is recorded, and a
         # --fail-below-ref gate on it fails deterministically.
         payload = bench_scenarios(
-            ["table1_taxonomy"], repeats=1, warmup=0, rng="philox", dtype="float32"
+            ["table1_taxonomy"], repeats=1, warmup=0, dtype="float32"
         )
         entry = payload["scenarios"]["table1_taxonomy"]
         assert entry["analytic_only"] is True

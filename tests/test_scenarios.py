@@ -172,6 +172,30 @@ class TestRunAndStore:
         assert second.from_store
         assert second.table == first.table
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text, fp: text[: len(text) // 2],
+            lambda text, fp: "not json at all",
+            lambda text, fp: "[]",
+            lambda text, fp: '"x"',
+            lambda text, fp: json.dumps({"fingerprint": fp}),
+        ],
+        ids=["truncated", "not-json", "list", "string", "no-table"],
+    )
+    def test_corrupt_artifact_is_a_miss_and_gets_overwritten(self, tmp_path, corrupt):
+        store = ResultStore(tmp_path / "store")
+        first = run_scenario("table1_taxonomy", store=store)
+        path = store.path_for(first.name, first.fingerprint)
+        path.write_text(corrupt(path.read_text(), first.fingerprint))
+        assert store.load(first.name, first.fingerprint) is None
+        store.entries()  # listing the store must not trip over the artifact
+        again = run_scenario("table1_taxonomy", store=store)
+        assert not again.from_store
+        assert again.table == first.table
+        reloaded = store.load(first.name, first.fingerprint)
+        assert reloaded is not None and reloaded.table == first.table
+
     def test_force_bypasses_the_store(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         run_scenario("table1_taxonomy", store=store)
@@ -182,14 +206,12 @@ class TestRunAndStore:
         self, tmp_path, monkeypatch
     ):
         """The numerics knobs key the store: a table computed under
-        philox/float32 must miss on a default-mode run, never be served."""
+        float32 must miss on a default-mode run, never be served."""
         store = ResultStore(tmp_path / "store")
         params = {"trials": 4}
-        monkeypatch.setenv("REPRO_RNG", "philox")
         monkeypatch.setenv("REPRO_DTYPE", "float32")
         fast = run_scenario("variation_robustness", store=store, params=params)
         assert run_scenario("variation_robustness", store=store, params=params).from_store
-        monkeypatch.delenv("REPRO_RNG")
         monkeypatch.delenv("REPRO_DTYPE")
         reference = run_scenario("variation_robustness", store=store, params=params)
         assert not reference.from_store

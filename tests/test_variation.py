@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arch.architecture import ArchitectureConfig
 from repro.arch.templates import build_tempo
@@ -30,6 +31,7 @@ from repro.variation import (
     standard_noise,
     trial_rng,
 )
+from repro.variation.accuracy import aggregate_trials
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +306,66 @@ class TestMonteCarlo:
         serial = make_request(mc_model, mc_inputs, backend="serial", jobs=2)
         default = make_request(mc_model, mc_inputs)
         assert run_monte_carlo(serial) == run_monte_carlo(default)
+
+
+# -- report aggregation -----------------------------------------------------------------
+
+
+def _trial_arrays(size, values):
+    """Per-trial arrays of ``size`` entries drawn from ``values``'s strategy."""
+    return st.lists(values, min_size=size, max_size=size).map(np.array)
+
+
+_CONSTANTS = st.sampled_from([0.95, 0.1, 47 / 48, 1 / 3, 0.0, 1.0])
+
+
+@st.composite
+def _trials(draw):
+    size = draw(st.integers(min_value=1, max_value=300))
+    if draw(st.booleans()):
+        return tuple(np.full(size, draw(_CONSTANTS)) for _ in range(3))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    return (
+        draw(_trial_arrays(size, unit)),
+        draw(_trial_arrays(size, st.floats(min_value=0.0, max_value=10.0))),
+        draw(_trial_arrays(size, st.floats(min_value=0.5, max_value=16.0))),
+    )
+
+
+class TestAggregateTrials:
+    @settings(max_examples=200, deadline=None)
+    @given(_trials())
+    def test_means_stay_inside_their_arrays(self, arrays):
+        accuracies, rmses, effective = arrays
+        report = aggregate_trials(
+            accuracies, rmses, effective, seed=0, effective_bits_nominal=8.0
+        )
+        for mean, values in (
+            (report.accuracy_mean, accuracies),
+            (report.rmse_mean, rmses),
+            (report.effective_bits_mean, effective),
+        ):
+            assert values.min() <= mean <= values.max()
+            if values.min() < values.mean() < values.max():
+                assert mean == values.mean()  # an in-range mean is untouched
+        assert report.accuracy_min <= report.accuracy_mean <= report.accuracy_max
+        assert report.accuracy_std >= 0.0
+        if report.accuracy_min == report.accuracy_max:
+            assert report.accuracy_std == 0.0
+            assert report.accuracy_mean == report.accuracy_min
+
+    @pytest.mark.parametrize("value", [0.95, 0.1, 47 / 48])
+    @pytest.mark.parametrize("size", [1, 64, 70, 256, 300])
+    def test_a_constant_study_reports_its_value_exactly(self, value, size):
+        constant = np.full(size, value)
+        report = aggregate_trials(
+            constant, constant, constant, seed=0, effective_bits_nominal=value
+        )
+        assert report.accuracy_mean == report.accuracy_min == report.accuracy_max
+        assert report.accuracy_mean == value
+        assert report.rmse_mean == value
+        assert report.effective_bits_mean == value
+        assert report.accuracy_std == 0.0
 
 
 # -- engine integration -----------------------------------------------------------------

@@ -563,8 +563,7 @@ class TestBenchHarness:
     def test_time_scenario_records_passes_and_stats(self):
         timing = time_scenario("table1_taxonomy", repeats=2, warmup=0)
         assert timing.repeats == 2
-        assert timing.mode == "seedseq/float64"
-        assert timing.knobs["REPRO_RNG"] == "seedseq"
+        assert timing.mode == "float64"
         assert timing.knobs["REPRO_DTYPE"] == "float64"
         assert timing.median_s > 0
         assert timing.p90_s >= timing.median_s >= timing.min_s
@@ -614,7 +613,7 @@ class TestBenchHarness:
     def test_cli_bench_unmet_threshold_fails(self, tmp_path, capsys):
         assert main([
             "bench", "variation_robustness", "--repeats", "1", "--warmup", "0",
-            "--param", "trials=4", "--rng", "philox",
+            "--param", "trials=4", "--dtype", "float32",
             "--fail-below-ref", "variation_robustness=1000000",
             "--output", str(tmp_path / "b.json"),
         ]) == 1
