@@ -79,6 +79,12 @@ class TestRun:
         ]) == 1
         assert capsys.readouterr().err == "error: trials must be positive, got 0\n"
 
+    def test_the_retired_pool_subcommand_is_unknown(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pool"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'pool'" in capsys.readouterr().err
+
 
 class TestBatchAndReport:
     def test_smoke_batch_then_report(self, tmp_path, capsys):

@@ -65,6 +65,13 @@ def test_numeric_knobs_cover_the_result_affecting_surface():
             assert var in numeric, f"{scenario.spec.name}: {var} is not a numerics knob"
 
 
+def test_the_retired_rng_knob_is_not_declared():
+    # Monte Carlo sampling has one stream contract; nothing selects another.
+    assert not is_registered("REPRO_RNG")
+    with pytest.raises(KeyError, match="unknown knob"):
+        knobs.get("REPRO_RNG")
+
+
 def test_register_is_idempotent_and_conflicts_raise():
     knob = knobs.get("REPRO_DTYPE")
     again = register(

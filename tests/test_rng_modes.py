@@ -1,10 +1,11 @@
 """The dtype mode, the draw slab, and the perf fast paths behind them.
 
-Covers the ``REPRO_DTYPE=float32`` throughput mode (statistical agreement
-with float64, engine cache keying), the per-request draw-slab memo that both
-dtype modes share, the deterministic-spec collapse, the no-copy dtype
-coercion helpers, and the aligned scratch workspace behind the fused GEMM
-paths.
+Covers the SeedSequence draw slab (row ``i`` is ``trial_rng(seed, i)``'s
+stream, whatever the trial count, draw count or dtype mode), the
+``REPRO_DTYPE=float32`` throughput mode (statistical agreement with float64,
+engine cache keying), the per-request draw-slab memo that both dtype modes
+share, the deterministic-spec collapse, the no-copy dtype coercion helpers,
+and the aligned scratch workspace behind the fused GEMM paths.
 """
 
 from __future__ import annotations
@@ -84,6 +85,113 @@ class TestModeEnvs:
             dtype_mode()
 
 
+# -- the SeedSequence draw slab ---------------------------------------------------------
+
+
+class TestSeedSeqSlab:
+    def test_fused_slab_is_deterministic(self):
+        a = seedseq_fused_normals(42, trials=6, draws=33)
+        b = seedseq_fused_normals(42, trials=6, draws=33)
+        assert a.shape == (6, 33)
+        assert a.dtype == np.float64
+        assert np.array_equal(a, b)
+
+    def test_trial_prefix_is_invariant_to_trial_count(self):
+        """Any chunking of the trial axis slices the same per-trial rows."""
+        full = seedseq_fused_normals(42, trials=8, draws=33)
+        prefix = seedseq_fused_normals(42, trials=3, draws=33)
+        assert np.array_equal(full[:3], prefix)
+
+    def test_draw_prefix_is_invariant_to_draw_count(self):
+        """Each row is one stream, so a shorter layout reads its head."""
+        long = seedseq_fused_normals(42, trials=4, draws=33)
+        short = seedseq_fused_normals(42, trials=4, draws=10)
+        assert np.array_equal(long[:, :10], short)
+
+    def test_seeds_give_independent_slabs(self):
+        a = seedseq_fused_normals(1, trials=4, draws=16)
+        b = seedseq_fused_normals(2, trials=4, draws=16)
+        assert not np.array_equal(a, b)
+
+    def test_rows_are_distinct_streams(self):
+        slab = seedseq_fused_normals(5, trials=16, draws=512)
+        correlations = np.corrcoef(slab)[np.triu_indices(16, k=1)]
+        # 1/sqrt(512) ~= 0.044 per-pair standard error; 0.25 is > 5 sigma.
+        assert np.all(np.abs(correlations) < 0.25)
+
+    def test_per_trial_blocks_are_standard_normal(self):
+        slab = seedseq_fused_normals(2024, trials=64, draws=4096)
+        means = slab.mean(axis=1)
+        stds = slab.std(axis=1)
+        # 1/sqrt(4096) = 0.015625 per-row standard error; 0.1 is > 6 sigma.
+        assert np.all(np.abs(means) < 0.1)
+        assert np.all(np.abs(stds - 1.0) < 0.1)
+
+    def test_zero_draws_is_an_empty_read_only_slab(self):
+        slab = seedseq_fused_normals(3, trials=4, draws=0)
+        assert slab.shape == (4, 0)
+        assert not slab.flags.writeable
+
+    @pytest.mark.parametrize(
+        "trials, draws, message",
+        [
+            (0, 8, "trials must be positive"),
+            (-2, 8, "trials must be positive"),
+            (4, -1, "draws must be non-negative"),
+        ],
+        ids=["zero-trials", "negative-trials", "negative-draws"],
+    )
+    def test_invalid_sizes_are_rejected(self, trials, draws, message):
+        with pytest.raises(ValueError, match=message):
+            seedseq_fused_normals(3, trials=trials, draws=draws)
+
+    def test_draw_slab_key_is_seed_trials_and_draws(self, mc_model, mc_inputs):
+        request = make_request(mc_model, mc_inputs, seed=13, trials=5)
+        draws = fused_draw_count(request.noise, mc_model)
+        assert montecarlo.draw_slab_key(request) == (13, 5, draws)
+
+    def test_draw_slab_is_float64_in_the_float32_mode(
+        self, mc_model, mc_inputs, monkeypatch
+    ):
+        key = montecarlo.draw_slab_key(make_request(mc_model, mc_inputs))
+        monkeypatch.delenv("REPRO_DTYPE", raising=False)
+        reference = montecarlo.draw_slab(key)
+        monkeypatch.setenv("REPRO_DTYPE", "float32")
+        fast = montecarlo.draw_slab(key)
+        assert fast.dtype == np.float64
+        assert np.array_equal(fast, reference)
+
+
+# -- Monte Carlo under the SeedSequence contract ----------------------------------------
+
+
+class TestSeedSeqMonteCarlo:
+    def test_reports_are_deterministic(self, mc_model, mc_inputs):
+        first = run_monte_carlo(make_request(mc_model, mc_inputs), link=LINK)
+        again = run_monte_carlo(make_request(mc_model, mc_inputs), link=LINK)
+        assert first == again
+        assert len(first.accuracies) == 8
+
+    def test_trial_prefix_is_invariant_to_trial_count(self, mc_model, mc_inputs):
+        """Trial i's outcome is a pure function of (seed, i): growing the
+        study extends the per-trial results instead of reshuffling them."""
+        short = run_monte_carlo(make_request(mc_model, mc_inputs, trials=6))
+        long = run_monte_carlo(make_request(mc_model, mc_inputs, trials=12))
+        assert np.array_equal(long.accuracies[:6], short.accuracies)
+
+    @pytest.mark.parametrize("value", ["philox", "seedseq", "xoshiro"])
+    def test_the_retired_rng_variable_is_not_read(
+        self, mc_model, mc_inputs, monkeypatch, value
+    ):
+        """``REPRO_RNG`` used to select a second stream contract; any value
+        of it, even one that used to be refused, now leaves a study as is."""
+        monkeypatch.delenv("REPRO_RNG", raising=False)
+        before = run_monte_carlo(make_request(mc_model, mc_inputs))
+        monkeypatch.setenv("REPRO_RNG", value)
+        after = run_monte_carlo(make_request(mc_model, mc_inputs))
+        assert after == before
+
+
 # -- Monte Carlo under float32 ---------------------------------------------------------
 
 
@@ -112,6 +220,16 @@ class TestEngineCacheKeying:
         fast = engine.run_accuracy(request)
         assert fast is not reference
         monkeypatch.delenv("REPRO_DTYPE", raising=False)
+        assert engine.run_accuracy(request) is reference
+
+    def test_the_retired_rng_variable_does_not_key_the_accuracy_cache(
+        self, mc_model, mc_inputs, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_RNG", raising=False)
+        engine = EvaluationEngine(build_tempo())
+        request = make_request(mc_model, mc_inputs)
+        reference = engine.run_accuracy(request)
+        monkeypatch.setenv("REPRO_RNG", "philox")
         assert engine.run_accuracy(request) is reference
 
 

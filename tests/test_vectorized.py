@@ -610,6 +610,14 @@ class TestBenchHarness:
                 "--fail-below-ref", "table1_taxonomy=1.0",
             ])
 
+    def test_cli_bench_rejects_the_retired_rng_flag(self, capsys):
+        """Monte Carlo sampling has one stream contract, so bench compares
+        dtype modes only and ``--rng`` is an unknown option."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "table1_taxonomy", "--rng", "philox"])
+        assert excinfo.value.code == 2
+        assert "--rng" in capsys.readouterr().err
+
     def test_cli_bench_unmet_threshold_fails(self, tmp_path, capsys):
         assert main([
             "bench", "variation_robustness", "--repeats", "1", "--warmup", "0",
