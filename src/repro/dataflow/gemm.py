@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.utils.blocks import BLOCK, flat_view
+
 
 @dataclass
 class GEMMWorkload:
@@ -112,14 +114,20 @@ class GEMMWorkload:
         return cached
 
     def _zero_fraction(self) -> float:
-        # Counted, not averaged over a boolean mask: no full-size temporary,
-        # and count / size is exactly what ``mean`` of a bool array returns.
+        # Counted, not averaged over a boolean mask: count / size is exactly
+        # what ``mean`` of a bool array returns.  Float weights are compared
+        # block by block (``count_nonzero`` on floats is a scalar loop, on
+        # bools a vectorized one); ``!= 0`` treats -0.0 and NaN like it.
         if self.pruning_mask is not None:
             mask = self.pruning_mask
             return 1.0 - np.count_nonzero(mask) / mask.size
         if self.weight_values is not None:
-            weights = self.weight_values
-            return (weights.size - np.count_nonzero(weights)) / weights.size
+            flat = flat_view(self.weight_values)
+            nonzero = sum(
+                np.count_nonzero(flat[i : i + BLOCK] != 0)
+                for i in range(0, flat.size, BLOCK)
+            )
+            return (flat.size - nonzero) / flat.size
         return 0.0
 
     def effective_weights(self) -> Optional[np.ndarray]:

@@ -37,6 +37,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.dataflow.gemm import GEMMWorkload
+from repro.utils.blocks import BLOCK, fresh_like
 
 #: Environment knob selecting the trial-batched compute precision: ``float64``
 #: (default, the bit-exact reference) or ``float32`` (an opt-in throughput mode
@@ -660,9 +661,11 @@ class MultiHeadAttention(Module):
 
     @staticmethod
     def _softmax(x: np.ndarray) -> np.ndarray:
-        shifted = x - x.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=-1, keepdims=True)
+        # exp and the normalization run in place on the fresh shifted array.
+        out = x - x.max(axis=-1, keepdims=True)
+        np.exp(out, out=out)
+        out /= out.sum(axis=-1, keepdims=True)
+        return out
 
     def _heads(self, x: np.ndarray) -> np.ndarray:
         tokens = x.shape[0]
@@ -676,7 +679,8 @@ class MultiHeadAttention(Module):
             )
         q, k, v = self.w_q(x), self.w_k(x), self.w_v(x)
         qh, kh, vh = self._heads(q), self._heads(k), self._heads(v)
-        scores = qh @ kh.transpose(0, 2, 1) / math.sqrt(self.head_dim)
+        scores = qh @ kh.transpose(0, 2, 1)
+        scores /= math.sqrt(self.head_dim)
         attn = self._softmax(scores)
         context = attn @ vh
         tokens = x.shape[0]
@@ -710,9 +714,8 @@ class MultiHeadAttention(Module):
             return y.reshape(trials, tokens, self.num_heads, self.head_dim)
 
         qh, kh, vh = heads(q), heads(k), heads(v)
-        scores = np.einsum("tqhd,tkhd->thqk", qh, kh, optimize=True) / math.sqrt(
-            self.head_dim
-        )
+        scores = np.einsum("tqhd,tkhd->thqk", qh, kh, optimize=True)
+        scores /= math.sqrt(self.head_dim)
         attn = self._softmax(scores)
         context = np.einsum("thqk,tkhd->tqhd", attn, vh, optimize=True)
         merged = context.reshape(trials, tokens, self.embed_dim)
@@ -731,7 +734,8 @@ class MultiHeadAttention(Module):
         # Dynamic attention matmuls (one GEMM record per head, operands both
         # data dependent).  The scores/attention tensors are computed once,
         # batched over heads, and sliced into the per-head records.
-        scores = qh @ kh.transpose(0, 2, 1) / math.sqrt(self.head_dim)
+        scores = qh @ kh.transpose(0, 2, 1)
+        scores /= math.sqrt(self.head_dim)
         attn = self._softmax(scores)
         for head in range(self.num_heads):
             gemms.append(
@@ -787,16 +791,36 @@ class ReLU(_ElementwiseModule):
         return np.maximum(_as_float(x), 0.0)
 
 
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
 class GELU(_ElementwiseModule):
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """``0.5 * x * (1.0 + tanh(c * (x + 0.044715 * (x * x * x))))``.
+
+        Evaluated block by block (:mod:`repro.utils.blocks`) through one
+        scratch block into one output, with each operation and operand order
+        of the expression above, so the result is bit-identical to it.  The
+        cube is ``x * x * x``, not ``x**3``: numpy's generic pow path is ~6x
+        slower, and the two differ in the last bit on some elements (the
+        committed tables were checked byte-identical with this form).
+        """
         x = _as_float(x)
-        # x * x * x, not x**3: numpy's generic pow path is ~6x slower here.
-        # The two differ in the last bit on some elements; the committed
-        # tables were checked byte-identical with this form.  The cube stays
-        # inline so its temporary is freed before tanh allocates.
-        return 0.5 * x * (
-            1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * (x * x * x)))
-        )
+        src, out, dst = fresh_like(x)
+        scratch = np.empty(min(src.size, BLOCK), dtype=x.dtype)
+        for i in range(0, src.size, BLOCK):
+            xb, ob = src[i : i + BLOCK], dst[i : i + BLOCK]
+            t = scratch[: xb.size]
+            np.multiply(xb, xb, out=t)
+            np.multiply(t, xb, out=t)
+            np.multiply(0.044715, t, out=t)
+            np.add(xb, t, out=t)
+            np.multiply(_GELU_C, t, out=t)
+            np.tanh(t, out=t)
+            np.add(1.0, t, out=t)
+            np.multiply(0.5, xb, out=ob)
+            np.multiply(ob, t, out=ob)
+        return out
 
 
 class Flatten(Module):
@@ -895,4 +919,9 @@ class LayerNorm(_ElementwiseModule):
         var = x.var(axis=-1, keepdims=True)
         scale = _match_dtype(self.scale, x.dtype)
         shift = _match_dtype(self.shift, x.dtype)
-        return (x - mean) / np.sqrt(var + self.eps) * scale + shift
+        # (x - mean) / sqrt(var + eps) * scale + shift, in place on x - mean.
+        out = x - mean
+        out /= np.sqrt(var + self.eps)
+        out *= scale
+        out += shift
+        return out

@@ -12,6 +12,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.utils.blocks import BLOCK, fresh_like
+
 
 def peak_abs(values: np.ndarray) -> float:
     """``max|v|`` over ``values`` without allocating the ``|v|`` temporary.
@@ -36,9 +38,9 @@ def quantize_uniform(
 
     With ``symmetric=True`` the grid spans ``[-max|v|, +max|v|]`` (signed encoding,
     the natural fit for full-range PTCs); otherwise it spans ``[min(v), max(v)]``
-    (unsigned / intensity encoding).  The result is always a fresh array: the
-    first arithmetic step allocates it and the rounding and rescaling run in
-    place, bit-identical to ``np.round(v / scale) * scale``.
+    (unsigned / intensity encoding).  The result is always a fresh array, and
+    the rounding and rescaling run in place on it, block by block,
+    bit-identical to ``np.round(v / scale) * scale``.
     """
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
@@ -51,22 +53,35 @@ def quantize_uniform(
             return np.zeros_like(values)
         # Signed grid with 2^(bits-1) - 1 positive levels.
         levels = max(2 ** (bits - 1) - 1, 1)
-        scale = peak / levels
-        out = values / scale
-        np.rint(out, out=out)
-        out *= scale
-        return out
+        return _snap(values, peak / levels)
     low = float(values.min())
     high = float(values.max())
     if high == low:
         return np.full_like(values, low)
     levels = 2**bits - 1
-    scale = (high - low) / levels
-    out = values - low
-    out /= scale
-    np.rint(out, out=out)
-    out *= scale
-    out += low
+    return _snap(values, (high - low) / levels, low)
+
+
+def _snap(values: np.ndarray, scale: float, low: Optional[float] = None) -> np.ndarray:
+    """``rint((v - low) / scale) * scale + low`` into one fresh array.
+
+    Without ``low`` the offset steps are skipped (``rint(v / scale) * scale``).
+    The steps run block by block (:mod:`repro.utils.blocks`) in place on the
+    output, so no full-size temporary is written.  The divide stays a divide:
+    multiplying by ``1 / scale`` would round differently.
+    """
+    src, out, dst = fresh_like(values)
+    for i in range(0, src.size, BLOCK):
+        grid = dst[i : i + BLOCK]
+        if low is None:
+            np.divide(src[i : i + BLOCK], scale, out=grid)
+        else:
+            np.subtract(src[i : i + BLOCK], low, out=grid)
+            grid /= scale
+        np.rint(grid, out=grid)
+        grid *= scale
+        if low is not None:
+            grid += low
     return out
 
 

@@ -19,6 +19,16 @@ replaced, each kept verbatim so the rewrite can be checked bit for bit:
 - :func:`gelu_reference` -- the tanh GELU with ``x**3``;
 - :func:`zero_fraction_reference` -- ``GEMMWorkload`` sparsity as a mean.
 
+And the whole-array expressions that the blocked and in-place ONN kernels
+replaced, with the same operations in the same order, so each rewrite must
+match them bit for bit:
+
+- :func:`gelu_expression_reference` -- GELU with the cube as ``x * x * x``;
+- :func:`softmax_reference` -- attention's softmax, one temporary per step;
+- :func:`layer_norm_reference` -- ``LayerNorm`` as one expression;
+- :func:`attention_batch_reference` -- ``MultiHeadAttention.forward_batch``
+  with the out-of-place score scaling and :func:`softmax_reference`.
+
 And the analysis loops that the per-run rule table and the energy plan
 replaced, which re-evaluate every scaling rule where they need it:
 
@@ -50,7 +60,7 @@ from repro.core.report import component_label
 from repro.core.snr import SNRReport
 from repro.dataflow.gemm import GEMMWorkload
 from repro.dataflow.mapping import Mapping as GEMMMapping
-from repro.onn.layers import Conv2d
+from repro.onn.layers import Conv2d, MultiHeadAttention
 from repro.onn.quantize import receiver_limited_bits
 from repro.variation.accuracy import (
     AccuracyReport,
@@ -200,6 +210,43 @@ def quantize_with_scale_reference(values: np.ndarray, bits: int) -> Tuple[np.nda
 def gelu_reference(x: np.ndarray) -> np.ndarray:
     """The tanh-approximation GELU with the cube written as ``x**3``."""
     return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
+
+
+def gelu_expression_reference(x: np.ndarray) -> np.ndarray:
+    """The tanh GELU as one whole-array expression, cube as ``x * x * x``."""
+    return 0.5 * x * (
+        1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * (x * x * x)))
+    )
+
+
+def softmax_reference(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis with a fresh array per step."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def layer_norm_reference(
+    x: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float
+) -> np.ndarray:
+    """Layer normalization over the last axis as one expression."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mean) / np.sqrt(var + eps) * scale + shift
+
+
+def attention_batch_reference(attn: MultiHeadAttention, x: np.ndarray) -> np.ndarray:
+    """``MultiHeadAttention.forward_batch`` on a ``(trials, tokens, embed)`` stack."""
+    trials, tokens = x.shape[0], x.shape[1]
+    shape = (trials, tokens, attn.num_heads, attn.head_dim)
+    qh, kh, vh = (
+        proj.forward_batch(x).reshape(shape) for proj in (attn.w_q, attn.w_k, attn.w_v)
+    )
+    scores = np.einsum("tqhd,tkhd->thqk", qh, kh, optimize=True) / math.sqrt(
+        attn.head_dim
+    )
+    context = np.einsum("thqk,tkhd->tqhd", softmax_reference(scores), vh, optimize=True)
+    return attn.w_o.forward_batch(context.reshape(trials, tokens, attn.embed_dim))
 
 
 def zero_fraction_reference(gemm: GEMMWorkload) -> float:

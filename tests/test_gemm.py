@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from oracles import zero_fraction_reference
 from repro.dataflow.gemm import GEMMWorkload
+from repro.utils.blocks import BLOCK
 
 
 class TestConstruction:
@@ -107,11 +108,22 @@ def _zero_fraction_weights():
     weights[::2, ::3] = 0.0
     weights[1::4, 1::2] = -0.0
     weights[3, 5] = np.nan
+    # Larger than one block, with zeros across the block boundaries.
+    layer_weight = np.random.default_rng(8).normal(size=(383, 257))
+    flat = layer_weight.reshape(-1)
+    flat[::5] = 0.0
+    flat[BLOCK - 2 : BLOCK + 2] = [-0.0, np.nan, 0.0, -0.0]
+    wide = np.ones((257, 2 * 383))
+    wide[:, ::2] = layer_weight.T
     return {
         "mixed_zeros": weights,
         "f_ordered": np.asfortranarray(weights),
         "all_zero": np.zeros((9, 11)),
         "no_zero": np.ones((9, 11)),
+        "large": np.ascontiguousarray(layer_weight.T),
+        # What extraction records: the F-ordered ``weight.T`` view.
+        "large_weight_t": layer_weight.T,
+        "large_strided": wide[:, ::2],
     }
 
 
@@ -129,7 +141,8 @@ class TestZeroFraction:
         mask = None
         if masked:
             mask = np.random.default_rng(7).uniform(size=weights.shape) > 0.3
-        gemm = GEMMWorkload("g", m=1, n=11, k=9, weight_values=weights, pruning_mask=mask)
+        k, n = weights.shape
+        gemm = GEMMWorkload("g", m=1, n=n, k=k, weight_values=weights, pruning_mask=mask)
         assert self._bits(gemm.sparsity) == self._bits(zero_fraction_reference(gemm))
 
     @pytest.mark.parametrize("fill", [True, False])

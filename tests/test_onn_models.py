@@ -13,14 +13,31 @@ from repro.onn import (
     quantization_error,
     quantize_uniform,
 )
-from oracles import gelu_reference, quantize_uniform_reference, quantize_with_scale_reference
+from oracles import (
+    attention_batch_reference,
+    gelu_expression_reference,
+    gelu_reference,
+    layer_norm_reference,
+    quantize_uniform_reference,
+    quantize_with_scale_reference,
+    softmax_reference,
+)
 from repro.onn.convert import ptc_assignment_of
-from repro.onn.layers import GELU, Conv2d, Linear
+from repro.onn.layers import (
+    GELU,
+    Conv2d,
+    LayerNorm,
+    Linear,
+    MultiHeadAttention,
+    compute_dtype,
+    pinned_modes,
+)
 from repro.onn.models import build_bert_base_image, build_mlp, build_vgg8_cifar10
 from repro.onn.models.transformer import TransformerEncoder
 from repro.onn.prune import sparsity
 from repro.onn.quantize import peak_abs, quantize_with_scale
 from repro.onn.workload import max_layer_bytes, total_macs
+from repro.utils.blocks import BLOCK, flat_view, fresh_like
 
 
 class TestQuantization:
@@ -78,10 +95,68 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+#: Flat element counts around the kernels' block boundaries.
+BLOCK_SIZES = (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)
+
+#: An n-D shape for every size in :data:`BLOCK_SIZES`, for n = 1..4.
+_BLOCK_SHAPES = {
+    BLOCK - 1: ((BLOCK - 1,), (151, 217), (7, 31, 151), (1, 7, 31, 151)),
+    BLOCK: ((BLOCK,), (128, 256), (32, 32, 32), (8, 8, 16, 32)),
+    BLOCK + 1: ((BLOCK + 1,), (99, 331), (9, 11, 331), (3, 3, 11, 331)),
+    3 * BLOCK + 7: ((3 * BLOCK + 7,), (17, 5783), (1, 17, 5783), (1, 1, 17, 5783)),
+}
+
+_SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
+
+LAYOUTS = ("C", "F", "transposed", "strided", "broadcast")
+
+
+def _laid_out(values, layout):
+    """``values`` (C order) copied into a C, F, transposed or strided layout.
+
+    ``broadcast`` is not a copy: it repeats the first row along every leading
+    axis through zero strides (a read-only view).
+    """
+    if layout == "C":
+        return values.copy()
+    if layout == "F":
+        return np.asfortranarray(values)
+    if layout == "transposed":
+        # Last axis first in memory: the plain transpose in 2-D, a permuted
+        # (neither C nor F) layout in 3-D and 4-D.
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(values, -1, 0)), 0, -1)
+    if layout == "broadcast":
+        return np.broadcast_to(values.reshape(-1)[: values.shape[-1]], values.shape)
+    wide = np.zeros(values.shape[:-1] + (2 * values.shape[-1],))
+    wide[..., ::2] = values
+    return wide[..., ::2]
+
+
+def _kernel_input(size, ndim, layout, seed=11):
+    """A ``size``-element n-D array with signed zeros, infinities and NaN
+    placed across the first block boundaries."""
+    shape = _BLOCK_SHAPES[size][ndim - 1]
+    values = np.random.default_rng(seed).normal(scale=3.0, size=shape)
+    flat = values.reshape(-1)
+    for i, pos in enumerate((0, 1, 2, 3, 4, BLOCK - 2, BLOCK - 1, BLOCK, size - 1)):
+        if pos < size:
+            flat[pos] = _SPECIALS[i % len(_SPECIALS)]
+    return _laid_out(values, layout)
+
+
+def _large_quantize_input():
+    values = np.random.default_rng(5).normal(size=(257, 383))
+    flat = values.reshape(-1)
+    flat[BLOCK - 1 : BLOCK + 2] = -0.0
+    flat[2 * BLOCK] = 0.0
+    return values
+
+
 def _quantize_inputs():
     base = np.random.default_rng(3).normal(size=(12, 7))
     signed_zeros = base.copy()
     signed_zeros[::3, ::2] = -0.0
+    large = _large_quantize_input()
     return {
         "normal": base,
         "all_negative": -np.abs(base) - 0.1,
@@ -93,6 +168,16 @@ def _quantize_inputs():
         "strided": base[::2, 1::3],
         "constant": np.full((2, 3), 0.5),
         "ints": np.arange(-5, 7).reshape(3, 4),
+        # Odd multiples of half the 8-bit step (0.765625): v / scale lands
+        # exactly on .5 ties, where v * (1 / scale) rounds 80 of them the
+        # other way.
+        "half_steps": np.append(
+            (np.arange(-127, 127) + 0.5) * 0.765625, [97.234375, -97.234375]
+        ),
+        # Larger than one block, so the blocked kernels reach a second block.
+        "large": large,
+        "large_f_ordered": np.asfortranarray(large),
+        "large_strided": _laid_out(large, "strided"),
     }
 
 
@@ -100,7 +185,7 @@ QUANTIZE_INPUTS = _quantize_inputs()
 
 
 class TestAllocationLightKernels:
-    """In-place quantization and the cheap GELU cube against the old formulas."""
+    """Blocked and in-place kernels against the whole-array formulas they replaced."""
 
     @pytest.mark.parametrize("case", sorted(QUANTIZE_INPUTS))
     @pytest.mark.parametrize("symmetric", [True, False])
@@ -153,6 +238,66 @@ class TestAllocationLightKernels:
         np.testing.assert_allclose(
             GELU().forward(x), gelu_reference(x), rtol=0.0, atol=1e-15
         )
+
+    @staticmethod
+    def _layer_norm(x):
+        dim = x.shape[-1]
+        rng = np.random.default_rng(dim)
+        norm = LayerNorm(dim, eps=1e-3)
+        norm.scale = rng.normal(size=dim)
+        norm.shift = rng.normal(size=dim)
+        return norm.forward(x), layer_norm_reference(x, norm.scale, norm.shift, norm.eps)
+
+    @staticmethod
+    def _run(kernel, x):
+        if kernel == "gelu":
+            return GELU().forward(x), gelu_expression_reference(x)
+        if kernel == "softmax":
+            return MultiHeadAttention._softmax(x), softmax_reference(x)
+        return TestAllocationLightKernels._layer_norm(x)
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("kernel", ["gelu", "softmax", "layer_norm"])
+    def test_kernel_bit_identical(self, kernel, layout, ndim, size):
+        x = _kernel_input(size, ndim, layout)
+        before = x.copy()
+        with np.errstate(all="ignore"):
+            out, expected = self._run(kernel, x)
+        assert _same_bits(out, expected)
+        assert _same_bits(x, before)
+        assert not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_flat_view_copies_only_a_non_contiguous_input(self, layout):
+        x = _kernel_input(BLOCK + 1, 2, layout)
+        assert np.shares_memory(flat_view(x), x) == (layout in ("C", "F", "transposed"))
+        src, out, dst = fresh_like(x)
+        assert np.shares_memory(dst, out) and not np.shares_memory(dst, x)
+        assert src.shape == dst.shape == (x.size,)
+
+    def test_float32_kernels_stay_float32(self):
+        rng = np.random.default_rng(8)
+        attn = MultiHeadAttention(96, 4, name="attn", rng=rng)
+        norm = LayerNorm(96)
+        norm.scale = rng.normal(size=96)
+        norm.shift = rng.normal(size=96)
+        with pinned_modes("float32"):
+            x = rng.normal(scale=2.0, size=(3, 17, 96)).astype(compute_dtype())
+            results = {
+                "gelu": (GELU().forward_batch(x), gelu_expression_reference(x)),
+                "layer_norm": (
+                    norm.forward_batch(x),
+                    layer_norm_reference(
+                        x, norm.scale.astype(np.float32), norm.shift.astype(np.float32), norm.eps
+                    ),
+                ),
+                "attention": (attn.forward_batch(x), attention_batch_reference(attn, x)),
+            }
+        for name, (out, expected) in results.items():
+            assert out.dtype == np.float32, name
+            assert _same_bits(out, expected), name
 
 
 class TestPruning:
