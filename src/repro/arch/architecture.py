@@ -265,8 +265,9 @@ class ResolvedArchitecture:
     The table an evaluation run reads instead of re-evaluating rules: instance
     counts, link-path loss multiplicities and the dataflow's per-cycle
     parallel extents, each computed on first read from one ``arch.params``
-    snapshot.  ``energy_plans`` holds the energy analyzer's plans for the same
-    run (one per mapping overlay; see :class:`~repro.core.energy.EnergyAnalyzer`).
+    snapshot.  ``energy_terms`` holds the energy analyzer's per-overlay
+    instance counts and duty cycles for the same run (see
+    :class:`~repro.core.energy.EnergyAnalyzer`).
     A table belongs to one run and is never stored on the architecture, so a
     rebound configuration can never read another's numbers.
     """
@@ -274,7 +275,7 @@ class ResolvedArchitecture:
     def __init__(self, arch: Architecture) -> None:
         self.arch = arch
         self.params: Dict[str, float] = arch.params
-        self.energy_plans: Dict[tuple, object] = {}
+        self.energy_terms: Dict[tuple, tuple] = {}
 
     @cached_property
     def counts(self) -> Dict[str, int]:

@@ -287,21 +287,36 @@ class EvaluationCache:
         serialize unrelated lookups; concurrent misses on the same key may
         compute twice but store a single (identical) result.
         """
-        if not self.enabled:
-            with self._lock:
-                self._stat(stage).misses += 1
-            return compute()
+        found, value = self.lookup(stage, key)
+        if found:
+            return value
+        value = compute()
+        self.store(stage, key, value)
+        return value
+
+    def lookup(self, stage: str, key: Hashable) -> Tuple[bool, Any]:
+        """``(True, value)`` on a hit, ``(False, None)`` on a miss; counts either.
+
+        The first half of :meth:`get_or_compute`, for callers that compute
+        their misses together (the explorer's design-point batches) and then
+        :meth:`store` each one.  A disabled cache always misses.
+        """
         with self._lock:
             stats = self._stat(stage)
-            if (stage, key) in self._store:
+            if self.enabled and (stage, key) in self._store:
                 stats.hits += 1
                 # LRU: re-insert on hit so recency, not insertion order, decides
                 # which entry a bounded cache drops next.
                 value = self._store.pop((stage, key))
                 self._store[(stage, key)] = value
-                return value
+                return True, value
             stats.misses += 1
-        value = compute()
+        return False, None
+
+    def store(self, stage: str, key: Hashable, value: Any) -> None:
+        """Store a computed miss, evicting the least recently used entry if full."""
+        if not self.enabled:
+            return
         with self._lock:
             if (
                 self.max_entries is not None
@@ -312,7 +327,6 @@ class EvaluationCache:
                 del self._store[oldest]
                 self._stat(oldest[0]).evictions += 1
             self._store[(stage, key)] = value
-        return value
 
     def _stat(self, stage: str) -> CacheStats:
         if stage not in self._stats:

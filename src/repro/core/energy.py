@@ -23,7 +23,7 @@ Figs. 5 and 10(b).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,20 +74,30 @@ class EnergyReport:
 
 
 class _PlanRow(NamedTuple):
-    """One device group's mapping-independent energy terms (see ``EnergyAnalyzer.plan``)."""
+    """One device group's point-invariant energy terms (see ``EnergyAnalyzer.plan``)."""
 
     label: str
     activity: Activity
     inst: ArchInstance
     device: object
-    count: int
-    duty: float
-    #: STATIC ``count * power * duty``, PER_CYCLE ``count * (power * cycle_ns +
-    #: e_op)``, PER_RECONFIG the write energy; None while the power is
-    #: data-dependent (looked up per mapping).
-    prefix: Optional[float]
+    #: STATIC the device power, PER_CYCLE ``power * cycle_ns + e_op``,
+    #: PER_RECONFIG the write energy; None while the power is data-dependent
+    #: (looked up per mapping).
+    unit: Optional[float]
     by_utilization: bool  # PER_CYCLE activity scaled by spatial utilization
     by_keep: bool  # scaled by the unpruned fraction ``1 - sparsity``
+
+
+class EnergyItem(NamedTuple):
+    """One mapping for :meth:`EnergyAnalyzer.analyze_batch`, with what it reads."""
+
+    arch: Architecture
+    mapping: Mapping
+    #: The evaluation run's rule table for ``arch``.
+    resolved: ResolvedArchitecture
+    link_budget: Optional[LinkBudgetReport]
+    memory_energy_pj: float
+    memory_static_power_mw: float
 
 
 class EnergyAnalyzer:
@@ -104,13 +114,13 @@ class EnergyAnalyzer:
 
     Instance counts and duty cycles come from the run's
     :class:`~repro.arch.architecture.ResolvedArchitecture` table, never from
-    re-evaluated rules.  :meth:`plan` turns the table into one row per
-    energy-consuming group for a mapping overlay (``T_ACC``), cycle time and
-    mode -- its label, device and mapping-independent prefix -- and memoizes
-    the rows on the table, so each mapping of the run only multiplies its own
-    scalars (compute time, active cycles, utilization, keep fraction,
-    reconfiguration events) onto the prefixes, in the same left-to-right float
-    order as the per-instance loop the plan replaced.
+    re-evaluated rules.  :meth:`plan` turns an architecture's built structure
+    into one row per energy-consuming group for a cycle time and mode -- its
+    label, device and per-device energy unit -- so every design point that
+    shares the structure shares the rows; :meth:`analyze_batch` reads each
+    point's counts and duties from its table and evaluates a row's energy for
+    all points at once, in the same left-to-right float order as the
+    per-instance loop the plan replaced.
     """
 
     def __init__(
@@ -189,62 +199,39 @@ class EnergyAnalyzer:
     # -- the energy plan ------------------------------------------------------------
     def plan(
         self,
-        resolved: ResolvedArchitecture,
-        overlay: Dict[str, float],
+        arch: Architecture,
         cycle_ns: float,
         data_aware: bool,
         has_link_budget: bool,
     ) -> Tuple[_PlanRow, ...]:
-        """The mapping-independent part of :meth:`analyze`, one row per device group.
+        """The point-invariant part of :meth:`analyze`, one row per device group.
 
-        Memoized on ``resolved`` (one evaluation run) per overlay, cycle time,
-        data-aware mode, link-budget presence and idle gating, so each rule is
-        evaluated once per overlay and every mapping only multiplies its own
-        scalars onto the rows' prefixes.
+        A row's label, device, activity, gating flags and per-device energy
+        unit depend only on the architecture's built structure, the cycle
+        time and the mode, so one plan serves every rebound design point of
+        that structure; counts and duty cycles are read per point
+        (:meth:`_point_terms`).
         """
-        key = (
-            tuple(sorted(overlay.items())),
-            cycle_ns,
-            data_aware,
-            has_link_budget,
-            self.config.include_idle_gating,
-        )
-        cached = resolved.energy_plans.get(key)
-        if cached is not None:
-            return cached
-        arch = resolved.arch
-        params, changed = resolved.overlaid(overlay)
         rows = []
         for inst in arch.instances:
             if not inst.count_in_energy or inst.activity is Activity.PASSIVE:
                 continue
             if inst.role is Role.LIGHT_SOURCE and has_link_budget:
                 continue  # accounted via the link budget
-            if changed.isdisjoint(inst.count.variables):
-                count = resolved.counts[inst.name]
-            else:
-                count = inst.instance_count(params)
-            if count == 0:
-                continue
             device = arch.library.get(inst.device)
             data_power = data_aware and inst.data_dependent
             by_utilization = False
-            # The products below keep analyze()'s left-to-right float order:
-            # a mapping multiplies its scalars onto the prefix, never into it.
             if inst.activity is Activity.STATIC:
-                duty = inst.duty_factor(params)
-                prefix = None if data_power else count * device.nominal_power_mw() * duty
+                unit = None if data_power else device.nominal_power_mw()
                 by_keep = data_aware and inst.operand == "B"
             elif inst.activity is Activity.PER_CYCLE:
-                duty = inst.duty_factor(params)
-                prefix = None if data_power else count * (
+                unit = None if data_power else (
                     device.nominal_power_mw() * cycle_ns + device.energy_per_op_pj
                 )
                 by_utilization = self.config.include_idle_gating
                 by_keep = data_aware and inst.role is Role.WEIGHT_ENCODER
             else:  # PER_RECONFIG
-                duty = 1.0
-                prefix = float(device.spec.extra.get("write_energy_pj", device.energy_per_op_pj))
+                unit = float(device.spec.extra.get("write_energy_pj", device.energy_per_op_pj))
                 by_keep = data_aware
             rows.append(
                 _PlanRow(
@@ -252,17 +239,53 @@ class EnergyAnalyzer:
                     activity=inst.activity,
                     inst=inst,
                     device=device,
-                    count=count,
-                    duty=duty,
-                    prefix=prefix,
+                    unit=unit,
                     by_utilization=by_utilization,
                     by_keep=by_keep,
                 )
             )
-        plan = resolved.energy_plans[key] = tuple(rows)
-        return plan
+        return tuple(rows)
 
-    # -- main entry point -------------------------------------------------------------
+    @staticmethod
+    def _point_terms(
+        resolved: ResolvedArchitecture,
+        overlay: Dict[str, float],
+        rows: Tuple[_PlanRow, ...],
+        has_link_budget: bool,
+    ) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
+        """Each plan row's instance count and duty cycle at one design point.
+
+        Memoized on ``resolved`` (one evaluation run) per overlay and plan
+        row set, so each rule is evaluated once per overlay.  A group with
+        no instances is skipped, as it would be by the per-instance loop:
+        its duty reads 0.0 and is never evaluated.
+        """
+        overlay_key = tuple(sorted(overlay.items()))
+        key = (overlay_key, has_link_budget)
+        cached = resolved.energy_terms.get(key)
+        if cached is not None:
+            return cached
+        params, changed = resolved.overlaid(overlay)
+        counts = []
+        duties = []
+        for row in rows:
+            inst = row.inst
+            if changed.isdisjoint(inst.count.variables):
+                count = resolved.counts[inst.name]
+            else:
+                count = inst.instance_count(params)
+            if count == 0:
+                duty = 0.0
+            elif row.activity is Activity.PER_RECONFIG:
+                duty = 1.0
+            else:
+                duty = inst.duty_factor(params)
+            counts.append(count)
+            duties.append(duty)
+        terms = resolved.energy_terms[key] = (tuple(counts), tuple(duties))
+        return terms
+
+    # -- main entry points ------------------------------------------------------------
     def analyze(
         self,
         arch: Architecture,
@@ -273,68 +296,143 @@ class EnergyAnalyzer:
         data_aware: Optional[bool] = None,
         resolved: Optional[ResolvedArchitecture] = None,
     ) -> EnergyReport:
-        """Energy breakdown of one mapping.
+        """Energy breakdown of one mapping (a batch of one, see :meth:`analyze_batch`).
 
-        ``resolved`` is the evaluation run's rule table for ``arch`` (its
-        energy plans are memoized on it); without one a fresh table is built.
+        ``resolved`` is the evaluation run's rule table for ``arch``; without
+        one a fresh table is built.
         """
-        data_aware = self.config.data_aware if data_aware is None else data_aware
         if resolved is None:
             resolved = arch.resolve()
-        cycle_ns = 1.0 / mapping.frequency_ghz
-        rows = self.plan(
-            resolved, mapping.params_overlay(), cycle_ns, data_aware, link_budget is not None
+        item = EnergyItem(
+            arch, mapping, resolved, link_budget, memory_energy_pj, memory_static_power_mw
         )
-        compute_time_ns = mapping.compute_time_ns
-        active_cycles = mapping.compute_cycles
-        events = mapping.reconfig_events * mapping.forwards
-        utilization = mapping.utilization
-        sparsity = mapping.workload.sparsity if data_aware else 0.0
-        keep = max(0.0, 1.0 - sparsity)
+        return self.analyze_batch([item], data_aware)[0]
 
-        breakdown: Dict[str, float] = {}
+    def analyze_batch(
+        self, items: Sequence[EnergyItem], data_aware: Optional[bool] = None
+    ) -> List[EnergyReport]:
+        """Energy breakdowns of many mappings, evaluated row by row over the items.
 
-        def add(label: str, energy_pj: float) -> None:
-            if energy_pj <= 0:
-                return
-            breakdown[label] = breakdown.get(label, 0.0) + energy_pj
+        Items that share a built structure, cycle time and link-budget
+        presence share one :meth:`plan`; each plan row's energy is evaluated
+        with numpy over those items, in the per-instance loop's left-to-right
+        float order, and a row whose energy is ``<= 0`` at an item is left out
+        of that item's breakdown.  Each breakdown is then rebuilt in row
+        order, so its keys, their order and every value equal the
+        one-mapping-at-a-time evaluation bit for bit.
+        """
+        from repro.core.engine import structure_token
+
+        data_aware = self.config.data_aware if data_aware is None else data_aware
+        groups: Dict[tuple, List[int]] = {}
+        for index, item in enumerate(items):
+            key = (
+                structure_token(item.arch),
+                1.0 / item.mapping.frequency_ghz,
+                item.link_budget is not None,
+            )
+            groups.setdefault(key, []).append(index)
+        reports: List[Optional[EnergyReport]] = [None] * len(items)
+        for (_, cycle_ns, has_link_budget), indices in groups.items():
+            group = [items[i] for i in indices]
+            rows = self.plan(group[0].arch, cycle_ns, data_aware, has_link_budget)
+            for index, report in zip(
+                indices, self._analyze_group(group, rows, cycle_ns, data_aware)
+            ):
+                reports[index] = report
+        return reports
+
+    def _analyze_group(
+        self,
+        items: Sequence[EnergyItem],
+        rows: Tuple[_PlanRow, ...],
+        cycle_ns: float,
+        data_aware: bool,
+    ) -> List[EnergyReport]:
+        mappings = [item.mapping for item in items]
+        has_link_budget = items[0].link_budget is not None
+        terms = [
+            self._point_terms(item.resolved, item.mapping.params_overlay(), rows, has_link_budget)
+            for item in items
+        ]
+        counts = np.array([t[0] for t in terms], dtype=float).reshape(len(items), len(rows)).T
+        duties = np.array([t[1] for t in terms], dtype=float).reshape(len(items), len(rows)).T
+        compute_time_ns = np.array([m.compute_time_ns for m in mappings])
+        active_cycles = np.array([m.compute_cycles for m in mappings], dtype=float)
+        events = np.array([m.reconfig_events * m.forwards for m in mappings], dtype=float)
+        utilization = np.array([m.utilization for m in mappings])
+        keep = np.array(
+            [max(0.0, 1.0 - (m.workload.sparsity if data_aware else 0.0)) for m in mappings]
+        )
+
+        # (label, energy, mask) in the order analyze() adds them.
+        terms_in_order = []
+
+        def add(label: str, energy: np.ndarray, live=True) -> None:
+            terms_in_order.append((label, energy, live & ~(energy <= 0)))
 
         # Laser: sized by the link budget, on for the optical compute phases.
-        if link_budget is not None:
-            add("Laser", link_budget.total_laser_electrical_power_mw * compute_time_ns)
+        if has_link_budget:
+            laser_mw = np.array(
+                [item.link_budget.total_laser_electrical_power_mw for item in items]
+            )
+            add("Laser", laser_mw * compute_time_ns)
 
-        for row in rows:
+        for row, count, duty in zip(rows, counts, duties):
+            live = count != 0
+            if row.unit is None:
+                # Data-dependent power, looked up only where the group exists.
+                power = np.array([
+                    self._data_power_mw(row.device, row.inst, mapping) if alive else 0.0
+                    for mapping, alive in zip(mappings, live.tolist())
+                ])
             if row.activity is Activity.STATIC:
-                prefix = row.prefix
-                if prefix is None:
-                    power = self._data_power_mw(row.device, row.inst, mapping)
-                    prefix = row.count * power * row.duty
-                gating = keep if row.by_keep else 1.0
-                add(row.label, prefix * gating * compute_time_ns)
+                energy = count * (power if row.unit is None else row.unit) * duty
+                if row.by_keep:
+                    energy = energy * keep
+                add(row.label, energy * compute_time_ns, live)
 
             elif row.activity is Activity.PER_CYCLE:
-                activity_scale = row.duty
+                activity_scale = duty
                 if row.by_utilization:
-                    activity_scale *= utilization
+                    activity_scale = activity_scale * utilization
                 if row.by_keep:
-                    activity_scale *= keep
-                prefix = row.prefix
-                if prefix is None:
-                    power = self._data_power_mw(row.device, row.inst, mapping)
-                    prefix = row.count * (power * cycle_ns + row.device.energy_per_op_pj)
-                add(row.label, prefix * active_cycles * activity_scale)
+                    activity_scale = activity_scale * keep
+                unit = row.unit
+                if unit is None:
+                    unit = power * cycle_ns + row.device.energy_per_op_pj
+                add(row.label, count * unit * active_cycles * activity_scale, live)
 
-            elif events:  # PER_RECONFIG: only when the stationary operand is rewritten
-                scale = keep if row.by_keep else 1.0
-                add(row.label, row.count * events * row.prefix * scale)
+            else:  # PER_RECONFIG: only when the stationary operand is rewritten
+                energy = count * events * row.unit
+                if row.by_keep:
+                    energy = energy * keep
+                add(row.label, energy, live & (events != 0))
 
         # Data movement: dynamic access energy plus buffer leakage over the active
         # compute phases (stall cycles are charged to latency, not energy).
-        dm_energy = memory_energy_pj + memory_static_power_mw * compute_time_ns
-        add("DM", dm_energy)
+        memory_pj = np.array([item.memory_energy_pj for item in items], dtype=float)
+        leakage_mw = np.array([item.memory_static_power_mw for item in items], dtype=float)
+        add("DM", memory_pj + leakage_mw * compute_time_ns)
 
-        return EnergyReport(
-            breakdown_pj=breakdown,
-            total_time_ns=mapping.total_time_ns,
-            data_aware=data_aware,
-        )
+        totals: Dict[str, np.ndarray] = {}
+        for label, energy, mask in terms_in_order:
+            previous = totals.get(label)
+            contribution = np.where(mask, energy, 0.0)
+            totals[label] = contribution if previous is None else previous + contribution
+        values = {label: total.tolist() for label, total in totals.items()}
+        masks = [(label, mask.tolist()) for label, _, mask in terms_in_order]
+        reports = []
+        for index, mapping in enumerate(mappings):
+            breakdown: Dict[str, float] = {}
+            for label, mask in masks:
+                if mask[index]:  # a label's first live row fixes its key order
+                    breakdown[label] = values[label][index]
+            reports.append(
+                EnergyReport(
+                    breakdown_pj=breakdown,
+                    total_time_ns=mapping.total_time_ns,
+                    data_aware=data_aware,
+                )
+            )
+        return reports

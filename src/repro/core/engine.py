@@ -41,9 +41,12 @@ import functools
 import itertools
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.arch.architecture import (
     Architecture,
@@ -60,7 +63,7 @@ from repro.core.cache import (
     workload_shape,
 )
 from repro.core.config import SimulationConfig
-from repro.core.energy import EnergyAnalyzer, EnergyReport
+from repro.core.energy import EnergyAnalyzer, EnergyItem, EnergyReport
 from repro.core.latency import LatencyAnalyzer, LatencyReport
 from repro.core.link_budget import LinkBudgetAnalyzer, LinkBudgetReport
 from repro.core.memory_analyzer import MemoryAnalyzer, MemoryReport
@@ -69,6 +72,7 @@ from repro.core.snr import SNRAnalyzer, SNRReport
 from repro.dataflow.gemm import GEMMWorkload
 from repro.dataflow.mapping import DataflowMapper, Mapping
 from repro.dataflow.scheduler import HeterogeneousMapper
+from repro.memory.hierarchy import MemoryHierarchy, MemoryLevel
 from repro.netlist.dag import CriticalPath
 from repro.netlist.netlist import Netlist
 from repro.onn.workload import LayerWorkload
@@ -376,8 +380,8 @@ class EvaluationContext:
     it (the map pass, see :meth:`resolve`): every scaling rule is evaluated at
     most once per run -- once per ``T_ACC`` overlay for the duty cycles -- and
     the map, link-budget, area and energy passes all read that one table.
-    The energy analyzer memoizes its per-overlay plans on the same table, so
-    they live exactly as long as the run.
+    The energy analyzer memoizes its per-overlay counts and duty cycles on
+    the same table, so they live exactly as long as the run.
     """
 
     system: HeterogeneousArchitecture
@@ -422,15 +426,31 @@ class EvaluationContext:
 
 
 class EnginePass:
-    """One composable stage of the evaluation pipeline."""
+    """One composable stage of the evaluation pipeline.
+
+    The engine calls :meth:`run_batch` with every context of a batch; the
+    default visits them in order through :meth:`run`, and a pass whose work
+    is the same at every context overrides it to evaluate the batch at once.
+    A pass holds its engine weakly (``engine`` reads through the reference),
+    so an engine and everything its cache holds is freed by reference
+    counting alone, not left for the cyclic collector.
+    """
 
     name = "pass"
 
     def __init__(self, engine: "EvaluationEngine") -> None:
-        self.engine = engine
+        self._engine_ref = weakref.ref(engine)
+
+    @property
+    def engine(self) -> "EvaluationEngine":
+        return self._engine_ref()
 
     def run(self, ctx: EvaluationContext) -> None:
         raise NotImplementedError
+
+    def run_batch(self, ctxs: Sequence[EvaluationContext]) -> None:
+        for ctx in ctxs:
+            self.run(ctx)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -779,40 +799,93 @@ class AreaPass(EnginePass):
 
 
 class LayerAnalysisPass(EnginePass):
-    """Latency and data-aware energy for every mapped layer."""
+    """Latency and data-aware energy for every mapped layer.
+
+    A batch is analyzed at once: the energy analyzer evaluates every
+    mapping of every context over the point axis
+    (:meth:`~repro.core.energy.EnergyAnalyzer.analyze_batch`), and the
+    layers' memory-access energies are summed the same way.
+    """
 
     name = "layer_analysis"
 
     def run(self, ctx: EvaluationContext) -> None:
+        self.run_batch([ctx])
+
+    def run_batch(self, ctxs: Sequence[EvaluationContext]) -> None:
         engine = self.engine
-        hierarchy = ctx.memory_report.hierarchy if ctx.memory_report is not None else None
-        for gemm, arch, mapping in ctx.mappings:
-            latency = engine.latency_analyzer.analyze(mapping, hierarchy)
-            if engine.config.include_memory and hierarchy is not None:
-                layer_memory_pj = sum(
-                    hierarchy.access_energy_pj(level, bits)
-                    for level, bits in mapping.traffic_bits.items()
-                    if bits > 0
-                )
-            else:
-                layer_memory_pj = 0.0
-            energy = engine.energy_analyzer.analyze(
+        layers = [
+            (ctx, gemm, arch, mapping) for ctx in ctxs for gemm, arch, mapping in ctx.mappings
+        ]
+        hierarchies = [
+            ctx.memory_report.hierarchy if ctx.memory_report is not None else None
+            for ctx, _, _, _ in layers
+        ]
+        memory_pj = _memory_access_energy_pj(
+            [mapping for _, _, _, mapping in layers],
+            hierarchies if engine.config.include_memory else [None] * len(layers),
+        )
+        energies = engine.energy_analyzer.analyze_batch([
+            EnergyItem(
                 arch,
                 mapping,
-                link_budget=ctx.link_budgets.get(arch.name),
-                memory_energy_pj=layer_memory_pj,
-                memory_static_power_mw=ctx.memory_leakage_mw,
-                resolved=ctx.resolve(arch),
+                ctx.resolve(arch),
+                ctx.link_budgets.get(arch.name),
+                layer_memory_pj,
+                ctx.memory_leakage_mw,
             )
+            for (ctx, _, arch, mapping), layer_memory_pj in zip(layers, memory_pj)
+        ])
+        latency = engine.latency_analyzer
+        for (ctx, gemm, arch, mapping), hierarchy, energy in zip(layers, hierarchies, energies):
             ctx.layers.append(
                 LayerResult(
                     workload=gemm,
                     arch_name=arch.name,
                     mapping=mapping,
-                    latency=latency,
+                    latency=latency.analyze(mapping, hierarchy),
                     energy=energy,
                 )
             )
+
+
+def _memory_access_energy_pj(
+    mappings: Sequence[Mapping], hierarchies: Sequence[Optional[MemoryHierarchy]]
+) -> List[float]:
+    """Each mapping's dynamic memory-access energy, summed over the batch at once.
+
+    Per mapping this is ``sum(access energy of every level with traffic > 0)``
+    in ``traffic_bits`` order, starting from 0 (0.0 without a hierarchy).
+    Mappings are grouped by their level order, and each level's term is added
+    with numpy over the group, a skipped level adding 0.0, so each sum takes
+    the same float steps as the scalar one.
+    """
+    energy = [0.0] * len(mappings)
+    groups: Dict[tuple, List[int]] = {}
+    for index, (mapping, hierarchy) in enumerate(zip(mappings, hierarchies)):
+        if hierarchy is not None:
+            groups.setdefault(tuple(mapping.traffic_bits), []).append(index)
+    per_bit_memo: Dict[Tuple[int, MemoryLevel], float] = {}
+
+    def per_bit(hierarchy: MemoryHierarchy, level: MemoryLevel) -> float:
+        key = (id(hierarchy), level)
+        value = per_bit_memo.get(key)
+        if value is None:
+            value = per_bit_memo[key] = hierarchy.level(level).read_energy_pj_per_bit
+        return value
+
+    for levels, indices in groups.items():
+        bits = np.array(
+            [list(mappings[i].traffic_bits.values()) for i in indices], dtype=float
+        ).reshape(len(indices), len(levels))
+        total = np.zeros(len(indices))
+        for column, level in enumerate(levels):
+            level_bits = bits[:, column]
+            cost = np.array([per_bit(hierarchies[i], level) for i in indices])
+            total = total + np.where(level_bits > 0, cost * level_bits, 0.0)
+        for index, value in zip(indices, total.tolist()):
+            energy[index] = value
+    return energy
 
 
 class AggregatePass(EnginePass):
@@ -1023,24 +1096,51 @@ class EvaluationEngine:
 
     def _execute(
         self,
-        ctx: EvaluationContext,
+        ctxs: Sequence[EvaluationContext],
         passes: Optional[Sequence[EnginePass]] = None,
-    ) -> EvaluationContext:
+    ) -> Sequence[EvaluationContext]:
+        """Run every pass over all of ``ctxs``, pass by pass.
+
+        Observers hear each pass once per context, with the pass's wall-clock
+        over the batch split evenly across its contexts.
+        """
         for stage in passes if passes is not None else self.passes:
             observers = _PASS_OBSERVERS  # atomic tuple snapshot, re-read per stage
             if observers:
                 start = time.perf_counter()
-                stage.run(ctx)
-                elapsed = time.perf_counter() - start
-                for callback in observers:
-                    callback(stage.name, self, elapsed)
+                stage.run_batch(ctxs)
+                elapsed = (time.perf_counter() - start) / len(ctxs)
+                for _ in ctxs:
+                    for callback in observers:
+                        callback(stage.name, self, elapsed)
             else:
-                stage.run(ctx)
-        return ctx
+                stage.run_batch(ctxs)
+        return ctxs
+
+    def run_batch(
+        self,
+        archs: Sequence[Architecture],
+        workloads: Union[WorkloadLike, Sequence[WorkloadLike]],
+    ) -> List[SimulationResult]:
+        """Run the pipeline for every architecture of ``archs`` on ``workloads``.
+
+        Each pass runs over the whole batch before the next one starts, so a
+        pass that overrides :meth:`EnginePass.run_batch` (the layer analysis)
+        evaluates all the batch's design points at once.  The results, in
+        ``archs`` order, equal those of :meth:`run_for` on each architecture
+        bit for bit.
+        """
+        ctxs = self._execute(
+            [self.context_for(workloads, single_arch=arch) for arch in archs]
+        )
+        results = [ctx.result for ctx in ctxs]
+        if None in results:
+            raise RuntimeError("pipeline finished without an aggregate pass")
+        return results
 
     def run(self, workloads: Union[WorkloadLike, Sequence[WorkloadLike]]) -> SimulationResult:
         """Run the full pass pipeline and return the aggregated result."""
-        ctx = self._execute(self.context_for(workloads))
+        ctx = self.run_context(workloads)
         if ctx.result is None:
             raise RuntimeError(
                 "pipeline finished without an aggregate pass; "
@@ -1052,7 +1152,7 @@ class EvaluationEngine:
         self, workloads: Union[WorkloadLike, Sequence[WorkloadLike]]
     ) -> EvaluationContext:
         """Like :meth:`run` but returns the full pass context (no aggregate required)."""
-        return self._execute(self.context_for(workloads))
+        return self._execute([self.context_for(workloads)])[0]
 
     def run_accuracy(self, request, arch: Optional[Architecture] = None):
         """Monte Carlo inference accuracy of ``request`` on ``arch``.
@@ -1087,7 +1187,7 @@ class EvaluationEngine:
                 ReceiverPrecisionPass(self),
                 MonteCarloAccuracyPass(self),
             ]
-        self._execute(ctx, passes=self._accuracy_pipeline)
+        self._execute([ctx], passes=self._accuracy_pipeline)
         return ctx.accuracy_report
 
     def run_for(
@@ -1103,10 +1203,7 @@ class EvaluationEngine:
         every grid point -- concurrently, under a parallel executor -- without
         re-constructing the analyzer set each time.
         """
-        ctx = self._execute(self.context_for(workloads, single_arch=arch))
-        if ctx.result is None:
-            raise RuntimeError("pipeline finished without an aggregate pass")
-        return ctx.result
+        return self.run_batch([arch], workloads)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

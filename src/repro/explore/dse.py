@@ -29,6 +29,7 @@ import copy
 import dataclasses
 import itertools
 import math
+import operator
 import pickle
 import threading
 from dataclasses import dataclass, field
@@ -61,6 +62,7 @@ from repro.core.engine import (
     builder_key,
     observe_passes,
     resolve_architecture,
+    structure_token,
 )
 from repro.dataflow.gemm import GEMMWorkload
 from repro.exec import (
@@ -273,12 +275,18 @@ def pareto_front(points: Sequence[DesignPoint], objectives: Sequence[str]) -> Li
                 "calling pareto_front"
             )
         tuples.append(values)
-    keyed = sorted(range(len(points)), key=tuples.__getitem__)
     front_indices: List[int] = []
-    for index in keyed:
-        candidate = points[index]
-        if not any(points[j].dominates(candidate, objectives) for j in front_indices):
+    front: List[Tuple[float, ...]] = []
+    for index in sorted(range(len(points)), key=tuples.__getitem__):
+        candidate = tuples[index]
+        # DesignPoint.dominates on the tuples: with NaN excluded, "no worse
+        # in every objective" plus "not equal" is "strictly better in one".
+        for other in front:
+            if other != candidate and all(map(operator.le, other, candidate)):
+                break
+        else:
             front_indices.append(index)
+            front.append(candidate)
     return [points[i] for i in sorted(front_indices)]
 
 
@@ -363,10 +371,11 @@ def _evaluate_design_task(
     """Evaluate one contiguous group of design points inside a worker process.
 
     The whole group runs under one ``REPRO_*`` env pin and one pass observer,
-    and reports one cache-stat delta, so the per-point cost is that of
-    :meth:`DesignSpaceExplorer.evaluate`.  Tasks within one worker run
-    sequentially, so plain counters suffice; the stats are a delta so the
-    parent's merge never double-counts the worker cache shared across groups.
+    is evaluated as one batch (its misses share engine batches, as on the
+    serial backend) and reports one cache-stat delta.  Tasks within one
+    worker run sequentially, so plain counters suffice; the stats are a delta
+    so the parent's merge never double-counts the worker cache shared across
+    groups.
     """
     explorer = _worker_explorer(shared)
     cache = explorer.cache
@@ -375,7 +384,7 @@ def _evaluate_design_task(
     with applied_env_snapshot(shared.env), observe_passes(
         scoped_pass_observer(cache, telemetry)
     ):
-        points = [explorer.evaluate(dict(overrides)) for overrides in group]
+        points = explorer._evaluate_batch([dict(overrides) for overrides in group])
     telemetry.cache_stats = cache_stats_delta(cache, stats_before)
     return _DesignTaskOutcome(points=points, telemetry=telemetry)
 
@@ -514,40 +523,94 @@ class DesignSpaceExplorer:
             )
         return self._point_key_prefix
 
-    # -- single-point evaluation -----------------------------------------------------
+    # -- design-point evaluation -----------------------------------------------------
     def evaluate(self, overrides: Mapping[str, object]) -> DesignPoint:
         """Simulate a single design point and return its objective record.
 
         The whole point is memoized on (builder, config, workloads, sim config),
         so strategies may propose the same point repeatedly for free.
         """
-        if not self.cache.enabled:
-            return self._evaluate_config(self._config_for(overrides), overrides)
-        # Key on the sweep-constant prefix plus the canonical override pairs:
-        # on a hit the ArchitectureConfig is never even constructed.
-        key = (
-            self._design_point_prefix(),
-            tuple((name, canonical_value(value)) for name, value in sorted(overrides.items())),
-        )
-        return self.cache.get_or_compute(
-            "design_point",
-            key,
-            lambda: self._evaluate_config(self._config_for(overrides), overrides),
-        )
+        return self._evaluate_batch([overrides])[0]
 
-    def _evaluate_config(
-        self, config: ArchitectureConfig, overrides: Mapping[str, object]
-    ) -> DesignPoint:
-        arch = resolve_architecture(
-            self.builder, config, name=f"{config.name}_dse", cache=self.cache
-        )
+    def _evaluate_batch(self, batch: Sequence[Mapping[str, object]]) -> List[DesignPoint]:
+        """The design points of ``batch``, in order.
+
+        Cache hits are served point by point; the misses are simulated
+        together, one engine batch per built structure
+        (:meth:`~repro.core.engine.EvaluationEngine.run_batch`), and stored.
+        A point repeated within the batch counts as a hit on its first
+        evaluation, as it would if the points were evaluated one by one.
+        """
+        cache = self.cache
+        points: List[Optional[DesignPoint]] = [None] * len(batch)
+        misses: Dict[object, List[int]] = {}
+        for index, overrides in enumerate(batch):
+            key: object = index  # a disabled cache misses every point
+            if cache.enabled:
+                # The sweep-constant prefix plus the canonical override pairs:
+                # on a hit the ArchitectureConfig is never even constructed.
+                key = (
+                    self._design_point_prefix(),
+                    tuple((name, canonical_value(v)) for name, v in sorted(overrides.items())),
+                )
+            if key in misses:
+                misses[key].append(index)
+                continue
+            found, point = cache.lookup("design_point", key)
+            if found:
+                points[index] = point
+            else:
+                misses[key] = [index]
+        if misses:
+            evaluated = self._evaluate_configs(
+                [batch[indices[0]] for indices in misses.values()]
+            )
+            for (key, indices), point in zip(misses.items(), evaluated):
+                cache.store("design_point", key, point)
+                points[indices[0]] = point
+                for repeat in indices[1:]:
+                    points[repeat] = cache.get_or_compute(
+                        "design_point", key, lambda: point
+                    )
+        return points
+
+    def _evaluate_configs(
+        self, batch: Sequence[Mapping[str, object]]
+    ) -> List[DesignPoint]:
+        archs = []
+        for overrides in batch:
+            config = self._config_for(overrides)
+            archs.append(
+                resolve_architecture(
+                    self.builder, config, name=f"{config.name}_dse", cache=self.cache
+                )
+            )
         engine = self._engine
         if engine is None:
             # One engine serves every design point (analyzers are stateless and
             # the cache is thread-safe); a benign race may build two, one wins.
-            engine = EvaluationEngine(arch, self._sim_config, cache=self.cache)
+            engine = EvaluationEngine(archs[0], self._sim_config, cache=self.cache)
             self._engine = engine
-        result = engine.run_for(arch, self.workloads)
+        # One engine batch per structure: the layer analysis shares its plan
+        # across a structure's points, and a batch keeps all of its points'
+        # contexts alive until its last pass.
+        by_structure: Dict[int, List[int]] = {}
+        for index, arch in enumerate(archs):
+            by_structure.setdefault(structure_token(arch), []).append(index)
+        points: List[Optional[DesignPoint]] = [None] * len(archs)
+        for indices in by_structure.values():
+            results = engine.run_batch([archs[i] for i in indices], self.workloads)
+            for index, result in zip(indices, results):
+                points[index] = self._design_point(engine, archs[index], batch[index], result)
+        return points
+
+    def _design_point(
+        self,
+        engine: EvaluationEngine,
+        arch: Architecture,
+        overrides: Mapping[str, object],
+        result,
+    ) -> DesignPoint:
         link = next(iter(result.link_budgets.values()))
         accuracy: Optional[float] = None
         error_rate: Optional[float] = None
@@ -669,11 +732,10 @@ class DesignSpaceExplorer:
                     batch = batch[:remaining]
                     if not batch:
                         break
+                groups = _contiguous_groups(batch, exec_backend.jobs)
                 if use_processes:
                     outcomes = exec_backend.map_tasks(
-                        _evaluate_design_task,
-                        _contiguous_groups(batch, exec_backend.jobs),
-                        shared=context,
+                        _evaluate_design_task, groups, shared=context
                     )
                     batch_points = [
                         point for outcome in outcomes for point in outcome.points
@@ -681,9 +743,13 @@ class DesignSpaceExplorer:
                     for outcome in outcomes:
                         outcome.telemetry.merge_into(telemetry)
                 else:
-                    batch_points = exec_backend.map_tasks(
-                        lambda _shared, overrides: self.evaluate(overrides), batch
-                    )
+                    batch_points = [
+                        point
+                        for group_points in exec_backend.map_tasks(
+                            lambda _shared, group: self._evaluate_batch(group), groups
+                        )
+                        for point in group_points
+                    ]
                 evaluations += len(batch)
                 record_batch(batch_points)
                 if max_evaluations is not None and evaluations >= max_evaluations:

@@ -533,3 +533,51 @@ class TestShapeKeyedPasses:
         assert len(result.layers) == len(workloads)
         assert cache.stats["map"].hits > 0
         assert hashed_arrays == []
+
+
+class TestReferenceCycles:
+    """An engine and its cache are freed by reference counting alone."""
+
+    def test_cache_dies_on_del_with_gc_disabled(self):
+        import gc
+        import weakref
+
+        arch = build_tempo(ArchitectureConfig(num_tiles=1, cores_per_tile=1))
+        cache = EvaluationCache()
+        engine = EvaluationEngine(arch, cache=cache)
+        engine.run([paper_like_workload()])
+        cache_ref, engine_ref = weakref.ref(cache), weakref.ref(engine)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del engine, cache
+            assert engine_ref() is None
+            assert cache_ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_explore_leaves_no_cyclic_garbage(self):
+        import collections
+        import gc
+
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            explorer = DesignSpaceExplorer(
+                build_tempo,
+                [paper_like_workload(), paper_like_workload(1)],
+                base_config=ArchitectureConfig(num_tiles=1, cores_per_tile=1),
+            )
+            result = explorer.explore(
+                DesignSpace({"core_height": [2, 4], "num_wavelengths": [1, 2]})
+            )
+            result.pareto_front()
+            assert len(result.points) == 4
+            del explorer, result
+            gc.collect()
+            leftovers = collections.Counter(type(obj).__name__ for obj in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert not leftovers, leftovers.most_common(10)

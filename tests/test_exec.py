@@ -96,14 +96,19 @@ def _build_tempo_or_die(config=None, name="tempo"):
 
 
 class _RoundRecorder:
-    """Mixin recording the task count of every ``map_tasks`` round."""
+    """Mixin recording the task and design-point counts of every ``map_tasks`` round.
+
+    The explorer's tasks are contiguous groups of design points.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.rounds = []
+        self.points = []
 
     def map_tasks(self, fn, tasks, shared=None):
         self.rounds.append(len(tasks))
+        self.points.append(sum(len(group) for group in tasks))
         return super().map_tasks(fn, tasks, shared)
 
 
@@ -740,10 +745,13 @@ class TestGroupedDispatch:
         )
         assert procs.points == serial.points
         assert procs.evaluations == serial.evaluations
-        assert len(serial_backend.rounds) > 1
-        assert max(serial_backend.rounds) < 5
-        # Every round ships one task per group: min(jobs, len(batch)).
-        assert procs_backend.rounds == [min(5, n) for n in serial_backend.rounds]
+        assert len(serial_backend.points) > 1
+        assert max(serial_backend.points) < 5
+        # The serial backend evaluates each batch as one group (jobs=1), and
+        # every round ships one task per group: min(jobs, len(batch)).
+        assert serial_backend.rounds == [1] * len(serial_backend.points)
+        assert procs_backend.points == serial_backend.points
+        assert procs_backend.rounds == [min(5, n) for n in serial_backend.points]
 
     def test_round_ships_one_task_per_worker(self):
         backend = _RecordingProcesses(2)

@@ -7,6 +7,7 @@ evaluates each scaling rule at most once per parameter overlay.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import pickle
 
@@ -20,8 +21,8 @@ from repro.arch.templates import TEMPLATE_BUILDERS, build_tempo
 from repro.core.area import AreaAnalyzer
 from repro.core.cache import EvaluationCache
 from repro.core.config import SimulationConfig
-from repro.core.energy import EnergyAnalyzer
-from repro.core.engine import EvaluationEngine, observe_passes
+from repro.core.energy import EnergyAnalyzer, EnergyItem
+from repro.core.engine import EvaluationEngine, rebind_architecture
 from repro.core.link_budget import LinkBudgetAnalyzer
 from repro.core.memory_analyzer import MemoryAnalyzer
 from repro.dataflow.gemm import GEMMWorkload
@@ -208,21 +209,21 @@ class TestEnergyPlanOracle:
                 ),
                 reference,
             )
-        assert len(resolved.energy_plans) == len(overlays)
+        assert len(resolved.energy_terms) == len(overlays)
 
     def test_matrix_reaches_reconfig_and_data_dependent_rows(self):
         config = SimulationConfig(data_aware=True)
         analyzer = EnergyAnalyzer(config)
         pcm = TEMPLATE_BUILDERS["pcm_crossbar"]()
         mapping = DataflowMapper().map(_workloads()[0], pcm)
-        rows = analyzer.plan(pcm.resolve(), mapping.params_overlay(), 0.2, True, True)
+        rows = analyzer.plan(pcm, 0.2, True, True)
         assert any(row.activity is Activity.PER_RECONFIG for row in rows)
         assert mapping.reconfig_events * mapping.forwards > 0
         mzi = TEMPLATE_BUILDERS["mzi_mesh"]()
-        rows = analyzer.plan(mzi.resolve(), {"T_ACC": 1.0}, 0.2, True, True)
-        assert any(row.prefix is None for row in rows)
-        rows = analyzer.plan(mzi.resolve(), {"T_ACC": 1.0}, 0.2, False, True)
-        assert all(row.prefix is not None for row in rows)
+        rows = analyzer.plan(mzi, 0.2, True, True)
+        assert any(row.unit is None for row in rows)
+        rows = analyzer.plan(mzi, 0.2, False, True)
+        assert all(row.unit is not None for row in rows)
 
     @pytest.mark.parametrize("template", sorted(TEMPLATE_BUILDERS))
     def test_engine_layers_match_the_loop(self, template):
@@ -237,6 +238,170 @@ class TestEnergyPlanOracle:
             )
             _assert_same_energy(layer.energy, reference)
         assert list(ctx.resolved) == [arch.name]
+
+
+def _batch_archs(overlay_rules: bool):
+    """Rebound grid points of two structures per template family, in an
+    interleaved order, with some groups empty at some points.
+
+    With ``overlay_rules`` a ``min(max(R - 1, 0), 1)`` factor removes every
+    other group at one tile, and ``min(max(T_ACC - 2, 0), 1)`` zeroes every
+    third group's duty below T_ACC = 3, so a label can be absent from one
+    point's breakdown and present at the next.
+    """
+    archs = []
+    for template in sorted(TEMPLATE_BUILDERS):
+        for wavelengths in (1, 2):
+            base = TEMPLATE_BUILDERS[template](
+                ArchitectureConfig(num_wavelengths=wavelengths), name=template
+            )
+            if overlay_rules:
+                base = _with_overlay_rules(base)
+                for inst in base.instances[::2]:
+                    inst.count = ScalingRule(
+                        f"({inst.count.expression}) * min(max(R - 1, 0), 1)"
+                    )
+                for inst in base.instances[1::3]:
+                    inst.duty = ScalingRule(
+                        f"({inst.duty.expression}) * min(max(T_ACC - 2, 0), 1)"
+                    )
+            for tiles, height in ((1, 2), (2, 4), (3, 2)):
+                config = dataclasses.replace(
+                    base.config, num_tiles=tiles, core_height=height
+                )
+                archs.append(rebind_architecture(base, config, f"{template}_{tiles}_{height}"))
+    return archs[::2] + archs[1::2]
+
+
+class TestEnergyBatchOracle:
+    """``analyze_batch`` over mixed structures and points against the loop."""
+
+    @pytest.mark.parametrize("data_aware", [True, False])
+    @pytest.mark.parametrize("idle_gating", [True, False])
+    @pytest.mark.parametrize("overlay_rules", [False, True])
+    def test_batch_bit_identical_to_instance_loop(self, data_aware, idle_gating, overlay_rules):
+        config = SimulationConfig(data_aware=data_aware, include_idle_gating=idle_gating)
+        analyzer = EnergyAnalyzer(config, cache=EvaluationCache())
+        mapper = DataflowMapper()
+        items, references = [], []
+        for index, arch in enumerate(_batch_archs(overlay_rules)):
+            resolved = arch.resolve()
+            # Half the points carry a link budget: the laser row and the light
+            # sources' own rows trade places between groups of one structure.
+            link = LinkBudgetAnalyzer().analyze(arch) if index % 2 else None
+            for number, workload in enumerate(_workloads()):
+                mapping = mapper.map(workload, arch, resolved.parallel_dims)
+                memory_pj = 0.0 if number == 1 else 12.5 * (index + 1)
+                leakage_mw = 0.0 if number == 2 else 0.75
+                items.append(
+                    EnergyItem(arch, mapping, resolved, link, memory_pj, leakage_mw)
+                )
+                references.append(
+                    energy_report_reference(
+                        analyzer, arch, mapping, link_budget=link,
+                        memory_energy_pj=memory_pj, memory_static_power_mw=leakage_mw,
+                    )
+                )
+        reports = analyzer.analyze_batch(items)
+        assert len(reports) == len(references)
+        for report, reference in zip(reports, references):
+            _assert_same_energy(report, reference)
+        # Some label is absent at one point and present at another.
+        labels = [set(report.breakdown_pj) for report in reports]
+        assert set.union(*labels) != set.intersection(*labels)
+
+    def test_batch_of_none_is_empty(self):
+        assert EnergyAnalyzer().analyze_batch([]) == []
+
+
+def _layer_signature(layer):
+    return (
+        layer.name,
+        layer.arch_name,
+        list(layer.energy.breakdown_pj.items()),
+        layer.energy.total_time_ns,
+        layer.energy.data_aware,
+        dataclasses.astuple(layer.latency),
+        [
+            getattr(layer.mapping, f.name)
+            for f in dataclasses.fields(layer.mapping)
+            if f.name != "workload"
+        ],
+    )
+
+
+def _result_signature(result):
+    return (
+        [_layer_signature(layer) for layer in result.layers],
+        {name: report.breakdown_um2 for name, report in result.area_reports.items()},
+        result.link_budgets,
+        result.memory,
+        list(result.energy_breakdown_pj.items()),
+        result.total_time_ns,
+        result.total_area_mm2,
+    )
+
+
+class TestEngineBatch:
+    @pytest.mark.parametrize("include_memory", [True, False])
+    def test_run_batch_equals_run_for(self, include_memory):
+        config = SimulationConfig(include_memory=include_memory)
+        archs = [arch for arch in _batch_archs(False) if arch.name.startswith("tempo")]
+        batch_engine = EvaluationEngine(archs[0], config, cache=EvaluationCache())
+        results = batch_engine.run_batch(archs, _workloads())
+        for arch, result in zip(archs, results):
+            alone = EvaluationEngine(arch, config, cache=EvaluationCache()).run_for(
+                arch, _workloads()
+            )
+            assert _result_signature(result) == _result_signature(alone)
+            # Each layer, memory-access sum included, against the scalar loop.
+            hierarchy = result.memory.hierarchy
+            for layer in result.layers:
+                memory_pj = 0.0
+                if include_memory:
+                    memory_pj = sum(
+                        hierarchy.access_energy_pj(level, bits)
+                        for level, bits in layer.mapping.traffic_bits.items()
+                        if bits > 0
+                    )
+                reference = energy_report_reference(
+                    batch_engine.energy_analyzer, arch, layer.mapping,
+                    link_budget=result.link_budgets[arch.name],
+                    memory_energy_pj=memory_pj,
+                    memory_static_power_mw=(
+                        result.memory.onchip_leakage_mw if include_memory else 0.0
+                    ),
+                )
+                _assert_same_energy(layer.energy, reference)
+
+    def test_every_dse_large_grid_point_equals_run_for(self):
+        from repro.scenarios import REGISTRY
+        from repro.scenarios.workloads import large_grid_workloads
+
+        spec = REGISTRY.get("dse_large_grid").spec
+        workloads = large_grid_workloads()
+        explorer = DesignSpaceExplorer(build_tempo, workloads, base_config=spec.arch_config())
+        result = explorer.explore(DesignSpace.from_axes(spec.sweep))
+        assert len(result.points) == 192
+        cache = EvaluationCache()
+        engine = None
+        for point in result.points:
+            config = dataclasses.replace(spec.arch_config(), **point.parameters)
+            arch = build_tempo(config=config, name=f"{config.name}_dse")
+            engine = engine or EvaluationEngine(arch, SimulationConfig(), cache=cache)
+            alone = engine.run_for(arch, workloads)
+            link = next(iter(alone.link_budgets.values()))
+            assert dataclasses.astuple(point) == (
+                point.parameters,
+                alone.total_energy_uj,
+                alone.total_time_ns,
+                alone.total_area_mm2,
+                alone.total_power_w,
+                link.total_laser_electrical_power_mw,
+                alone.energy_per_mac_pj,
+                None,
+                None,
+            )
 
 
 class TestAreaTableOracle:
@@ -277,13 +442,6 @@ class TestRuleEvaluationSpy:
             calls.append((id(rule), rule.expression, tuple(sorted(params.items()))))
             return evaluate(rule, params)
 
-        points = []
-
-        def on_pass(stage, engine, elapsed_s):
-            if stage == "aggregate":
-                points.append(list(calls))
-                calls.clear()
-
         monkeypatch.setattr(ScalingRule, "evaluate", spy)
         workloads = [
             GEMMWorkload("qkv", m=64, k=48, n=96),
@@ -293,11 +451,16 @@ class TestRuleEvaluationSpy:
             build_tempo, workloads, base_config=ArchitectureConfig(), cache=cache
         )
         space = DesignSpace({"num_tiles": [1, 2], "core_height": [2, 4]})
-        with observe_passes(on_pass):
-            result = explorer.explore(space)
-        assert len(result.points) == 4 and len(points) == 4
-        for point_calls in points:
-            assert point_calls, "a design point evaluated no rules"
+        result = explorer.explore(space)
+        assert len(result.points) == 4
+        # The points run as one engine batch, pass by pass, so calls are told
+        # apart by the swept parameters they were evaluated at.
+        points = {}
+        for call in calls:
+            params = dict(call[2])
+            points.setdefault((params["R"], params["H"]), []).append(call)
+        assert sorted(points) == [(1.0, 2.0), (1.0, 4.0), (2.0, 2.0), (2.0, 4.0)]
+        for point_calls in points.values():
             assert len(set(point_calls)) == len(point_calls)
             # The ADC duty (1/max(T_ACC, 1)) is evaluated once per overlay the
             # point's mappings use, never once per mapping.

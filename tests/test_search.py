@@ -54,6 +54,23 @@ class TestParetoFrontEquivalence:
         slow = brute_force_front(points, objectives)
         assert fast == slow  # same points, same (input) order
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_float_ties_and_signed_zeros(self, seed):
+        # Few distinct values (signed zeros among them) force ties on every
+        # objective and exact duplicates; the front must be the brute-force
+        # one object for object, in input order.
+        rng = np.random.default_rng(100 + seed)
+        values = np.array([-0.0, 0.0, 0.5, 1e-300, 2.5, 1e300])
+        objectives = ["energy_uj", "latency_ns", "area_mm2", "power_w"]
+        points = [
+            make_point(parameters={"i": i}, **{o: float(rng.choice(values)) for o in objectives})
+            for i in range(150)
+        ]
+        for count in range(1, len(objectives) + 1):
+            fast = pareto_front(points, objectives[:count])
+            slow = brute_force_front(points, objectives[:count])
+            assert [id(p) for p in fast] == [id(p) for p in slow]
+
     def test_duplicates_all_kept(self):
         a = make_point(energy_uj=1.0, latency_ns=2.0)
         b = make_point(energy_uj=1.0, latency_ns=2.0)

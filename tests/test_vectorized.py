@@ -152,6 +152,37 @@ class TestForwardBatchLayers:
             expected = stack[i] @ weights[i].T + layer.bias
             np.testing.assert_allclose(batched[i], expected, atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_linear_shared_rows_per_trial_weights_is_c_ordered(self, bias, dtype):
+        # A shared (rows, in) input with per-trial weights is one GEMM against
+        # the stacked weights; the unstacked output must be a C-ordered
+        # (trials, rows, out) array, bit-identical to the moved-axis view
+        # plus bias, so reductions over it (the quantizer's peak) match too.
+        from repro.onn.quantize import quantize_uniform_batch
+
+        trials, rows, n_in, n_out = 64, 48, 12, 24
+        layer = Linear(n_in, n_out, bias=bias, rng=np.random.default_rng(0))
+        if bias:
+            layer.bias = RNG.normal(size=n_out)
+        shared = RNG.normal(size=(rows, n_in)).astype(dtype)
+        stack = np.broadcast_to(shared, (trials, rows, n_in))
+        weights = RNG.normal(size=(trials, n_out, n_in)).astype(dtype)
+        batched = layer.forward_batch(stack, weight=weights)
+        stacked = (shared @ weights.reshape(trials * n_out, n_in).T).reshape(
+            rows, trials, n_out
+        )
+        expected = np.moveaxis(stacked, -2, 0)
+        if bias:
+            expected = expected + layer.bias.astype(dtype)
+        assert batched.flags.c_contiguous
+        assert batched.dtype == expected.dtype == dtype
+        assert batched.shape == (trials, rows, n_out)
+        assert np.array_equal(batched, expected)
+        assert np.array_equal(
+            quantize_uniform_batch(batched, 8), quantize_uniform_batch(expected, 8)
+        )
+
     def test_linear_vector_per_trial(self):
         layer = Linear(6, 4, rng=np.random.default_rng(0))
         stack = RNG.normal(size=(5, 6))
