@@ -203,6 +203,17 @@ class Architecture:
         )
 
     # -- link budget -------------------------------------------------------------------
+    def loss_groups(self) -> List[Tuple[str, ArchInstance]]:
+        """``(link-netlist instance, ArchInstance)`` pairs, in netlist order, for
+        every link-netlist instance named after an ArchInstance: the groups
+        whose loss multiplicity scales that instance's insertion loss."""
+        by_name = {inst.name: inst for inst in self.instances}
+        return [
+            (netlist_inst.name, by_name[netlist_inst.name])
+            for netlist_inst in self.link_netlist.instances.values()
+            if netlist_inst.name in by_name
+        ]
+
     def loss_multipliers(self) -> Dict[str, float]:
         """Per-link-netlist-instance loss multiplicities evaluated at current params."""
         return dict(self.resolve().loss_multipliers)
@@ -287,13 +298,7 @@ class ResolvedArchitecture:
     def loss_multipliers(self) -> Dict[str, float]:
         """Loss multiplicity per link-netlist instance that names an ArchInstance."""
         params = self.params
-        by_name = {inst.name: inst for inst in self.arch.instances}
-        multipliers: Dict[str, float] = {}
-        for netlist_inst in self.arch.link_netlist.instances.values():
-            arch_inst = by_name.get(netlist_inst.name)
-            if arch_inst is not None:
-                multipliers[netlist_inst.name] = arch_inst.loss_multiplicity(params)
-        return multipliers
+        return {name: inst.loss_multiplicity(params) for name, inst in self.arch.loss_groups()}
 
     @cached_property
     def parallel_dims(self) -> Mapping[str, int]:

@@ -10,7 +10,7 @@ from the CACTI-substitute models is added when a memory report is supplied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro.arch.architecture import Architecture, ResolvedArchitecture
 from repro.core.config import SimulationConfig
@@ -52,6 +52,16 @@ class AreaReport:
         )
 
 
+class AreaRow(NamedTuple):
+    """One area group of a built structure (see :meth:`AreaAnalyzer.rows`)."""
+
+    label: str
+    #: The ArchInstance group whose count scales the row.
+    name: str
+    #: Per-instance footprint; None for a composite node group.
+    unit_area_um2: Optional[float]
+
+
 class AreaAnalyzer:
     """Computes per-component and total chip area for an architecture."""
 
@@ -76,6 +86,26 @@ class AreaAnalyzer:
         planned = floorplanner.area_um2(arch.node_netlist, arch.library)
         return planned, naive
 
+    @staticmethod
+    def rows(arch: Architecture) -> Tuple[AreaRow, ...]:
+        """The point-invariant part of :meth:`analyze`: one row per area group.
+
+        A row's label and unit area depend only on the built structure, so one
+        plan serves every rebound design point of it; composite groups read
+        the node area per point (``unit_area_um2`` is None).
+        """
+        return tuple(
+            AreaRow(
+                label=component_label(inst),
+                name=inst.name,
+                unit_area_um2=(
+                    None if inst.is_composite else arch.library.get(inst.device).area_um2
+                ),
+            )
+            for inst in arch.instances
+            if inst.count_in_area
+        )
+
     def analyze(
         self,
         arch: Architecture,
@@ -84,7 +114,7 @@ class AreaAnalyzer:
         node_areas: Optional[tuple] = None,
         resolved: Optional[ResolvedArchitecture] = None,
     ) -> AreaReport:
-        """Area breakdown of ``arch``.
+        """Area breakdown of ``arch`` (a batch of one, see :meth:`report`).
 
         ``resolved`` is the evaluation run's rule table for ``arch`` (instance
         counts are read from it); without one a fresh table is built.
@@ -94,20 +124,30 @@ class AreaAnalyzer:
         )
         if node_areas is None:
             node_areas = self.node_areas(arch, layout_aware)
-        node_area, node_naive = node_areas
         counts = (resolved if resolved is not None else arch.resolve()).counts
+        return self.report(self.rows(arch), counts, node_areas, memory_report, layout_aware)
+
+    def report(
+        self,
+        rows: Tuple[AreaRow, ...],
+        counts: Mapping[str, int],
+        node_areas: tuple,
+        memory_report: Optional[MemoryReport],
+        layout_aware: bool,
+    ) -> AreaReport:
+        """One design point's report from its structure's :meth:`rows`.
+
+        The breakdown accumulates in instance order, groups with no instances
+        left out, exactly as a loop over ``arch.instances`` would.
+        """
+        node_area, node_naive = node_areas
         breakdown: Dict[str, float] = {}
-        for inst in arch.instances:
-            if not inst.count_in_area:
-                continue
-            count = counts[inst.name]
+        for label, name, unit_area in rows:
+            count = counts[name]
             if count == 0:
                 continue
-            if inst.is_composite:
+            if unit_area is None:
                 unit_area = node_area
-            else:
-                unit_area = arch.library.get(inst.device).area_um2
-            label = component_label(inst)
             breakdown[label] = breakdown.get(label, 0.0) + unit_area * count
 
         memory_area = 0.0

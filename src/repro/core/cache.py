@@ -50,6 +50,9 @@ import numpy as np
 T = TypeVar("T")
 
 _FINGERPRINT_ATTR = "_repro_fingerprint"
+#: The absent-entry sentinel of :meth:`EvaluationCache.lookup`, since ``None``
+#: is a legitimate stored value.
+_MISSING = object()
 _MAX_CANONICAL_DEPTH = 12
 
 
@@ -303,13 +306,17 @@ class EvaluationCache:
         """
         with self._lock:
             stats = self._stat(stage)
-            if self.enabled and (stage, key) in self._store:
-                stats.hits += 1
-                # LRU: re-insert on hit so recency, not insertion order, decides
-                # which entry a bounded cache drops next.
-                value = self._store.pop((stage, key))
-                self._store[(stage, key)] = value
-                return True, value
+            if self.enabled:
+                entry = (stage, key)
+                value = self._store.get(entry, _MISSING)
+                if value is not _MISSING:
+                    stats.hits += 1
+                    if self.max_entries is not None:
+                        # LRU: re-insert on hit so recency, not insertion
+                        # order, decides which entry a bounded cache drops next.
+                        del self._store[entry]
+                        self._store[entry] = value
+                    return True, value
             stats.misses += 1
         return False, None
 
@@ -329,9 +336,10 @@ class EvaluationCache:
             self._store[(stage, key)] = value
 
     def _stat(self, stage: str) -> CacheStats:
-        if stage not in self._stats:
-            self._stats[stage] = CacheStats()
-        return self._stats[stage]
+        stats = self._stats.get(stage)
+        if stats is None:
+            stats = self._stats[stage] = CacheStats()
+        return stats
 
     # -- introspection ---------------------------------------------------------------
     @property

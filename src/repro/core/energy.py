@@ -86,6 +86,9 @@ class _PlanRow(NamedTuple):
     unit: Optional[float]
     by_utilization: bool  # PER_CYCLE activity scaled by spatial utilization
     by_keep: bool  # scaled by the unpruned fraction ``1 - sparsity``
+    #: The duty cycle when its rule reads no parameter (the same at every
+    #: point and overlay); None when it is evaluated per point.
+    duty: Optional[float]
 
 
 class EnergyItem(NamedTuple):
@@ -212,6 +215,7 @@ class EnergyAnalyzer:
         that structure; counts and duty cycles are read per point
         (:meth:`_point_terms`).
         """
+        params = arch.params
         rows = []
         for inst in arch.instances:
             if not inst.count_in_energy or inst.activity is Activity.PASSIVE:
@@ -242,6 +246,7 @@ class EnergyAnalyzer:
                     unit=unit,
                     by_utilization=by_utilization,
                     by_keep=by_keep,
+                    duty=None if inst.duty.variables else inst.duty_factor(params),
                 )
             )
         return tuple(rows)
@@ -278,6 +283,8 @@ class EnergyAnalyzer:
                 duty = 0.0
             elif row.activity is Activity.PER_RECONFIG:
                 duty = 1.0
+            elif row.duty is not None:
+                duty = row.duty
             else:
                 duty = inst.duty_factor(params)
             counts.append(count)

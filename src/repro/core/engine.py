@@ -44,7 +44,7 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,7 +54,8 @@ from repro.arch.architecture import (
     HeterogeneousArchitecture,
     ResolvedArchitecture,
 )
-from repro.core.area import AreaAnalyzer, AreaReport
+from repro.arch.instance import ArchInstance
+from repro.core.area import AreaAnalyzer, AreaReport, AreaRow
 from repro.core.cache import (
     EvaluationCache,
     canonical_value,
@@ -72,7 +73,7 @@ from repro.core.snr import SNRAnalyzer, SNRReport
 from repro.dataflow.gemm import GEMMWorkload
 from repro.dataflow.mapping import DataflowMapper, Mapping
 from repro.dataflow.scheduler import HeterogeneousMapper
-from repro.memory.hierarchy import MemoryHierarchy, MemoryLevel
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.netlist.dag import CriticalPath
 from repro.netlist.netlist import Netlist
 from repro.onn.workload import LayerWorkload
@@ -431,6 +432,11 @@ class EnginePass:
     The engine calls :meth:`run_batch` with every context of a batch; the
     default visits them in order through :meth:`run`, and a pass whose work
     is the same at every context overrides it to evaluate the batch at once.
+    Of the default pipeline, ``map``, ``link_budget``, ``area`` and
+    ``layer_analysis`` batch (their ``run`` is a batch of one): each reads
+    what the batch's points share once and prices every point from its own
+    rule table.  ``route``, ``memory`` and ``aggregate`` visit contexts one
+    by one.
     A pass holds its engine weakly (``engine`` reads through the reference),
     so an engine and everything its cache holds is freed by reference
     counting alone, not left for the cyclic collector.
@@ -482,16 +488,30 @@ class RoutePass(EnginePass):
 
 
 class MapPass(EnginePass):
-    """Map each routed workload onto its architecture (memoized in the mapper)."""
+    """Map each routed workload onto its architecture (memoized in the mapper).
+
+    A batch's routed workloads go to the mapper at once
+    (:meth:`DataflowMapper.map_batch`), which reads each architecture's key
+    fields once.
+    """
 
     name = "map"
 
     def run(self, ctx: EvaluationContext) -> None:
-        mapper = self.engine.mapper
-        ctx.mappings = [
-            (gemm, arch, mapper.map(gemm, arch, ctx.resolve(arch).parallel_dims))
-            for gemm, arch in ctx.routed
-        ]
+        self.run_batch([ctx])
+
+    def run_batch(self, ctxs: Sequence[EvaluationContext]) -> None:
+        mapped = iter(
+            self.engine.mapper.map_batch(
+                [
+                    (gemm, arch, ctx.resolve(arch).parallel_dims)
+                    for ctx in ctxs
+                    for gemm, arch in ctx.routed
+                ]
+            )
+        )
+        for ctx in ctxs:
+            ctx.mappings = [(gemm, arch, next(mapped)) for gemm, arch in ctx.routed]
 
 
 def _mapping_key(mapping: Mapping) -> tuple:
@@ -558,17 +578,54 @@ class LinkBudgetPass(EnginePass):
     that differ only in parameters the optical path does not traverse (e.g.
     wavelength count on TeMPO) share one longest-path computation.  Linear-chain
     netlists additionally skip the graph machinery entirely when caching is on;
-    the arithmetic is identical to the DAG longest-path accumulation.
+    the arithmetic is identical to the DAG longest-path accumulation.  A batch
+    is priced at once (:meth:`EvaluationEngine.link_budgets`).
     """
 
     name = "link_budget"
 
     def run(self, ctx: EvaluationContext) -> None:
-        for arch in ctx.distinct_archs():
-            if arch.name not in ctx.link_budgets:
-                ctx.link_budgets[arch.name] = self.engine.link_budget_for(
-                    arch, ctx.resolve(arch)
-                )
+        self.run_batch([ctx])
+
+    def run_batch(self, ctxs: Sequence[EvaluationContext]) -> None:
+        targets = [
+            (ctx, arch)
+            for ctx in ctxs
+            for arch in ctx.distinct_archs()
+            if arch.name not in ctx.link_budgets
+        ]
+        reports = self.engine.link_budgets([(arch, ctx.resolve(arch)) for ctx, arch in targets])
+        for (ctx, arch), report in zip(targets, reports):
+            ctx.link_budgets[arch.name] = report
+
+
+class _LinkPlan(NamedTuple):
+    """What a memoized critical path reads of a built structure, once per batch."""
+
+    fingerprint: Hashable
+    #: ``(link-netlist instance, device insertion loss, group, multiplicity)``
+    #: in netlist order: ``group`` is the ArchInstance whose loss rule reads
+    #: parameters (evaluated per point), else None and ``multiplicity`` is
+    #: the point-invariant value (1.0 for an instance without a group).
+    losses: Tuple[Tuple[str, float, Optional[ArchInstance], Optional[float]], ...]
+
+    @classmethod
+    def of(cls, arch: Architecture) -> "_LinkPlan":
+        netlist = arch.link_netlist
+        library = arch.library
+        params = arch.params
+        groups = dict(arch.loss_groups())
+        losses = []
+        for name, inst in netlist.instances.items():
+            group = groups.get(name)
+            multiplicity: Optional[float] = 1.0
+            if group is not None:
+                if group.loss_multiplier.variables:
+                    multiplicity = None
+                else:
+                    multiplicity, group = group.loss_multiplicity(params), None
+            losses.append((name, library.get(inst.device).insertion_loss_db, group, multiplicity))
+        return cls(netlist_fingerprint(netlist), tuple(losses))
 
 
 def _chain_order(netlist: Netlist) -> Optional[List[str]]:
@@ -742,30 +799,38 @@ class MonteCarloAccuracyPass(EnginePass):
 
 
 class AreaPass(EnginePass):
-    """Per-architecture area, with the node floorplan memoized across the sweep."""
+    """Per-architecture area, with the node floorplan memoized across the sweep.
+
+    A batch reads each built structure's area rows once and prices every
+    point from its own instance counts.
+    """
 
     name = "area"
 
     def run(self, ctx: EvaluationContext) -> None:
-        for arch in ctx.distinct_archs():
-            if arch.name not in ctx.area_reports:
-                ctx.area_reports[arch.name] = self._analyze(
-                    arch, ctx.memory_report, ctx.resolve(arch)
-                )
+        self.run_batch([ctx])
 
-    def _analyze(
-        self,
-        arch: Architecture,
-        memory_report: Optional[MemoryReport],
-        resolved: ResolvedArchitecture,
-    ) -> AreaReport:
+    def run_batch(self, ctxs: Sequence[EvaluationContext]) -> None:
         engine = self.engine
-        # The breakdown itself is cheap arithmetic over the run's instance
-        # counts; only the node floorplan is worth memoizing across runs.
-        node_areas = self._node_areas(arch) if engine.cache.enabled else None
-        return engine.area_analyzer.analyze(
-            arch, memory_report=memory_report, node_areas=node_areas, resolved=resolved
-        )
+        analyzer = engine.area_analyzer
+        layout_aware = engine.config.use_layout_aware_area
+        rows_by_token: Dict[int, Tuple[AreaRow, ...]] = {}
+        for ctx in ctxs:
+            for arch in ctx.distinct_archs():
+                if arch.name in ctx.area_reports:
+                    continue
+                token = structure_token(arch)
+                rows = rows_by_token.get(token)
+                if rows is None:
+                    rows = rows_by_token[token] = analyzer.rows(arch)
+                # The breakdown itself is cheap arithmetic over the run's instance
+                # counts; only the node floorplan is worth memoizing across runs.
+                node_areas = self._node_areas(arch) if engine.cache.enabled else None
+                if node_areas is None:
+                    node_areas = analyzer.node_areas(arch, layout_aware=layout_aware)
+                ctx.area_reports[arch.name] = analyzer.report(
+                    rows, ctx.resolve(arch).counts, node_areas, ctx.memory_report, layout_aware
+                )
 
     def _node_areas(self, arch: Architecture) -> Optional[Tuple[float, float]]:
         """Memoized (floorplanned, naive) per-node areas for composite blocks.
@@ -837,13 +902,19 @@ class LayerAnalysisPass(EnginePass):
             for (ctx, _, arch, mapping), layer_memory_pj in zip(layers, memory_pj)
         ])
         latency = engine.latency_analyzer
+        # The GLB bandwidth is a pure function of the hierarchy, which many
+        # points share: read it once per hierarchy, like the per-bit costs.
+        bandwidths: Dict[int, float] = {}
         for (ctx, gemm, arch, mapping), hierarchy, energy in zip(layers, hierarchies, energies):
+            bandwidth = bandwidths.get(id(hierarchy))
+            if bandwidth is None:
+                bandwidth = bandwidths[id(hierarchy)] = latency.glb_bytes_per_ns(hierarchy)
             ctx.layers.append(
                 LayerResult(
                     workload=gemm,
                     arch_name=arch.name,
                     mapping=mapping,
-                    latency=latency.analyze(mapping, hierarchy),
+                    latency=latency.analyze_at(mapping, bandwidth),
                     energy=energy,
                 )
             )
@@ -865,24 +936,26 @@ def _memory_access_energy_pj(
     for index, (mapping, hierarchy) in enumerate(zip(mappings, hierarchies)):
         if hierarchy is not None:
             groups.setdefault(tuple(mapping.traffic_bits), []).append(index)
-    per_bit_memo: Dict[Tuple[int, MemoryLevel], float] = {}
-
-    def per_bit(hierarchy: MemoryHierarchy, level: MemoryLevel) -> float:
-        key = (id(hierarchy), level)
-        value = per_bit_memo.get(key)
-        if value is None:
-            value = per_bit_memo[key] = hierarchy.level(level).read_energy_pj_per_bit
-        return value
-
     for levels, indices in groups.items():
         bits = np.array(
             [list(mappings[i].traffic_bits.values()) for i in indices], dtype=float
         ).reshape(len(indices), len(levels))
+        # Each hierarchy's per-bit costs in ``levels`` order, read once.
+        per_bit: Dict[int, List[float]] = {}
+        rows = []
+        for i in indices:
+            hierarchy = hierarchies[i]
+            row = per_bit.get(id(hierarchy))
+            if row is None:
+                row = per_bit[id(hierarchy)] = [
+                    hierarchy.level(level).read_energy_pj_per_bit for level in levels
+                ]
+            rows.append(row)
+        costs = np.array(rows, dtype=float).reshape(len(indices), len(levels))
         total = np.zeros(len(indices))
-        for column, level in enumerate(levels):
+        for column in range(len(levels)):
             level_bits = bits[:, column]
-            cost = np.array([per_bit(hierarchies[i], level) for i in indices])
-            total = total + np.where(level_bits > 0, cost * level_bits, 0.0)
+            total = total + np.where(level_bits > 0, costs[:, column] * level_bits, 0.0)
         for index, value in zip(indices, total.tolist()):
             energy[index] = value
     return energy
@@ -1034,65 +1107,78 @@ class EvaluationEngine:
     def link_budget_for(
         self, arch: Architecture, resolved: Optional[ResolvedArchitecture] = None
     ) -> LinkBudgetReport:
-        """The architecture's link budget, with critical path and optics memoized.
+        """The architecture's link budget (a batch of one, see :meth:`link_budgets`).
 
         ``resolved`` is the run's rule table for ``arch`` (a fresh one when
         omitted).
         """
+        return self.link_budgets([(arch, resolved if resolved is not None else arch.resolve())])[0]
+
+    def link_budgets(
+        self, points: Sequence[Tuple[Architecture, ResolvedArchitecture]]
+    ) -> List[LinkBudgetReport]:
+        """Link budgets of ``(architecture, rule table)`` points, in order.
+
+        With a cache, each built structure in the batch is read once into a
+        plan (its netlist fingerprint and link losses), each point keys its
+        memoized critical path on its own resolved losses, and the optics
+        profile is looked up per point.
+        """
         analyzer = self.link_budget_analyzer
         cache = self.cache
-        if resolved is None:
-            resolved = arch.resolve()
         if not cache.enabled:
-            return analyzer.analyze(arch, resolved=resolved)
-        optics = cache.get_or_compute(
-            "optics_profile",
-            structure_token(arch),
-            lambda: analyzer.optics_profile(arch),
-        )
-        return analyzer.analyze(
-            arch,
-            critical_path=self._critical_path_for(arch, resolved),
-            optics=optics,
-            resolved=resolved,
-        )
+            return [analyzer.analyze(arch, resolved=resolved) for arch, resolved in points]
+        plans: Dict[int, _LinkPlan] = {}
+        reports = []
+        for arch, resolved in points:
+            token = structure_token(arch)
+            plan = plans.get(token)
+            if plan is None:
+                plan = plans[token] = _LinkPlan.of(arch)
+            optics = cache.get_or_compute(
+                "optics_profile", token, lambda: analyzer.optics_profile(arch)
+            )
+            reports.append(
+                analyzer.analyze(
+                    arch,
+                    critical_path=self._critical_path_for(arch, resolved, plan),
+                    optics=optics,
+                    resolved=resolved,
+                )
+            )
+        return reports
 
     def _critical_path_for(
-        self, arch: Architecture, resolved: Optional[ResolvedArchitecture] = None
+        self, arch: Architecture, resolved: ResolvedArchitecture, plan: _LinkPlan
     ) -> CriticalPath:
-        cache = self.cache
-        netlist = arch.link_netlist
-        multipliers = (resolved if resolved is not None else arch.resolve()).loss_multipliers
+        """The memoized critical path of one point of ``plan``'s structure."""
+        # Each instance's resolved multiplicity, as in ``resolved.loss_multipliers``.
+        params = resolved.params
         loss_items = tuple(
-            (
-                name,
-                arch.library.get(inst.device).insertion_loss_db,
-                multipliers.get(name, 1.0),
-            )
-            for name, inst in netlist.instances.items()
+            (name, loss, multiplicity if group is None else group.loss_multiplicity(params))
+            for name, loss, group, multiplicity in plan.losses
         )
-        key = (netlist_fingerprint(netlist), loss_items)
+        key = (plan.fingerprint, loss_items)
 
         def compute() -> CriticalPath:
-            if cache.enabled:
-                chain = _chain_order(netlist)
-                if chain is not None:
-                    losses = {name: loss * mult for name, loss, mult in loss_items}
-                    total = losses[chain[0]]
-                    # Same accumulation order (and tie-breaking epsilon) as the
-                    # weighted DAG longest path over a linear chain.
-                    edge_sum = 0.0
-                    for dst in chain[1:]:
-                        edge_sum += losses[dst] + 1e-9
-                    return CriticalPath(
-                        instances=tuple(chain),
-                        insertion_loss_db=float(edge_sum + total),
-                    )
-            return arch.circuit_dag(multipliers).critical_path()
+            chain = _chain_order(arch.link_netlist)
+            if chain is not None:
+                losses = {name: loss * mult for name, loss, mult in loss_items}
+                total = losses[chain[0]]
+                # Same accumulation order (and tie-breaking epsilon) as the
+                # weighted DAG longest path over a linear chain.
+                edge_sum = 0.0
+                for dst in chain[1:]:
+                    edge_sum += losses[dst] + 1e-9
+                return CriticalPath(
+                    instances=tuple(chain),
+                    insertion_loss_db=float(edge_sum + total),
+                )
+            return arch.circuit_dag(resolved.loss_multipliers).critical_path()
 
         # The key is the exact projection critical_path() is a function of
         # (netlist topology + per-instance losses), not the arch object itself.
-        return cache.get_or_compute("critical_path", key, compute)  # repro-lint: ignore[R002]
+        return self.cache.get_or_compute("critical_path", key, compute)  # repro-lint: ignore[R002]
 
     def _execute(
         self,

@@ -71,17 +71,22 @@ class LatencyAnalyzer:
         #: (latency hiding); the paper's baseline model keeps the terms additive.
         self.overlap_memory_with_compute = overlap_memory_with_compute
 
+    @staticmethod
+    def glb_bytes_per_ns(hierarchy: Optional[MemoryHierarchy]) -> float:
+        """The GLB's streaming bandwidth in bytes/ns (0.0 without a hierarchy).
+
+        A pure function of the hierarchy, so a caller analyzing many mappings
+        against one hierarchy reads it once (see :meth:`analyze_at`).
+        """
+        if hierarchy is None:
+            return 0.0
+        return hierarchy.level(MemoryLevel.GLB).bandwidth_bits_per_ns / 8.0
+
+    @staticmethod
     def _streaming_cycles(
-        self,
-        num_bytes: float,
-        hierarchy: Optional[MemoryHierarchy],
-        frequency_ghz: float,
+        num_bytes: float, bandwidth_bytes_per_ns: float, frequency_ghz: float
     ) -> int:
-        if num_bytes <= 0 or hierarchy is None:
-            return 0
-        glb = hierarchy.level(MemoryLevel.GLB)
-        bandwidth_bytes_per_ns = glb.bandwidth_bits_per_ns / 8.0
-        if bandwidth_bytes_per_ns <= 0:
+        if num_bytes <= 0 or bandwidth_bytes_per_ns <= 0:
             return 0
         time_ns = num_bytes / bandwidth_bytes_per_ns
         return int(math.ceil(time_ns * frequency_ghz))
@@ -91,11 +96,17 @@ class LatencyAnalyzer:
         mapping: Mapping,
         hierarchy: Optional[MemoryHierarchy] = None,
     ) -> LatencyReport:
+        return self.analyze_at(mapping, self.glb_bytes_per_ns(hierarchy))
+
+    def analyze_at(self, mapping: Mapping, glb_bytes_per_ns: float) -> LatencyReport:
+        """:meth:`analyze` with the GLB bandwidth already read (:meth:`glb_bytes_per_ns`)."""
         workload = mapping.workload
         load_bytes = workload.input_bytes + workload.weight_bytes
-        load_cycles = self._streaming_cycles(load_bytes, hierarchy, mapping.frequency_ghz)
+        load_cycles = self._streaming_cycles(
+            load_bytes, glb_bytes_per_ns, mapping.frequency_ghz
+        )
         writeout_cycles = self._streaming_cycles(
-            workload.output_bytes, hierarchy, mapping.frequency_ghz
+            workload.output_bytes, glb_bytes_per_ns, mapping.frequency_ghz
         )
         if self.overlap_memory_with_compute:
             # Perfect double buffering: only the portion not hidden behind compute stalls.

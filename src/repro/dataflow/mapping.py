@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.architecture import Architecture
 from repro.arch.dataflow_spec import Dataflow
@@ -151,7 +151,7 @@ class DataflowMapper:
         # across the M iterations.
         return n_iters * k_iters
 
-    # -- main entry point ------------------------------------------------------------------
+    # -- main entry points -----------------------------------------------------------------
     def map(
         self,
         workload: GEMMWorkload,
@@ -162,22 +162,54 @@ class DataflowMapper:
 
         ``dims`` are the architecture's resolved parallel extents (an
         evaluation run reads them from its rule table); evaluated from the
-        dataflow rules when omitted.
+        dataflow rules when omitted.  A batch of one (:meth:`map_batch`).
         """
         if dims is None:
             dims = arch.resolve().parallel_dims
-        if self.cache is not None and self.cache.enabled:
-            from repro.core.cache import workload_shape
-            from repro.core.engine import structure_token
+        return self.map_batch([(workload, arch, dims)])[0]
 
-            # Integration limit and reconfig time scan device models only, so
-            # they are constant per shared architecture structure.
-            token = structure_token(arch)
-            limits = self.cache.get_or_compute(
-                "mapper_limits",
-                (token, self.max_integration_cycles),
-                lambda: self._limits(arch),
-            )
+    def map_batch(
+        self, items: Sequence[Tuple[GEMMWorkload, Architecture, Dict[str, int]]]
+    ) -> List[Mapping]:
+        """Map each ``(workload, architecture, parallel extents)``, in order.
+
+        What a mapping key reads of an architecture -- the ``mapper_limits``
+        key, its name, extents, forwards, stationarity and clock -- is read
+        once per architecture in the batch, only the shape once per workload.
+        The cache is probed as one workload at a time would: ``mapper_limits``
+        then ``map`` for each item.
+        """
+        cache = self.cache
+        if cache is None or not cache.enabled:
+            return [
+                self._map_impl(workload, arch, dims, self._limits(arch))
+                for workload, arch, dims in items
+            ]
+        from repro.core.cache import workload_shape
+        from repro.core.engine import structure_token
+
+        # Keyed by object identity; ``items`` keeps every key object alive.
+        point_fields: Dict[Tuple[int, int], tuple] = {}
+        mapped = []
+        for workload, arch, dims in items:
+            fields = point_fields.get((id(arch), id(dims)))
+            if fields is None:
+                dataflow = arch.dataflow
+                fields = point_fields[id(arch), id(dims)] = (
+                    # Integration limit and reconfig time scan device models
+                    # only, so they are constant per shared architecture structure.
+                    (structure_token(arch), self.max_integration_cycles),
+                    arch.name,
+                    dims["M"],
+                    dims["N"],
+                    dims["K"],
+                    arch.forwards_per_output,
+                    dataflow.stationary.value,
+                    dataflow.weight_reuse_requires_reconfig,
+                    arch.frequency_ghz,
+                )
+            limits_key, name, m_par, n_par, k_par, forwards, stationary, reuse, frequency = fields
+            limits = cache.get_or_compute("mapper_limits", limits_key, lambda: self._limits(arch))
             # Exempt from content addressing: the mapping reads only the GEMM's
             # shape and bitwidths, never its operand values, so the key is the
             # shape signature.  A hit built for another workload object is
@@ -185,23 +217,23 @@ class DataflowMapper:
             # always reads the caller's own operands.
             key = (
                 workload_shape(workload),
-                arch.name,
-                dims["M"],
-                dims["N"],
-                dims["K"],
-                arch.forwards_per_output,
+                name,
+                m_par,
+                n_par,
+                k_par,
+                forwards,
                 limits,
-                arch.dataflow.stationary.value,
-                arch.dataflow.weight_reuse_requires_reconfig,
-                arch.frequency_ghz,
+                stationary,
+                reuse,
+                frequency,
             )
-            mapping = self.cache.get_or_compute(
+            mapping = cache.get_or_compute(
                 "map", key, lambda: self._map_impl(workload, arch, dims, limits)
             )
             if mapping.workload is not workload:
                 mapping = dataclasses.replace(mapping, workload=workload)
-            return mapping
-        return self._map_impl(workload, arch, dims, self._limits(arch))
+            mapped.append(mapping)
+        return mapped
 
     def _map_impl(
         self,

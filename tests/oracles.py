@@ -39,6 +39,14 @@ replaced, which re-evaluate every scaling rule where they need it:
   over the energy instances;
 - :func:`area_report_reference` -- ``AreaAnalyzer.analyze`` as one loop over
   the area instances.
+
+And the per-point link and latency analyses that the batched passes replaced:
+
+- :func:`link_budget_reference` -- a link budget from the uncached DAG
+  critical path at freshly evaluated loss multiplicities, the light sources
+  counted by role, and the analyzer's own optics scan and Eq. (1);
+- :func:`latency_report_reference` -- ``LatencyAnalyzer.analyze`` reading the
+  GLB bandwidth from the hierarchy at every streaming term.
 """
 
 from __future__ import annotations
@@ -54,12 +62,19 @@ from repro.arch.architecture import Architecture
 from repro.arch.instance import Activity, Role
 from repro.core.area import AreaAnalyzer, AreaReport
 from repro.core.energy import EnergyAnalyzer, EnergyReport
-from repro.core.link_budget import LinkBudgetReport
+from repro.core.latency import LatencyAnalyzer, LatencyReport
+from repro.core.link_budget import (
+    LinkBudgetAnalyzer,
+    LinkBudgetReport,
+    required_laser_power_mw,
+)
 from repro.core.memory_analyzer import MemoryReport
 from repro.core.report import component_label
 from repro.core.snr import SNRReport
 from repro.dataflow.gemm import GEMMWorkload
 from repro.dataflow.mapping import Mapping as GEMMMapping
+from repro.memory.hierarchy import MemoryHierarchy, MemoryLevel
+from repro.netlist.dag import CircuitDAG
 from repro.onn.layers import Conv2d, MultiHeadAttention
 from repro.onn.quantize import receiver_limited_bits
 from repro.variation.accuracy import (
@@ -427,4 +442,78 @@ def area_report_reference(
         node_area_naive_um2=node_naive,
         memory_area_mm2=memory_area,
         layout_aware=layout_aware,
+    )
+
+
+def link_budget_reference(analyzer: LinkBudgetAnalyzer, arch: Architecture) -> LinkBudgetReport:
+    """A link budget with no memo and no plan: the DAG's longest path.
+
+    Loss multiplicities and source counts are re-evaluated from the rules;
+    the optics scan and Eq. (1) are the analyzer's own.
+    """
+    params = arch.params
+    by_name = {inst.name: inst for inst in arch.instances}
+    multipliers = {
+        name: by_name[name].loss_multiplicity(params)
+        for name in arch.link_netlist.instances
+        if name in by_name
+    }
+    critical_path = CircuitDAG(
+        arch.link_netlist, arch.library, loss_multipliers=multipliers
+    ).critical_path()
+    sensitivity, extinction, wpe = analyzer.optics_profile(arch)
+    sources = sum(
+        inst.instance_count(params)
+        for inst in arch.instances
+        if inst.role is Role.LIGHT_SOURCE
+    )
+    channels = max(sources, arch.config.num_wavelengths)
+    input_bits = arch.config.input_bits
+    optical_mw, electrical_mw = required_laser_power_mw(
+        critical_path.insertion_loss_db, sensitivity, input_bits, extinction, wpe
+    )
+    return LinkBudgetReport(
+        critical_path=critical_path,
+        insertion_loss_db=critical_path.insertion_loss_db,
+        pd_sensitivity_dbm=sensitivity,
+        extinction_ratio_db=extinction,
+        input_bits=input_bits,
+        wall_plug_efficiency=wpe,
+        laser_optical_power_mw=optical_mw,
+        laser_electrical_power_mw=electrical_mw,
+        num_sources=channels,
+        total_laser_electrical_power_mw=electrical_mw * channels,
+    )
+
+
+def latency_report_reference(
+    analyzer: LatencyAnalyzer,
+    mapping: GEMMMapping,
+    hierarchy: Optional[MemoryHierarchy] = None,
+) -> LatencyReport:
+    """``LatencyAnalyzer.analyze`` reading the GLB bandwidth at every term."""
+
+    def streaming_cycles(num_bytes: float) -> int:
+        if num_bytes <= 0 or hierarchy is None:
+            return 0
+        glb = hierarchy.level(MemoryLevel.GLB)
+        bandwidth_bytes_per_ns = glb.bandwidth_bits_per_ns / 8.0
+        if bandwidth_bytes_per_ns <= 0:
+            return 0
+        time_ns = num_bytes / bandwidth_bytes_per_ns
+        return int(math.ceil(time_ns * mapping.frequency_ghz))
+
+    workload = mapping.workload
+    load_cycles = streaming_cycles(workload.input_bytes + workload.weight_bytes)
+    writeout_cycles = streaming_cycles(workload.output_bytes)
+    if analyzer.overlap_memory_with_compute:
+        load_cycles = max(0, load_cycles - mapping.compute_cycles)
+        writeout_cycles = max(0, writeout_cycles - mapping.compute_cycles)
+    return LatencyReport(
+        load_cycles=load_cycles,
+        compute_cycles=mapping.compute_cycles,
+        reconfig_cycles=mapping.reconfig_cycles,
+        writeout_cycles=writeout_cycles,
+        frequency_ghz=mapping.frequency_ghz,
+        num_macs=workload.num_macs,
     )

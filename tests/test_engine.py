@@ -102,6 +102,62 @@ class TestEvaluationCache:
         assert calls == []
         assert cache.get_or_compute("s", 2, lambda: "b2") == "b2"
 
+    def test_hit_probes_an_unbounded_store_once(self):
+        operations = []
+
+        class Store(dict):
+            def get(self, *args):
+                operations.append("get")
+                return super().get(*args)
+
+            def __contains__(self, key):
+                operations.append("in")
+                return super().__contains__(key)
+
+            def __getitem__(self, key):
+                operations.append("getitem")
+                return super().__getitem__(key)
+
+            def __setitem__(self, key, value):
+                operations.append("set")
+                super().__setitem__(key, value)
+
+            def __delitem__(self, key):
+                operations.append("del")
+                super().__delitem__(key)
+
+            def pop(self, *args):
+                operations.append("pop")
+                return super().pop(*args)
+
+        cache = EvaluationCache()
+        cache.get_or_compute("s", 1, lambda: "a")
+        cache.get_or_compute("s", 2, lambda: "b")
+        cache._store = Store(cache._store)
+        assert cache.lookup("s", 1) == (True, "a")
+        assert operations == ["get"]
+        # No recency bookkeeping without a bound: insertion order stands.
+        assert list(cache._store) == [("s", 1), ("s", 2)]
+        # A stored None is a hit, not a miss.
+        cache.store("s", 3, None)
+        assert cache.lookup("s", 3) == (True, None)
+        assert (cache.stats["s"].hits, cache.stats["s"].misses) == (2, 2)
+
+    def test_bounded_cache_evicts_least_recently_used_with_same_stats(self):
+        cache = EvaluationCache(max_entries=3)
+        for key in (1, 2, 3):
+            cache.get_or_compute("s", key, lambda: key)
+        # Hits on 1 then 2 leave 3 least recently used.
+        assert cache.lookup("s", 1) == (True, 1)
+        assert cache.lookup("s", 2) == (True, 2)
+        assert list(cache._store) == [("s", 3), ("s", 1), ("s", 2)]
+        cache.get_or_compute("t", 4, lambda: 4)
+        assert list(cache._store) == [("s", 1), ("s", 2), ("t", 4)]
+        assert cache.lookup("s", 3) == (False, None)
+        assert cache.lookup("s", 1) == (True, 1)
+        stats = {k: (v.hits, v.misses, v.evictions) for k, v in cache.stats.items()}
+        assert stats == {"s": (3, 4, 1), "t": (0, 1, 0)}
+
     def test_evictions_counted_against_evicted_stage(self):
         cache = EvaluationCache(max_entries=1)
         cache.get_or_compute("alpha", 1, lambda: "a")
@@ -298,7 +354,7 @@ class TestRebind:
 class TestCriticalPathMemo:
     def test_chain_fast_path_matches_dag(self, tempo_arch):
         engine = EvaluationEngine(tempo_arch, cache=EvaluationCache())
-        fast = engine._critical_path_for(tempo_arch)
+        fast = engine.link_budget_for(tempo_arch).critical_path
         reference = tempo_arch.critical_path()
         assert fast.instances == reference.instances
         assert fast.insertion_loss_db == reference.insertion_loss_db

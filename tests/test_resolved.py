@@ -1,8 +1,11 @@
-"""The per-run rule table, the energy plan and compiled scaling rules.
+"""The per-run rule table, the per-structure plans and compiled scaling rules.
 
-Bit identity against the loops they replaced (``tests/oracles.py``), the
-pickle contract of compiled rules, and a spy showing that a design point
-evaluates each scaling rule at most once per parameter overlay.
+Bit identity against the loops they replaced (``tests/oracles.py``) -- the
+energy plan, and the map, link-budget, area and latency passes priced from
+one plan per structure over mixed-structure and heterogeneous batches --, the
+pickle contract of compiled rules, a spy showing that a design point
+evaluates each scaling rule at most once per parameter overlay, and the
+cache traffic of the 192-point ``dse_large_grid`` sweep.
 """
 
 from __future__ import annotations
@@ -14,15 +17,22 @@ import pickle
 import numpy as np
 import pytest
 
-from oracles import area_report_reference, energy_report_reference, eval_tree
-from repro.arch.architecture import ArchitectureConfig
+from oracles import (
+    area_report_reference,
+    energy_report_reference,
+    eval_tree,
+    latency_report_reference,
+    link_budget_reference,
+)
+from repro.arch.architecture import ArchitectureConfig, HeterogeneousArchitecture
 from repro.arch.instance import Activity
 from repro.arch.templates import TEMPLATE_BUILDERS, build_tempo
 from repro.core.area import AreaAnalyzer
 from repro.core.cache import EvaluationCache
 from repro.core.config import SimulationConfig
 from repro.core.energy import EnergyAnalyzer, EnergyItem
-from repro.core.engine import EvaluationEngine, rebind_architecture
+from repro.core.engine import EvaluationContext, EvaluationEngine, rebind_architecture
+from repro.core.latency import LatencyAnalyzer
 from repro.core.link_budget import LinkBudgetAnalyzer
 from repro.core.memory_analyzer import MemoryAnalyzer
 from repro.dataflow.gemm import GEMMWorkload
@@ -493,3 +503,241 @@ class TestMapperLimits:
         # Every map miss reuses the limits its key already holds.
         assert stats["map"].misses > stats["mapper_limits"].misses
         assert len(calls) == stats["mapper_limits"].misses
+
+
+# -- map, link-budget, area and latency from one plan per structure ---------------------
+
+
+def _assert_same_area(report, reference):
+    assert list(report.breakdown_um2.items()) == list(reference.breakdown_um2.items())
+    assert report.node_area_um2 == reference.node_area_um2
+    assert report.node_area_naive_um2 == reference.node_area_naive_um2
+    assert report.memory_area_mm2 == reference.memory_area_mm2
+    assert report.layout_aware == reference.layout_aware
+
+
+def _mapping_fields(mapping):
+    return [getattr(mapping, f.name) for f in dataclasses.fields(mapping)]
+
+
+def _assert_context_matches_oracles(engine, ctx):
+    """Every mapping, link budget, area report and latency of ``ctx``
+    against the one-at-a-time oracles."""
+    hierarchy = ctx.memory_report.hierarchy if ctx.memory_report is not None else None
+    routed = [(gemm, arch) for gemm, arch, _ in ctx.mappings]
+    assert routed == ctx.routed
+    for gemm, arch, mapping in ctx.mappings:
+        assert mapping.workload is gemm
+        assert _mapping_fields(mapping) == _mapping_fields(DataflowMapper().map(gemm, arch))
+    for arch in ctx.distinct_archs():
+        link = ctx.link_budgets[arch.name]
+        assert link == link_budget_reference(engine.link_budget_analyzer, arch)
+        _assert_same_area(
+            ctx.area_reports[arch.name],
+            area_report_reference(engine.area_analyzer, arch, ctx.memory_report),
+        )
+    for layer in ctx.layers:
+        assert layer.latency == latency_report_reference(
+            engine.latency_analyzer, layer.mapping, hierarchy
+        )
+
+
+_HYBRID_RULES = {"conv": "scatter", "linear": "mzi_mesh"}
+
+
+def _hybrid_workloads():
+    # Interleaved layer types: each context's routed list alternates between
+    # its two sub-architectures, so a point maps several runs per architecture.
+    return [
+        GEMMWorkload("conv1", m=64, k=27, n=16, layer_type="conv"),
+        GEMMWorkload("fc1", m=1, k=64, n=10, layer_type="linear"),
+        GEMMWorkload("conv2", m=32, k=144, n=32, layer_type="conv"),
+        GEMMWorkload("fc2", m=4, k=64, n=64, layer_type="linear"),
+    ]
+
+
+def _hybrid_contexts(engine):
+    """Three heterogeneous systems whose sub-architectures are rebound
+    points of one scatter and one MZI-mesh structure."""
+    bases = {name: TEMPLATE_BUILDERS[name]() for name in _HYBRID_RULES.values()}
+    contexts = []
+    for tiles, height in ((1, 2), (2, 4), (3, 2)):
+        system = HeterogeneousArchitecture(name=f"hybrid_{tiles}_{height}")
+        for key, base in bases.items():
+            config = dataclasses.replace(base.config, num_tiles=tiles, core_height=height)
+            system.add(key, rebind_architecture(base, config, f"{key}_{tiles}_{height}"))
+        contexts.append(
+            EvaluationContext(
+                system=system,
+                config=engine.config,
+                workloads=_hybrid_workloads(),
+                type_rules=_HYBRID_RULES,
+            )
+        )
+    return contexts
+
+
+class TestStructurePlanOracles:
+    """Batched map, link-budget, area and latency against one-at-a-time oracles."""
+
+    @pytest.mark.parametrize("cached", [True, False])
+    @pytest.mark.parametrize("overlay_rules", [False, True])
+    def test_mixed_structure_batch(self, cached, overlay_rules):
+        archs = _batch_archs(overlay_rules)
+        engine = EvaluationEngine(
+            archs[0], SimulationConfig(), cache=EvaluationCache(enabled=cached)
+        )
+        ctxs = engine._execute(
+            [engine.context_for(_workloads(), single_arch=arch) for arch in archs]
+        )
+        for ctx in ctxs:
+            _assert_context_matches_oracles(engine, ctx)
+        # Some structure has a zero-count area group at some point.
+        labels = [set(ctx.area_reports[ctx.single_arch.name].breakdown_um2) for ctx in ctxs]
+        assert set.union(*labels) != set.intersection(*labels)
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_heterogeneous_batch(self, cached):
+        engine = EvaluationEngine(
+            TEMPLATE_BUILDERS["scatter"](), SimulationConfig(),
+            cache=EvaluationCache(enabled=cached),
+        )
+        ctxs = engine._execute(_hybrid_contexts(engine))
+        for ctx in ctxs:
+            assert [arch.name.split("_")[0] for _, arch in ctx.routed] == [
+                "scatter", "mzi", "scatter", "mzi",
+            ]
+            _assert_context_matches_oracles(engine, ctx)
+            alone = EvaluationEngine(
+                ctx.system, SimulationConfig(), type_rules=_HYBRID_RULES,
+                cache=EvaluationCache(enabled=cached),
+            ).run(_hybrid_workloads())
+            assert _result_signature(ctx.result) == _result_signature(alone)
+
+    def test_link_budgets_of_one_equal_the_analyzer(self):
+        for arch in _batch_archs(False):
+            engine = EvaluationEngine(arch, cache=EvaluationCache(enabled=False))
+            reference = link_budget_reference(engine.link_budget_analyzer, arch)
+            assert engine.link_budget_for(arch) == reference
+            assert engine.link_budget_analyzer.analyze(arch) == reference
+
+    def test_map_batch_looks_up_in_one_at_a_time_order(self):
+        items = [
+            (workload, arch, arch.resolve().parallel_dims)
+            for arch in _batch_archs(False)
+            for workload in _workloads()
+        ]
+        batch_cache, alone_cache = EvaluationCache(), EvaluationCache()
+        batch_lookups, alone_lookups = [], []
+        for cache, lookups in ((batch_cache, batch_lookups), (alone_cache, alone_lookups)):
+            lookup = cache.lookup
+
+            def spy(stage, key, lookup=lookup, lookups=lookups):
+                lookups.append((stage, key))
+                return lookup(stage, key)
+
+            cache.lookup = spy
+        batched = DataflowMapper(cache=batch_cache).map_batch(items)
+        mapper = DataflowMapper(cache=alone_cache)
+        for (workload, arch, dims), mapping in zip(items, batched):
+            alone = mapper.map(workload, arch, dims)
+            assert mapping.workload is workload
+            assert _mapping_fields(mapping) == _mapping_fields(alone)
+        assert batch_lookups == alone_lookups
+        assert {k: (v.hits, v.misses) for k, v in batch_cache.stats.items()} == {
+            k: (v.hits, v.misses) for k, v in alone_cache.stats.items()
+        }
+
+    def test_glb_bandwidth_read_once_per_hierarchy(self, monkeypatch):
+        read = LatencyAnalyzer.glb_bytes_per_ns
+        hierarchies = []
+
+        def spy(hierarchy):
+            hierarchies.append(id(hierarchy))
+            return read(hierarchy)
+
+        monkeypatch.setattr(LatencyAnalyzer, "glb_bytes_per_ns", staticmethod(spy))
+        archs = [arch for arch in _batch_archs(False) if arch.name.startswith("tempo")]
+        engine = EvaluationEngine(archs[0], SimulationConfig(), cache=EvaluationCache())
+        ctxs = engine._execute(
+            [engine.context_for(_workloads(), single_arch=arch) for arch in archs]
+        )
+        assert sorted(hierarchies) == sorted({id(ctx.memory_report.hierarchy) for ctx in ctxs})
+        for ctx in ctxs:
+            for layer in ctx.layers:
+                assert layer.latency == latency_report_reference(
+                    engine.latency_analyzer, layer.mapping, ctx.memory_report.hierarchy
+                )
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_latency_bandwidth_form_is_bit_identical(self, overlap):
+        analyzer = LatencyAnalyzer(overlap_memory_with_compute=overlap)
+        config = SimulationConfig()
+        for arch in _batch_archs(False):
+            mappings = [DataflowMapper().map(w, arch) for w in _workloads()]
+            hierarchy = MemoryAnalyzer(config).analyze(mappings, arch).hierarchy
+            for mapping in mappings:
+                for source in (hierarchy, None):
+                    reference = latency_report_reference(analyzer, mapping, source)
+                    assert analyzer.analyze(mapping, source) == reference
+                    assert analyzer.analyze_at(
+                        mapping, LatencyAnalyzer.glb_bytes_per_ns(source)
+                    ) == reference
+
+
+# -- the 192-point dse_large_grid sweep ------------------------------------------------
+
+
+def _large_grid_explorer():
+    from repro.scenarios import REGISTRY
+    from repro.scenarios.workloads import large_grid_workloads
+
+    spec = REGISTRY.get("dse_large_grid").spec
+    explorer = DesignSpaceExplorer(
+        build_tempo, large_grid_workloads(), base_config=spec.arch_config()
+    )
+    return explorer, explorer.explore(DesignSpace.from_axes(spec.sweep)), spec
+
+
+class TestLargeGrid:
+    def test_cache_traffic_is_pinned(self):
+        _, result, _ = _large_grid_explorer()
+        traffic = {
+            stage: (stats.hits, stats.misses) for stage, stats in result.cache_stats.items()
+        }
+        assert traffic == {
+            "build": (189, 3),
+            "map": (336, 240),
+            "mapper_limits": (573, 3),
+            "memory": (112, 80),
+            "critical_path": (160, 32),
+            "optics_profile": (189, 3),
+            "floorplan": (191, 1),
+            "design_point": (0, 192),
+        }
+        assert {name: t.count for name, t in result.pass_timings.items()} == {
+            name: 192
+            for name in (
+                "route", "map", "memory", "link_budget", "area", "layer_analysis",
+                "aggregate",
+            )
+        }
+
+    def test_every_point_equals_an_uncached_engine(self):
+        explorer, result, spec = _large_grid_explorer()
+        assert len(result.points) == 192
+        archs = []
+        for point in result.points:
+            config = dataclasses.replace(spec.arch_config(), **point.parameters)
+            archs.append(build_tempo(config=config, name=f"{config.name}_dse"))
+        engine = EvaluationEngine(
+            archs[0], SimulationConfig(), cache=EvaluationCache(enabled=False)
+        )
+        for point, alone in zip(result.points, engine.run_batch(archs, explorer.workloads)):
+            link = next(iter(alone.link_budgets.values()))
+            assert point.energy_uj == alone.total_energy_uj
+            assert point.latency_ns == alone.total_time_ns
+            assert point.area_mm2 == alone.total_area_mm2
+            assert point.power_w == alone.total_power_w
+            assert point.laser_power_mw == link.total_laser_electrical_power_mw
+            assert point.energy_per_mac_pj == alone.energy_per_mac_pj
