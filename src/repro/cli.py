@@ -1,7 +1,7 @@
 """The ``repro`` command line: list, run, batch and report registered scenarios.
 
-Replaces the per-figure benchmark scripts as the entry point for reproducing the
-paper's evaluation::
+The one entry point for reproducing the paper's evaluation (the repo's
+benchmark, which times it, is ``perfbench/run.py``)::
 
     python -m repro list                      # what can I run?
     python -m repro run fig7_tempo_validation # one scenario, table on stdout
@@ -32,12 +32,6 @@ from repro.scenarios import (
     ResultStore,
     default_store_root,
 )
-from repro.scenarios.bench import (
-    DEFAULT_BENCH_PATH,
-    bench_scenarios,
-    check_speedups,
-    write_bench_report,
-)
 
 
 def _positive_int(text: str) -> int:
@@ -55,19 +49,6 @@ def _positive_int(text: str) -> int:
         ) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    """argparse type for counts that may be zero (e.g. ``--warmup``)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -139,9 +120,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     origin = "result store" if result.from_store else f"run in {result.elapsed_s:.2f} s"
     print(f"\n[{result.fingerprint[:16]}] {origin}", file=sys.stderr)
     if args.save_results:
-        save_result_text(
-            Path(args.save_results) / f"{result.name}.txt", result.table, echo=False
-        )
+        save_result_text(Path(args.save_results) / f"{result.name}.txt", result.table)
     if args.check:
         REGISTRY.verify(args.name, result)
         print(f"checks passed for {args.name}", file=sys.stderr)
@@ -174,28 +153,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         for item in report.items:
             if item.ok:
                 save_result_text(
-                    Path(args.save_results) / f"{item.name}.txt",
-                    item.result.table,
-                    echo=False,
+                    Path(args.save_results) / f"{item.name}.txt", item.result.table
                 )
     return 1 if failures else 0
-
-
-def _parse_fail_below(pairs: Sequence[str]) -> Dict[str, float]:
-    thresholds: Dict[str, float] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise SystemExit(
-                f"error: --fail-below-ref expects SCENARIO=FACTOR, got {pair!r}"
-            )
-        name, factor = pair.split("=", 1)
-        try:
-            thresholds[name] = float(factor)
-        except ValueError:
-            raise SystemExit(
-                f"error: --fail-below-ref factor must be a number, got {factor!r}"
-            ) from None
-    return thresholds
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
@@ -212,65 +172,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         connect_timeout_s=args.connect_timeout_s,
         quiet=args.quiet,
     )
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    names = _select_names(args)
-    if not names:
-        print("no scenarios selected", file=sys.stderr)
-        return 1
-    ref_thresholds = _parse_fail_below(args.fail_below_ref)
-    if ref_thresholds and args.dtype != "float32":
-        raise SystemExit(
-            "error: --fail-below-ref needs a non-reference mode; add "
-            "--dtype float32"
-        )
-    payload = bench_scenarios(
-        names,
-        repeats=args.repeats,
-        warmup=args.warmup,
-        params=_parse_params(args.param),
-        dtype=args.dtype,
-    )
-    rows = []
-    for name in names:
-        entry = payload["scenarios"][name]
-        vec = entry["vectorized"]
-        ref = entry.get("reference")
-        if ref:
-            vs_ref = f"{entry['speedup_vs_reference_median']:.2f}x"
-        elif entry.get("analytic_only"):
-            vs_ref = "analytic"
-        else:
-            vs_ref = "-"
-        fractions = vec.get("stage_fractions", {})
-        stage_text = " ".join(
-            f"{stage}={fractions[stage]:.0%}"
-            for stage in ("rng", "forward", "quantize", "metrics")
-            if stage in fractions
-        )
-        rows.append(
-            (
-                name,
-                f"{vec['median_s'] * 1e3:.1f}",
-                f"{vec['p90_s'] * 1e3:.1f}",
-                vec["engine_passes"],
-                vs_ref,
-                stage_text or "-",
-            )
-        )
-    print(
-        format_table(
-            ["scenario", "median (ms)", "p90 (ms)", "passes", "vs ref", "stages"],
-            rows,
-        )
-    )
-    target = write_bench_report(payload, args.output)
-    print(f"\nwrote {target}", file=sys.stderr)
-    failures = check_speedups(payload, ref_thresholds)
-    for failure in failures:
-        print(f"SPEEDUP CHECK FAILED {failure}", file=sys.stderr)
-    return 1 if failures else 0
 
 
 def _artifact_payload(entry: Dict[str, object]) -> Dict[str, object]:
@@ -447,38 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run shape checks on every freshly computed scenario")
     add_store_args(p_batch)
     p_batch.set_defaults(func=_cmd_batch)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="time scenarios (warmup + repeats) and write a JSON bench report",
-    )
-    p_bench.add_argument("names", nargs="*", help="scenario names (default: all)")
-    p_bench.add_argument("--all", action="store_true", dest="all_scenarios",
-                         help="benchmark every registered scenario")
-    p_bench.add_argument("--smoke", action="store_true",
-                         help="benchmark the fast smoke-tagged subset")
-    p_bench.add_argument("--repeats", type=_positive_int, default=3, metavar="N",
-                         help="timed repeats per scenario (default: 3)")
-    p_bench.add_argument("--warmup", type=_non_negative_int, default=1, metavar="N",
-                         help="untimed warmup runs per scenario (default: 1)")
-    p_bench.add_argument("--dtype", choices=("float64", "float32"), default=None,
-                         help="time the headline runs under this REPRO_DTYPE "
-                              "mode (default: ambient environment; float32 "
-                              "also times the float64 reference and records "
-                              "speedup_vs_reference_median)")
-    p_bench.add_argument("--fail-below-ref", action="append", default=[],
-                         metavar="SCENARIO=FACTOR",
-                         help="exit non-zero when SCENARIO's speedup over the "
-                              "bit-exact reference mode is below FACTOR "
-                              "(repeatable; requires --dtype float32)")
-    p_bench.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
-                         help="override a scenario parameter for every "
-                              "benchmarked scenario (repeatable)")
-    p_bench.add_argument("--output", default=DEFAULT_BENCH_PATH, metavar="PATH",
-                         help=f"report path (default: {DEFAULT_BENCH_PATH}, an "
-                              "untracked scratch file; name a BENCH_*.json "
-                              "explicitly to record a committed report)")
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_worker = sub.add_parser(
         "worker",

@@ -5,9 +5,9 @@ bit-identical backends and fingerprint-complete memoization): a knob that
 changes numerics but is read ad hoc from ``os.environ`` can silently skew a
 process or cluster worker whose shell exports a different value than the
 coordinator that encoded the task; this module makes the fix for that bug
-class structural.  Knobs are for numerics modes, scenario parameter
-overrides and execution plumbing (store, pools, shm, cluster endpoints); a
-scenario's backend and worker count are its ``backend``/``jobs`` parameters,
+class structural.  Knobs are for numerics modes and execution plumbing
+(store, pools, shm, cluster endpoints); a scenario's parameters -- its trial
+count, backend and worker count among them -- are ``--param`` overrides,
 never environment knobs.
 
 Every knob is declared **here, once**, as a :class:`Knob` record (name, type,
@@ -50,10 +50,10 @@ class Knob:
     """One declared ``REPRO_*`` environment knob.
 
     ``affects_numerics`` marks knobs whose value can change computed results
-    (modes, seeds, trial counts) as opposed to pure execution shape (worker
-    counts, endpoints, store paths).  Numeric knobs MUST reach workers through
-    the task-encoding snapshot; :func:`repro_env_snapshot` guarantees that by
-    deriving from this registry.
+    (numerics modes such as ``REPRO_DTYPE``) as opposed to pure execution
+    shape (worker counts, endpoints, store paths).  Numeric knobs MUST reach
+    workers through the task-encoding snapshot; :func:`repro_env_snapshot`
+    guarantees that by deriving from this registry.
     """
 
     name: str
@@ -183,15 +183,12 @@ def value(name: str) -> Any:
 
 
 @contextlib.contextmanager
-def forced_env(name: str, forced: Optional[str]) -> Iterator[None]:
-    """Pin a registered knob in the environment for the block (None = no-op).
+def forced_env(name: str, forced: str) -> Iterator[None]:
+    """Pin a registered knob in the environment for the block.
 
-    The previous value (or absence) is restored on exit.  Used by benchmarks
-    and tests to flip modes without leaking state into later code.
+    The previous value (or absence) is restored on exit.  Used by tests to
+    flip modes without leaking state into later code.
     """
-    if forced is None:
-        yield
-        return
     knob = get(name)
     previous = os.environ.get(knob.name)
     os.environ[knob.name] = forced
@@ -224,10 +221,8 @@ def repro_env_snapshot() -> Dict[str, str]:
 
 
 # -- the declarations ------------------------------------------------------------------
-# One block, one source of truth.  Scenario parameter overrides (resolved by
-# ScenarioSpec.resolve_params in the coordinating process, before any task is
-# encoded) are registered alongside the engine mode knobs so the R003 registry
-# cross-check covers every REPRO_* literal in the package.
+# One block, one source of truth: the R003 registry cross-check covers every
+# REPRO_* literal in the package against these declarations.
 
 register(
     "REPRO_DTYPE",
@@ -236,12 +231,6 @@ register(
     affects_numerics=True,
     description="Trial-batched compute precision; float32 is the opt-in "
     "throughput mode.",
-)
-register(
-    "REPRO_MC_TRIALS",
-    type="int",
-    affects_numerics=True,
-    description="Override the Monte Carlo trial count of variation scenarios.",
 )
 register(
     "REPRO_STORE",

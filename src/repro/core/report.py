@@ -1,10 +1,9 @@
 """Report helpers: component labelling, breakdown merging, text rendering.
 
 This module is the single text-formatting path shared by the scenario CLI
-(:mod:`repro.cli`), the batch runner (:mod:`repro.scenarios.runner`) and the
-benchmark shims under ``benchmarks/`` -- they all render tables via
-:func:`repro.utils.format.format_table` (re-exported here) and persist them with
-:func:`save_result_text`.
+(:mod:`repro.cli`) and the batch runner (:mod:`repro.scenarios.runner`) -- they
+render tables via :func:`repro.utils.format.format_table` (re-exported here),
+and the CLI persists them with :func:`save_result_text`.
 """
 
 from __future__ import annotations
@@ -107,17 +106,14 @@ def render_comparison(
     return format_table(["component", label_a, label_b, "ratio"], rows)
 
 
-def save_result_text(path: Union[str, Path], text: str, echo: bool = True) -> Path:
-    """Persist a rendered result table to ``path`` and optionally echo it.
+def save_result_text(path: Union[str, Path], text: str) -> Path:
+    """Persist a rendered result table to ``path``.
 
-    The canonical persistence helper for figure/table reproductions (formerly
-    ``benchmarks/helpers.save_result``): writes ``text`` plus a trailing newline
-    to ``path`` (creating parent directories) and, when ``echo``, prints the
-    table under a ``=== <stem> ===`` banner exactly like the seed harness did.
+    The canonical persistence helper for figure/table reproductions: writes
+    ``text`` plus a trailing newline to ``path`` (creating parent directories),
+    the layout of every committed ``benchmarks/results/<name>.txt``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n")
-    if echo:
-        print(f"\n=== {path.stem} ===\n{text}\n")
     return path

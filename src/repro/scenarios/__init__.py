@@ -13,13 +13,6 @@ surface:
 Importing this package registers the full catalog.
 """
 
-from repro.scenarios.bench import (
-    DEFAULT_BENCH_PATH,
-    bench_scenarios,
-    check_speedups,
-    time_scenario,
-    write_bench_report,
-)
 from repro.scenarios.registry import (
     REGISTRY,
     Scenario,
@@ -50,11 +43,6 @@ __all__ = [
     "default_store_root",
     "scenario_fingerprint",
     "run_scenario",
-    "DEFAULT_BENCH_PATH",
-    "bench_scenarios",
-    "check_speedups",
-    "time_scenario",
-    "write_bench_report",
     "paper_gemm",
     "scatter_conv_workload",
     "ablation_workload",

@@ -1,11 +1,10 @@
 """The registered scenario catalog: every figure/table experiment of the paper.
 
-Each entry re-expresses one of the seed's ``benchmarks/bench_*.py`` scripts as a
-declarative :class:`~repro.scenarios.spec.ScenarioSpec` plus a build function
-producing the *byte-identical* table the script used to print, and a verify
-function carrying the script's qualitative shape checks.  The benchmark files
-are now thin shims over this catalog; ``python -m repro run <name>`` and the
-batch runner execute the same entries.
+Each entry is a declarative :class:`~repro.scenarios.spec.ScenarioSpec` plus a
+build function producing the entry's table *byte-identical* to the committed
+``benchmarks/results/<name>.txt``, and a verify function carrying its
+qualitative shape checks.  ``python -m repro run <name>`` and the batch runner
+execute the same entries.
 
 Scenario names match the stems of ``benchmarks/results/<name>.txt``.
 """
@@ -999,12 +998,11 @@ def _check_variation_robustness(result: ScenarioResult) -> None:
             "input_seed": 9,
             "samples": 48,
             # Exist only for perfbench's McRobustness (backend=serial); they
-            # leave when `repro bench` folds into perfbench (ROADMAP item B).
+            # leave when McRobustness stops passing them (ROADMAP item B.4).
             # `backend` accepts only "serial" and `jobs` is ignored.
             "backend": "serial",
             "jobs": 0,
         },
-        env_params={"trials": "REPRO_MC_TRIALS"},
         description=(
             "Scales a representative silicon-photonics noise corner "
             "(weight-encoding error, phase noise, crosstalk, link-loss drift) "

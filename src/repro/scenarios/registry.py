@@ -30,7 +30,6 @@ from repro.arch.architecture import Architecture, HeterogeneousArchitecture
 from repro.core.cache import EvaluationCache
 from repro.core.config import SimulationConfig
 from repro.core.engine import EvaluationEngine, SimulationResult
-from repro.core.knobs import repro_env_snapshot
 from repro.explore.dse import DesignSpace, DesignSpaceExplorer
 from repro.scenarios.spec import ScenarioResult, ScenarioSpec
 from repro.scenarios.store import ResultStore, scenario_fingerprint
@@ -182,7 +181,7 @@ class ScenarioRegistry:
         self, name: str, params: Optional[Mapping[str, Any]] = None
     ) -> str:
         scenario = self.get(name)
-        resolved = scenario.spec.resolve_params(params, env=repro_env_snapshot())
+        resolved = scenario.spec.resolve_params(params)
         return scenario_fingerprint(scenario.spec, resolved, scenario.build)
 
     def run(
@@ -202,7 +201,7 @@ class ScenarioRegistry:
         - ``force`` bypasses the store lookup (the artifact is still rewritten).
         """
         scenario = self.get(name)
-        resolved = scenario.spec.resolve_params(params, env=repro_env_snapshot())
+        resolved = scenario.spec.resolve_params(params)
         fingerprint = scenario_fingerprint(scenario.spec, resolved, scenario.build)
         if store is not None and not force:
             stored = store.load(name, fingerprint)

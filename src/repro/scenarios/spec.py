@@ -77,10 +77,6 @@ class ScenarioSpec:
     - ``columns``: the output table's column headers;
     - ``params``: scenario-specific knobs with their defaults (e.g. the number
       of simulated BERT encoder blocks), overridable per run;
-    - ``env_params``: ``{param: ENV_VAR}`` environment overrides for ``params``.
-      Only numerics knobs (registered with ``affects_numerics=True``) belong
-      here; execution shape such as a ``backend``/``jobs`` pair is chosen
-      through the params alone;
     - ``tags``: free-form labels; ``"smoke"`` marks the fast CI subset.
     """
 
@@ -97,7 +93,6 @@ class ScenarioSpec:
     objectives: Tuple[str, ...] = ()
     columns: Tuple[str, ...] = ()
     params: Mapping[str, Any] = field(default_factory=dict)
-    env_params: Mapping[str, str] = field(default_factory=dict)
     tags: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -121,27 +116,16 @@ class ScenarioSpec:
         for objective in self.objectives:
             if objective not in _OBJECTIVES:
                 raise _unknown_field_error("objective", objective, _OBJECTIVES)
-        for param in self.env_params:
-            if param not in self.params:
-                raise _unknown_field_error("env_params key", param, self.params or ["<none>"])
 
     # -- parameter resolution ---------------------------------------------------------
-    def resolve_params(
-        self,
-        overrides: Optional[Mapping[str, Any]] = None,
-        env: Optional[Mapping[str, str]] = None,
-    ) -> Dict[str, Any]:
-        """Defaults -> environment knobs -> explicit overrides, type-coerced.
+    def resolve_params(self, overrides: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
+        """Defaults -> explicit overrides, type-coerced.
 
-        Values coming from the environment or from CLI strings are coerced to
-        the type of the declared default; unknown override names raise with a
-        suggestion (the actionable-validation contract).
+        Values coming from CLI strings are coerced to the type of the declared
+        default; unknown override names raise with a suggestion (the
+        actionable-validation contract).
         """
         resolved = dict(self.params)
-        if env is not None:
-            for param, var in self.env_params.items():
-                if var in env:
-                    resolved[param] = _coerce(env[var], resolved[param], param)
         for name, value in dict(overrides or {}).items():
             if name not in resolved:
                 raise _unknown_field_error(

@@ -115,7 +115,7 @@ class AccuracyRequest:
     #: baseline for precision sweeps).
     reference: str = "quantized"
     # Exists only for perfbench's McRobustness (backend="serial"); leaves when
-    # `repro bench` folds into perfbench (ROADMAP item B).
+    # McRobustness stops passing it (ROADMAP item B.4).
     backend: Optional[str] = None
     jobs: Optional[int] = None
 

@@ -1,8 +1,8 @@
 """Stage-level wall-clock attribution for the Monte Carlo hot path.
 
-The ``repro bench`` harness needs to know *where* a study's time goes -- random
-number generation, the stacked forwards, quantization, metrics -- so each PR's
-``BENCH_*.json`` records where the next ceiling is.  This module is the
+The benchmark's layer trace (``perfbench/``) needs to know *where* a study's
+time goes -- random number generation, the stacked forwards, quantization,
+metrics -- so each run records where the next ceiling is.  This module is the
 variation-pipeline analogue of :func:`repro.core.engine.observe_passes`: a
 registered observer receives ``(stage_name, seconds)`` for every instrumented
 block, and when no observer is registered the :func:`stage` context manager

@@ -16,6 +16,7 @@ from repro.core.report import (
     merge_breakdowns,
     render_breakdown,
     render_comparison,
+    save_result_text,
     scale_breakdown,
 )
 from repro.dataflow.gemm import GEMMWorkload
@@ -210,3 +211,10 @@ class TestReportHelpers:
         assert "TOTAL" in text
         comparison = render_comparison("sim", {"a": 1.0}, "ref", {"a": 2.0})
         assert "ratio" in comparison
+
+    def test_save_result_text_writes_the_table_silently(self, tmp_path, capsys):
+        text = render_breakdown({"a": 1.0}, unit="pJ")
+        path = save_result_text(tmp_path / "nested" / "demo.txt", text)
+        assert path == tmp_path / "nested" / "demo.txt"
+        assert path.read_text() == text + "\n"
+        assert capsys.readouterr().out == ""

@@ -79,11 +79,34 @@ class TestRun:
         ]) == 1
         assert capsys.readouterr().err == "error: trials must be positive, got 0\n"
 
+    def test_param_sets_the_monte_carlo_trial_count(self, tmp_path, monkeypatch, capsys):
+        # --param is the one way to set the trial count; a stale environment
+        # override from before the knob was retired is ignored.
+        from repro.scenarios import run_scenario
+
+        monkeypatch.setenv("REPRO_MC_TRIALS", "3")
+        assert main([
+            "run", "variation_robustness", "--no-store", "--param", "trials=2",
+            "--save-results", str(tmp_path),
+        ]) == 0
+        saved = (tmp_path / "variation_robustness.txt").read_text()
+        expected = run_scenario("variation_robustness", params={"trials": 2})
+        assert expected.metrics["trials"] == 2
+        assert saved == expected.table + "\n"
+        assert saved != run_scenario("variation_robustness", params={"trials": 3}).table + "\n"
+
     def test_the_retired_pool_subcommand_is_unknown(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["pool"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'pool'" in capsys.readouterr().err
+
+    def test_the_retired_bench_subcommand_is_unknown(self, capsys):
+        # perfbench/run.py is the one benchmark; the CLI no longer times itself.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestBatchAndReport:

@@ -625,13 +625,25 @@ class TestBackendEquivalence:
             "a store-served process batch must not even spawn workers"
         )
 
+    def test_serial_batch_captures_errors_per_item(self, monkeypatch):
+        # The serial backend reports the same per-item failure as processes.
+        monkeypatch.setenv("REPRO_DTYPE", "float16")
+        report = BatchRunner(store=None).run(["variation_robustness", "fig6_layout"])
+        assert not report.ok
+        error = report.item("variation_robustness").error
+        assert "ValueError: REPRO_DTYPE must be one of float64, float32, got 'float16'" in error
+        assert report.item("fig6_layout").ok
+
     def test_process_batch_captures_errors_per_item(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_MC_TRIALS", "not-a-number")
+        # A bad numerics mode fails only the scenario that reads it.
+        monkeypatch.setenv("REPRO_DTYPE", "float16")
         report = BatchRunner(store=None, backend="processes", jobs=2).run(
             ["variation_robustness", "fig6_layout"]
         )
         assert not report.ok
-        assert "ValueError" in report.item("variation_robustness").error
+        error = report.item("variation_robustness").error
+        assert "ValueError" in error
+        assert "REPRO_DTYPE must be one of float64, float32, got 'float16'" in error
         assert report.item("fig6_layout").ok
 
     def test_process_batch_requires_the_global_registry(self):

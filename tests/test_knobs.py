@@ -27,7 +27,6 @@ def test_every_mode_knob_is_declared():
     names = knob_names()
     for name in (
         "REPRO_DTYPE",
-        "REPRO_MC_TRIALS",
         "REPRO_POOL",
         "REPRO_STORE",
         "REPRO_CLUSTER_HOST",
@@ -37,39 +36,31 @@ def test_every_mode_knob_is_declared():
 
 
 def test_one_knob_per_concern():
-    # Scenario parameters are set with --param; the one env override left is
-    # the trial count CI's smoke bench cannot pass per scenario.
-    assert len(knob_names()) == 11
+    # Scenario parameters (the Monte Carlo trial count among them) are set
+    # with --param only: no spec reads an environment override.
+    assert len(knob_names()) == 10
     from repro.scenarios import REGISTRY
 
-    overrides = {
-        scenario.spec.name: dict(scenario.spec.env_params)
-        for scenario in REGISTRY
-        if scenario.spec.env_params
-    }
-    assert overrides == {"variation_robustness": {"trials": "REPRO_MC_TRIALS"}}
+    assert len(REGISTRY) > 0
+    for scenario in REGISTRY:
+        assert not hasattr(scenario.spec, "env_params"), scenario.spec.name
 
 
 def test_numeric_knobs_cover_the_result_affecting_surface():
     numeric = set(numeric_knob_names())
-    assert {"REPRO_DTYPE", "REPRO_MC_TRIALS"} <= numeric
+    assert "REPRO_DTYPE" in numeric
     # Execution shape must never be classified as numerics.
     assert "REPRO_CLUSTER_WORKERS" not in numeric
     assert "REPRO_POOL" not in numeric
-    # Scenario env overrides are numerics knobs only: execution shape (a
-    # scenario's backend/jobs) reaches a scenario through its params alone.
-    from repro.scenarios import REGISTRY
-
-    for scenario in REGISTRY:
-        for var in scenario.spec.env_params.values():
-            assert var in numeric, f"{scenario.spec.name}: {var} is not a numerics knob"
 
 
-def test_the_retired_rng_knob_is_not_declared():
-    # Monte Carlo sampling has one stream contract; nothing selects another.
-    assert not is_registered("REPRO_RNG")
+@pytest.mark.parametrize("name", ["REPRO_RNG", "REPRO_MC_TRIALS"])
+def test_the_retired_rng_knob_is_not_declared(name):
+    # Monte Carlo sampling has one stream contract, and its trial count is a
+    # scenario parameter: no environment knob selects either.
+    assert not is_registered(name)
     with pytest.raises(KeyError, match="unknown knob"):
-        knobs.get("REPRO_RNG")
+        knobs.get(name)
 
 
 def test_register_is_idempotent_and_conflicts_raise():
@@ -107,20 +98,20 @@ def test_knob_validation():
 
 
 def test_value_coerces_and_falls_back_to_default():
-    with forced_env("REPRO_MC_TRIALS", "17"):
-        assert value("REPRO_MC_TRIALS") == 17
+    with forced_env("REPRO_CLUSTER_PORT", "17"):
+        assert value("REPRO_CLUSTER_PORT") == 17
     with forced_env("REPRO_CLUSTER_WAIT_S", "2.5"):
         assert value("REPRO_CLUSTER_WAIT_S") == 2.5
     assert value("REPRO_DTYPE") in ("float64", "float32")  # default applies
-    assert value("REPRO_MC_TRIALS") is None or isinstance(
-        value("REPRO_MC_TRIALS"), int
+    assert value("REPRO_CLUSTER_PORT") is None or isinstance(
+        value("REPRO_CLUSTER_PORT"), int
     )
 
 
 def test_value_rejects_bad_coercion_and_choices():
-    with forced_env("REPRO_MC_TRIALS", "many"):
+    with forced_env("REPRO_CLUSTER_PORT", "many"):
         with pytest.raises(ValueError, match="must parse as int"):
-            value("REPRO_MC_TRIALS")
+            value("REPRO_CLUSTER_PORT")
     with forced_env("REPRO_DTYPE", "float16"):
         with pytest.raises(ValueError, match="must be one of"):
             value("REPRO_DTYPE")
@@ -131,8 +122,6 @@ def test_forced_env_restores_previous_state():
     before = os.environ.get(name)
     with forced_env(name, "warm"):
         assert raw_value(name) == "warm"
-        with forced_env(name, None):  # None = leave as is
-            assert raw_value(name) == "warm"
     assert os.environ.get(name) == before
     with pytest.raises(KeyError):
         with forced_env("REPRO_NO_SUCH_KNOB", "x"):
@@ -143,10 +132,10 @@ def test_forced_env_restores_previous_state():
 
 
 def test_snapshot_contains_every_set_registered_knob():
-    with forced_env("REPRO_DTYPE", "float32"), forced_env("REPRO_MC_TRIALS", "5"):
+    with forced_env("REPRO_DTYPE", "float32"), forced_env("REPRO_CACHE_MAX_ENTRIES", "5"):
         snapshot = repro_env_snapshot()
         assert snapshot["REPRO_DTYPE"] == "float32"
-        assert snapshot["REPRO_MC_TRIALS"] == "5"
+        assert snapshot["REPRO_CACHE_MAX_ENTRIES"] == "5"
     assert all(key.startswith(REPRO_ENV_PREFIX) for key in repro_env_snapshot())
 
 

@@ -29,7 +29,6 @@ from repro.onn.layers import (
 )
 from repro.onn.models import build_mlp
 from repro.onn.quantize import quantize_uniform_batch
-from repro.scenarios.bench import bench_scenarios, check_speedups
 from repro.variation import (
     AccuracyRequest,
     Crosstalk,
@@ -500,49 +499,3 @@ class TestScenarioChecksAcrossModes:
         result = REGISTRY.run("variation_robustness", store=None, force=True)
         REGISTRY.verify("variation_robustness", result)
 
-
-# -- bench mode matrix ------------------------------------------------------------------
-
-
-class TestBenchModeMatrix:
-    def test_non_reference_mode_records_reference_comparison(self):
-        # variation_robustness has Monte Carlo stage work, so the non-default
-        # mode actually diverges from the reference and the comparison is
-        # meaningful (analytic-only scenarios skip it -- see below).
-        payload = bench_scenarios(
-            ["variation_robustness"], repeats=1, warmup=0, dtype="float32"
-        )
-        entry = payload["scenarios"]["variation_robustness"]
-        assert entry["analytic_only"] is False
-        assert entry["vectorized"]["mode"] == "float32"
-        assert entry["vectorized"]["knobs"]["REPRO_DTYPE"] == "float32"
-        assert entry["reference"]["mode"] == "float64"
-        assert entry["reference"]["knobs"]["REPRO_DTYPE"] == "float64"
-        assert entry["speedup_vs_reference_median"] > 0
-        assert check_speedups(payload, {"variation_robustness": 0.0}) == []
-        failures = check_speedups(payload, {"variation_robustness": 1e9})
-        assert failures and "below" in failures[0]
-
-    def test_analytic_scenario_skips_reference_comparison(self):
-        # table1_taxonomy runs no Monte Carlo stages, so a reference-mode
-        # rerun would measure pure timer jitter; the entry is flagged
-        # analytic_only, no reference block or ratio is recorded, and a
-        # --fail-below-ref gate on it fails deterministically.
-        payload = bench_scenarios(
-            ["table1_taxonomy"], repeats=1, warmup=0, dtype="float32"
-        )
-        entry = payload["scenarios"]["table1_taxonomy"]
-        assert entry["analytic_only"] is True
-        assert "reference" not in entry
-        assert "speedup_vs_reference_median" not in entry
-        failures = check_speedups(payload, {"table1_taxonomy": 1.0})
-        assert len(failures) == 1 and "analytic-only" in failures[0]
-
-    def test_reference_mode_has_no_reference_block(self):
-        payload = bench_scenarios(["variation_robustness"], repeats=1, warmup=0)
-        entry = payload["scenarios"]["variation_robustness"]
-        assert "reference" not in entry
-        failures = check_speedups(payload, {"variation_robustness": 1.0})
-        assert failures == [
-            "variation_robustness: no reference-mode comparison recorded"
-        ]

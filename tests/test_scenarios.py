@@ -85,15 +85,20 @@ class TestScenarioSpecValidation:
         with pytest.raises(KeyError, match=r"num_layer.*did you mean 'num_layers'"):
             spec.resolve_params({"num_layer": 2})
 
-    def test_resolve_params_coerces_env_strings(self):
-        spec = ScenarioSpec(
-            name="demo", title="t",
-            params={"num_layers": 4}, env_params={"num_layers": "DEMO_LAYERS"},
-        )
-        assert spec.resolve_params(env={"DEMO_LAYERS": "7"}) == {"num_layers": 7}
+    def test_resolve_params_coerces_param_strings(self):
+        # `--param num_layers=2` arrives as a string.
+        spec = ScenarioSpec(name="demo", title="t", params={"num_layers": 4})
+        assert spec.resolve_params() == {"num_layers": 4}
         assert spec.resolve_params({"num_layers": "2"}) == {"num_layers": 2}
         with pytest.raises(ValueError, match="expects a int"):
-            spec.resolve_params(env={"DEMO_LAYERS": "many"})
+            spec.resolve_params({"num_layers": "many"})
+
+    def test_the_environment_sets_no_scenario_param(self, monkeypatch):
+        spec = REGISTRY.get("variation_robustness").spec
+        default = REGISTRY.fingerprint("variation_robustness")
+        monkeypatch.setenv("REPRO_MC_TRIALS", "3")
+        assert spec.resolve_params()["trials"] == spec.params["trials"]
+        assert REGISTRY.fingerprint("variation_robustness") == default
 
 
 # -- registry ---------------------------------------------------------------------------
@@ -132,6 +137,26 @@ class TestRegistry:
         base = REGISTRY.fingerprint("fig8_lt_validation")
         other = REGISTRY.fingerprint("fig8_lt_validation", {"num_layers": 1})
         assert base != other
+
+    def test_numerics_knobs_key_the_fingerprint(self, monkeypatch):
+        # Numerics modes change the address; execution shape does not.
+        base = REGISTRY.fingerprint("variation_robustness")
+        monkeypatch.setenv("REPRO_POOL", "warm")
+        assert REGISTRY.fingerprint("variation_robustness") == base
+        monkeypatch.setenv("REPRO_DTYPE", "float32")
+        assert REGISTRY.fingerprint("variation_robustness") != base
+
+    def test_the_scenario_timing_harness_is_gone(self):
+        # perfbench/ is the one benchmark; the package exports no timer.
+        import importlib.util
+
+        import repro.scenarios
+
+        assert importlib.util.find_spec("repro.scenarios.bench") is None
+        for name in ("DEFAULT_BENCH_PATH", "bench_scenarios", "check_speedups",
+                     "time_scenario", "write_bench_report"):
+            assert not hasattr(repro.scenarios, name), name
+            assert name not in repro.scenarios.__all__
 
 
 # -- execution + store ------------------------------------------------------------------

@@ -1,26 +1,22 @@
-"""PR 5: vectorized forward path, trial-batched Monte Carlo, bench harness.
+"""Vectorized forward path and trial-batched Monte Carlo.
 
-Covers the three contracts the performance work must not break:
+Covers the two contracts the performance work must not break:
 
 - the stride-tricks im2col and every ``forward_batch`` agree with the loop
   oracles in ``tests/oracles.py`` (bit-identical where the arithmetic is
   re-orderings of the same elementwise ops, <= 1e-9 everywhere else);
 - the trial-batched Monte Carlo consumes each trial's SeedSequence child RNG
   bit-identically to the per-trial study loop, so reports match the oracle
-  across chunkings and execution backends;
-- the ``repro bench`` harness produces sane machine-readable reports and its
-  speedup gate fails loudly when a comparison is missing.
+  across chunkings and execution backends.
 """
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 import pytest
 
-from repro.cli import main
 from repro.dataflow.gemm import GEMMWorkload
 from oracles import group_trials_by_bits_loop, im2col_loop, loop_monte_carlo
 from repro.onn.layers import (
@@ -41,13 +37,6 @@ from repro.onn.models import build_mlp, build_vgg8_cifar10
 from repro.onn.models.transformer import TransformerEncoder
 from repro.onn.quantize import quantize_uniform, quantize_uniform_batch
 from repro.scenarios import REGISTRY
-from repro.scenarios.bench import (
-    BENCH_SCHEMA,
-    bench_scenarios,
-    check_speedups,
-    time_scenario,
-    write_bench_report,
-)
 from repro.variation import (
     AccuracyRequest,
     NoiseSpec,
@@ -548,6 +537,17 @@ class TestBatchedMonteCarlo:
         assert set(accumulator.totals()) == {"rng", "forward", "quantize", "metrics"}
         assert set(STAGE_NAMES) == {"rng", "forward", "quantize", "metrics"}
 
+    def test_scenario_stages_separate_monte_carlo_from_analytic_work(self):
+        # A Monte Carlo scenario reports every compute stage; an analytic
+        # table runs none, so a stage trace of it is empty.
+        monte_carlo, analytic = StageAccumulator(), StageAccumulator()
+        with observe_stages(monte_carlo):
+            REGISTRY.run("variation_robustness", {"trials": 2}, store=None)
+        with observe_stages(analytic):
+            REGISTRY.run("table1_taxonomy", store=None)
+        assert set(monte_carlo.totals()) == set(STAGE_NAMES)
+        assert analytic.totals() == {}
+
 
 class TestFingerprintMemoization:
     def test_model_fingerprint_is_cached_per_instance(self):
@@ -588,75 +588,6 @@ class TestFingerprintMemoization:
         copy = workload.with_bits(4, 4)
         assert copy.normalized_weights() is not original
         assert np.array_equal(copy.normalized_weights(), original)
-
-
-class TestBenchHarness:
-    def test_time_scenario_records_passes_and_stats(self):
-        timing = time_scenario("table1_taxonomy", repeats=2, warmup=0)
-        assert timing.repeats == 2
-        assert timing.mode == "float64"
-        assert timing.knobs["REPRO_DTYPE"] == "float64"
-        assert timing.median_s > 0
-        assert timing.p90_s >= timing.median_s >= timing.min_s
-        assert len(timing.times_s) == 2
-
-    def test_bench_scenarios_payload_and_speedup_gate(self):
-        payload = bench_scenarios(["table1_taxonomy"], repeats=1, warmup=0)
-        assert payload["schema"] == BENCH_SCHEMA
-        entry = payload["scenarios"]["table1_taxonomy"]
-        assert "vectorized" in entry and "reference" not in entry
-        gated = {"scenarios": {"mc": {"speedup_vs_reference_median": 2.0}, "ref": {}}}
-        assert check_speedups(gated, {"mc": 0.0}) == []
-        failures = check_speedups(gated, {"mc": 1e9})
-        assert failures and "below" in failures[0]
-        assert check_speedups(gated, {"ref": 1.0}) == [
-            "ref: no reference-mode comparison recorded"
-        ]
-        assert check_speedups(payload, {"missing": 1.0}) == ["missing: not benchmarked"]
-
-    def test_write_report_round_trips(self, tmp_path):
-        payload = bench_scenarios(["table1_taxonomy"], repeats=1, warmup=0)
-        target = write_bench_report(payload, tmp_path / "bench.json")
-        loaded = json.loads(target.read_text())
-        assert loaded["scenarios"]["table1_taxonomy"]["vectorized"]["repeats"] == 1
-
-    def test_cli_bench_writes_report(self, tmp_path, capsys):
-        out = tmp_path / "BENCH.json"
-        assert main([
-            "bench", "table1_taxonomy", "--repeats", "1", "--warmup", "0",
-            "--output", str(out),
-        ]) == 0
-        captured = capsys.readouterr()
-        assert "table1_taxonomy" in captured.out
-        assert out.exists()
-        payload = json.loads(out.read_text())
-        assert payload["scenarios"]["table1_taxonomy"]["vectorized"]["repeats"] == 1
-
-    def test_cli_bench_fail_below_needs_comparison(self):
-        """--fail-below-ref gates the throughput mode against the reference,
-        so it needs a non-reference mode to compare."""
-        with pytest.raises(SystemExit, match="non-reference mode"):
-            main([
-                "bench", "table1_taxonomy", "--repeats", "1", "--warmup", "0",
-                "--fail-below-ref", "table1_taxonomy=1.0",
-            ])
-
-    def test_cli_bench_rejects_the_retired_rng_flag(self, capsys):
-        """Monte Carlo sampling has one stream contract, so bench compares
-        dtype modes only and ``--rng`` is an unknown option."""
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "table1_taxonomy", "--rng", "philox"])
-        assert excinfo.value.code == 2
-        assert "--rng" in capsys.readouterr().err
-
-    def test_cli_bench_unmet_threshold_fails(self, tmp_path, capsys):
-        assert main([
-            "bench", "variation_robustness", "--repeats", "1", "--warmup", "0",
-            "--param", "trials=4", "--dtype", "float32",
-            "--fail-below-ref", "variation_robustness=1000000",
-            "--output", str(tmp_path / "b.json"),
-        ]) == 1
-        assert "SPEEDUP CHECK FAILED" in capsys.readouterr().err
 
 
 class TestScenarioTablesUnchanged:
